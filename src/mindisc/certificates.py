@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensembles import Ensemble
-from .matrices import as_matrix, hermitize, readonly, spectral_decompose
+from .matrices import as_matrix, checked_eigh, fix_phase, hermitize, ordered_sum, readonly
 from .povm import Povm, check_match, p_correct
 
 DEFAULT_TOL = 1e-7
@@ -54,6 +54,38 @@ class Certificate:
         return 1.0 - self.p_corr
 
 
+def _gamma(weighted: np.ndarray, elements: np.ndarray) -> np.ndarray:
+    """Gamma = sum_i W_i E_i from (n, d, d) stacks W = p rho and E = pi."""
+    return ordered_sum(weighted @ elements)
+
+
+def _witness_scan(gamma: np.ndarray, weighted: np.ndarray):
+    """One batched ``eigh`` of every witness G_j = sym(Gamma) - W_j: returns the
+    witnesses, their minimum eigenvalues, the most negative outcome (ties:
+    smallest index) and its eigenvector as ``eigh`` gives it."""
+    witnesses = hermitize(gamma) - weighted
+    values, vectors = checked_eigh(witnesses)
+    j = int(np.argmin(values[:, 0]))
+    return witnesses, values[:, 0], j, vectors[j, :, 0]
+
+
+def _herm_residual(m: np.ndarray) -> float:
+    return float(np.linalg.norm(m - m.conj().T) / max(1.0, np.linalg.norm(m)))
+
+
+def _max_norm(stack: np.ndarray) -> float:
+    return float(np.linalg.norm(stack, axis=(1, 2)).max())
+
+
+def _zero_product_residual(witnesses: np.ndarray, elements: np.ndarray) -> float:
+    return _max_norm(witnesses @ elements)
+
+
+def _pairwise_residual(weighted: np.ndarray, elements: np.ndarray) -> float:
+    # row by row, so that no temporary exceeds n d^2 entries
+    return max(_max_norm(e @ (w - weighted) @ elements) for w, e in zip(weighted, elements))
+
+
 def lagrange_operator(ens: Ensemble, povm: Povm) -> np.ndarray:
     """sum_i p_i rho_i pi_i, returned raw (unsymmetrized).
 
@@ -62,10 +94,7 @@ def lagrange_operator(ens: Ensemble, povm: Povm) -> np.ndarray:
     part must hermitize it themselves.
     """
     check_match(ens, povm)
-    acc = np.zeros((ens.dim, ens.dim), dtype=complex)
-    for i in range(len(ens)):
-        acc += ens.weighted(i) @ povm[i]
-    return acc
+    return _gamma(ens.weighted_states, povm.elements)
 
 
 def witness_operator(ens: Ensemble, povm: Povm, j: int) -> np.ndarray:
@@ -78,31 +107,19 @@ def witness_operator(ens: Ensemble, povm: Povm, j: int) -> np.ndarray:
 
 def hermiticity_residual(m) -> float:
     """Frobenius anti-Hermitian residual, scaled by max(1, ||m||_F)."""
-    arr = as_matrix(m)
-    return float(np.linalg.norm(arr - arr.conj().T) / max(1.0, np.linalg.norm(arr)))
+    return _herm_residual(as_matrix(m))
 
 
 def pairwise_equality_residual(ens: Ensemble, povm: Povm) -> float:
     """max over ordered pairs (j, k) of ||pi_j (p_j rho_j - p_k rho_k) pi_k||_F."""
     check_match(ens, povm)
-    weighted = [ens.weighted(i) for i in range(len(ens))]
-    worst = 0.0
-    for j in range(len(ens)):
-        for k in range(len(ens)):
-            residual = povm[j] @ (weighted[j] - weighted[k]) @ povm[k]
-            worst = max(worst, float(np.linalg.norm(residual)))
-    return worst
+    return _pairwise_residual(ens.weighted_states, povm.elements)
 
 
 def zero_product_residual(ens: Ensemble, povm: Povm) -> float:
     """max_k ||(sym(Gamma) - p_k rho_k) pi_k||_F; vanishes at any optimum."""
-    check_match(ens, povm)
-    symmetric = hermitize(lagrange_operator(ens, povm))
-    worst = 0.0
-    for k in range(len(ens)):
-        residual = (symmetric - ens.weighted(k)) @ povm[k]
-        worst = max(worst, float(np.linalg.norm(residual)))
-    return worst
+    witnesses = hermitize(lagrange_operator(ens, povm)) - ens.weighted_states
+    return _zero_product_residual(witnesses, povm.elements)
 
 
 def certify(
@@ -117,31 +134,24 @@ def certify(
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     check_match(ens, povm)
-    raw = lagrange_operator(ens, povm)
-    herm_residual = hermiticity_residual(raw)
-    symmetric = hermitize(raw)
-
-    minima: list[float] = []
-    worst: Witness | None = None
-    for j in range(len(ens)):
-        value, vector = spectral_decompose(symmetric - ens.weighted(j)).pair(0)
-        minima.append(value)
-        if worst is None or value < worst.eigenvalue:
-            worst = Witness(outcome=j, eigenvalue=value, vector=readonly(vector))
-
-    eq_residual = pairwise_equality_residual(ens, povm)
-    zp_residual = zero_product_residual(ens, povm)
-    optimal = min(minima) >= -tol and herm_residual <= tol
+    weighted, elements = ens.weighted_states, povm.elements
+    gamma = _gamma(weighted, elements)
+    herm_residual = _herm_residual(gamma)
+    eq_residual = _pairwise_residual(weighted, elements)
+    witnesses, minima, j, vector = _witness_scan(gamma, weighted)
+    zp_residual = _zero_product_residual(witnesses, elements)
+    lowest = float(minima[j])
+    optimal = lowest >= -tol and herm_residual <= tol
     if strict:
         optimal = optimal and eq_residual <= tol and zp_residual <= tol
 
     return Certificate(
         p_corr=p_correct(ens, povm),
         lagrange_herm_residual=herm_residual,
-        witness_min_eigenvalues=tuple(minima),
+        witness_min_eigenvalues=tuple(minima.tolist()),
         pairwise_equality_residual=eq_residual,
         zero_product_residual=zp_residual,
         tolerance=float(tol),
         is_optimal=optimal,
-        witness=None if optimal else worst,
+        witness=None if optimal else Witness(j, lowest, readonly(fix_phase(vector))),
     )

@@ -363,7 +363,6 @@ def _solver_summary(trace: SolveTrace, seed: int, start: str) -> dict:
         "iterations": len(trace.iterations),
         "iterations_used": trace.iterations_used,
         "final_epsilon": final_epsilon,
-        "lambda_history_length": len(trace.iterations),
     }
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -14,6 +14,7 @@ from .matrices import (
     as_matrix,
     herm_deviation,
     hermitize,
+    ordered_sum,
     readonly,
 )
 
@@ -35,6 +36,8 @@ class DensityMatrix:
 
     def __post_init__(self):
         arr = as_matrix(self.mat)
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("state has non-finite entries")
         deviation = herm_deviation(arr)
         if deviation > HERM_TOL:
             raise NotHermitianError(deviation)
@@ -68,10 +71,12 @@ def pure_state(v) -> DensityMatrix:
 
 @dataclass(frozen=True)
 class Ensemble:
-    """States paired with prior probabilities summing to one."""
+    """States paired with prior probabilities summing to one; ``weighted_states``
+    holds every p_i rho_i as one readonly (n, d, d) stack."""
 
     priors: np.ndarray
     states: tuple[DensityMatrix, ...]
+    weighted_states: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         priors = np.asarray(self.priors, dtype=float).reshape(-1)
@@ -92,6 +97,8 @@ class Ensemble:
             raise ValueError(f"states have mixed dimensions {sorted(dims)}")
         object.__setattr__(self, "priors", readonly(priors))
         object.__setattr__(self, "states", states)
+        stack = priors[:, None, None] * np.array([s.mat for s in states])
+        object.__setattr__(self, "weighted_states", readonly(stack))
 
     def __len__(self) -> int:
         return len(self.states)
@@ -106,14 +113,11 @@ class Ensemble:
 
     def weighted(self, i: int) -> np.ndarray:
         """Prior-weighted state p_i rho_i."""
-        return self.priors[i] * self.states[i].mat
+        return self.weighted_states[i]
 
     def average_state(self) -> np.ndarray:
         """Barycenter sum_i p_i rho_i."""
-        acc = np.zeros((self.dim, self.dim), dtype=complex)
-        for i in range(len(self)):
-            acc += self.weighted(i)
-        return acc
+        return ordered_sum(self.weighted_states)
 
 
 @dataclass(frozen=True)

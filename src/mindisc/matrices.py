@@ -116,15 +116,28 @@ class Spectrum:
         return (v * self.eigenvalues) @ v.conj().T
 
 
-def _fix_phases(vectors: np.ndarray) -> np.ndarray:
-    fixed = np.array(vectors)
-    for k in range(fixed.shape[1]):
-        col = fixed[:, k]
-        mags = np.abs(col)
-        lead = int(np.argmax(mags > _PHASE_CUTOFF * mags.max()))
-        pivot = col[lead]
-        fixed[:, k] = col * (pivot.conjugate() / abs(pivot))
-    return fixed
+def ordered_sum(stack: np.ndarray) -> np.ndarray:
+    """Sum over the first axis in index order (numpy's pairwise sum rounds otherwise)."""
+    return sum(stack)
+
+
+def fix_phase(vector: np.ndarray) -> np.ndarray:
+    """Scale ``vector`` so its first significant component is real positive."""
+    mags = np.abs(vector)
+    lead = int(np.argmax(mags > _PHASE_CUTOFF * mags.max()))
+    pivot = vector[lead]
+    return vector * (pivot.conjugate() / abs(pivot))
+
+
+def checked_eigh(m) -> tuple[np.ndarray, np.ndarray]:
+    """``eigh`` of a Hermitian matrix or stack; raises EigendecompositionError."""
+    try:
+        eigenvalues, eigenvectors = np.linalg.eigh(m)
+    except np.linalg.LinAlgError as exc:
+        raise EigendecompositionError(f"eigh did not converge: {exc}") from exc
+    if not (np.all(np.isfinite(eigenvalues)) and np.all(np.isfinite(eigenvectors))):
+        raise EigendecompositionError("eigensolver returned non-finite values")
+    return eigenvalues, eigenvectors
 
 
 def spectral_decompose(m, tol: float = HERM_TOL) -> Spectrum:
@@ -137,16 +150,9 @@ def spectral_decompose(m, tol: float = HERM_TOL) -> Spectrum:
     deviation = herm_deviation(arr)
     if deviation > tol:
         raise NotHermitianError(deviation)
-    try:
-        eigenvalues, eigenvectors = np.linalg.eigh(hermitize(arr))
-    except np.linalg.LinAlgError as exc:
-        raise EigendecompositionError(f"eigh did not converge: {exc}") from exc
-    if not (np.all(np.isfinite(eigenvalues)) and np.all(np.isfinite(eigenvectors))):
-        raise EigendecompositionError("eigensolver returned non-finite values")
-    return Spectrum(
-        readonly(eigenvalues.astype(float)),
-        readonly(_fix_phases(eigenvectors)),
-    )
+    eigenvalues, eigenvectors = checked_eigh(hermitize(arr))
+    fixed = np.column_stack([fix_phase(v) for v in eigenvectors.T])
+    return Spectrum(readonly(eigenvalues.astype(float)), readonly(fixed))
 
 
 def min_eigenvalue(m, tol: float = HERM_TOL) -> tuple[float, np.ndarray]:

@@ -20,8 +20,8 @@ from .matrices import (
     NotPositiveError,
     NumericFailure,
     as_matrix,
-    herm_deviation,
     hermitize,
+    ordered_sum,
     readonly,
     spectral_decompose,
 )
@@ -54,38 +54,40 @@ class SupportError(ValueError):
 
 @dataclass(frozen=True)
 class Povm:
-    """Ordered probability operators: Hermitian, PSD, summing to identity."""
+    """Ordered probability operators: Hermitian, PSD, summing to identity,
+    held as one readonly (n, d, d) array."""
 
-    elements: tuple[np.ndarray, ...]
+    elements: np.ndarray
 
     def __post_init__(self):
-        if not self.elements:
+        mats = [as_matrix(raw) for raw in self.elements]
+        if not mats:
             raise ValueError("POVM needs at least one element")
-        checked = []
-        dim = None
-        for i, raw in enumerate(self.elements):
-            arr = as_matrix(raw)
-            if dim is None:
-                dim = arr.shape[0]
-            elif arr.shape[0] != dim:
+        dim = mats[0].shape[0]
+        for i, arr in enumerate(mats):
+            if arr.shape[0] != dim:
                 raise DimensionMismatchError(
                     f"element {i} has dimension {arr.shape[0]}, expected {dim}"
                 )
-            deviation = herm_deviation(arr)
-            if deviation > HERM_TOL:
-                raise NotHermitianError(deviation, index=i)
-            arr = hermitize(arr)
-            lowest = float(np.linalg.eigvalsh(arr)[0])
-            if lowest < -PSD_TOL:
-                raise NotPositiveError(lowest, index=i)
-            checked.append(readonly(arr))
-        total = np.zeros((dim, dim), dtype=complex)
-        for arr in checked:
-            total = total + arr
-        deviation = float(np.max(np.abs(total - np.eye(dim))))
+        stack = np.array(mats)
+        finite = np.isfinite(stack).all(axis=(1, 2))
+        if not finite.all():
+            raise ValueError(f"element {int(np.argmin(finite))} has non-finite entries")
+        adjoint = stack.conj().swapaxes(1, 2)
+        deviations = np.abs(stack - adjoint).max(axis=(1, 2))
+        bad = np.flatnonzero(deviations > HERM_TOL)
+        if bad.size:
+            raise NotHermitianError(deviations[bad[0]], index=int(bad[0]))
+        stack += adjoint
+        stack /= 2
+        lowest = np.linalg.eigvalsh(stack)[:, 0]
+        bad = np.flatnonzero(lowest < -PSD_TOL)
+        if bad.size:
+            raise NotPositiveError(lowest[bad[0]], index=int(bad[0]))
+        deviation = float(np.max(np.abs(ordered_sum(stack) - np.eye(dim))))
         if deviation > COMPLETENESS_TOL:
             raise IncompleteSumError(deviation)
-        object.__setattr__(self, "elements", tuple(checked))
+        object.__setattr__(self, "elements", readonly(stack))
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -98,12 +100,12 @@ class Povm:
 
     @property
     def dim(self) -> int:
-        return self.elements[0].shape[0]
+        return self.elements.shape[1]
 
 
 def validate_povm(elements) -> Povm:
     """Wrap a list of Hermitian matrices as a Povm, enforcing all invariants."""
-    return Povm(tuple(elements))
+    return Povm(elements)
 
 
 def _real_trace(product: np.ndarray) -> float:
@@ -208,10 +210,7 @@ def random_povm(n: int, dim: int, rng) -> Povm:
     for _ in range(n):
         a = gen.standard_normal((dim, dim)) + 1j * gen.standard_normal((dim, dim))
         blocks.append(a @ a.conj().T)
-    total = np.zeros((dim, dim), dtype=complex)
-    for block in blocks:
-        total = total + block
-    inv_sqrt, kernel = _inv_sqrt_on_support(total)
+    inv_sqrt, kernel = _inv_sqrt_on_support(ordered_sum(blocks))
     elements = [hermitize(inv_sqrt @ block @ inv_sqrt) for block in blocks]
     elements[0] = elements[0] + kernel
     return validate_povm(elements)

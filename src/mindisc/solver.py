@@ -20,11 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certificates import DEFAULT_TOL, Certificate, certify, lagrange_operator
+from .certificates import _gamma, _witness_scan
 from .ensembles import PRIOR_TOL, DensityMatrix, Ensemble
 from .matrices import (
     NumericFailure,
+    fix_phase,
     hermitize,
-    min_eigenvalue,
+    ordered_sum,
     readonly,
     spectral_decompose,
 )
@@ -84,51 +86,43 @@ class SolverConfig:
             raise ValueError(f"tol must be positive, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
+        if self.restarts < 0:
+            raise ValueError(f"restarts must be nonnegative, got {self.restarts}")
 
 
 # ---------------------------------------------------------------------------
-# inner loop on raw arrays; public operations wrap these with checked types
+# inner loop on (n, d, d) stacks; public operations wrap these with checked types
 
-def _success_probability(weighted: list[np.ndarray], elements: list[np.ndarray]) -> float:
-    return float(sum(np.einsum("ij,ji->", w, e).real for w, e in zip(weighted, elements)))
+def _state_stack(ens: Ensemble) -> np.ndarray:
+    return np.array([s.mat for s in ens.states])
 
 
-def _scan_modes(
-    weighted: list[np.ndarray], elements: list[np.ndarray]
-) -> tuple[int, float, np.ndarray]:
-    """Most negative witness eigenpair across outcomes (ties: smallest index)."""
-    dim = elements[0].shape[0]
-    raw = np.zeros((dim, dim), dtype=complex)
-    for w, e in zip(weighted, elements):
-        raw += w @ e
-    symmetric = hermitize(raw)
-    best_j, best_value, best_vector = -1, np.inf, None
-    for j, w in enumerate(weighted):
-        values, vectors = np.linalg.eigh(symmetric - w)
-        if values[0] < best_value:
-            best_j, best_value, best_vector = j, float(values[0]), vectors[:, 0]
-    return best_j, best_value, best_vector
+def _real_dots(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Re vdot(x, row) per row, as Re(x . conj(row)): BLAS then gets ``x`` in
+    its own memory layout, whose strides fix the summation order."""
+    return (x[..., None, :] @ rows.conj()[..., :, None])[..., 0, 0].real
+
+
+def _success_probability(weighted: np.ndarray, elements: np.ndarray) -> float:
+    return float(ordered_sum(np.einsum("kij,kji->k", weighted, elements).real))
 
 
 def _coefficients(
     priors: np.ndarray,
-    mats: list[np.ndarray],
-    elements: list[np.ndarray],
+    mats: np.ndarray,
+    elements: np.ndarray,
     j0: int,
     vector: np.ndarray,
 ) -> tuple[float, float]:
     """Coefficients (a, b) of the exact step gain  a eps^2 + b eps."""
-    a = 0.0
-    b = 0.0
-    for p, rho, element in zip(priors, mats, elements):
-        pi_v = element @ vector
-        rho_v = rho @ vector
-        b -= p * 2.0 * float(np.vdot(rho_v, pi_v).real)
-        a += p * float(np.vdot(vector, pi_v).real) * float(np.vdot(vector, rho_v).real)
-    expect_rho = float(np.vdot(vector, mats[j0] @ vector).real)
-    b += 2.0 * priors[j0] * expect_rho
-    a -= priors[j0] * expect_rho
-    return a, b
+    pi_v = np.asarray(elements) @ vector
+    rho_v = np.asarray(mats) @ vector
+    v_pi_v = _real_dots(vector, pi_v)
+    v_rho_v = _real_dots(vector, rho_v)
+    expect_rho = priors[j0] * v_rho_v[j0]
+    a = ordered_sum(priors * v_pi_v * v_rho_v) - expect_rho
+    b = 2.0 * expect_rho - ordered_sum(2.0 * priors * _real_dots(rho_v, pi_v))
+    return float(a), float(b)
 
 
 def _argmax_quadratic(a: float, b: float) -> float:
@@ -139,12 +133,14 @@ def _argmax_quadratic(a: float, b: float) -> float:
 
 
 def _apply_step(
-    elements: list[np.ndarray], j0: int, vector: np.ndarray, epsilon: float
-) -> list[np.ndarray]:
+    elements: np.ndarray, j0: int, vector: np.ndarray, epsilon: float
+) -> np.ndarray:
     projector = np.outer(vector, vector.conj())
-    damp = np.eye(elements[0].shape[0]) - epsilon * projector
-    updated = [hermitize(damp @ element @ damp) for element in elements]
-    updated[j0] = updated[j0] + epsilon * (2.0 - epsilon) * projector
+    damp = np.eye(elements.shape[1]) - epsilon * projector
+    updated = damp @ elements @ damp
+    updated += updated.conj().swapaxes(1, 2)
+    updated /= 2
+    updated[j0] += epsilon * (2.0 - epsilon) * projector
     return updated
 
 
@@ -160,16 +156,10 @@ def find_negative_mode(
     witness operator the deterministic eigenvector convention of
     ``spectral_decompose`` applies.
     """
-    check_match(ens, povm)
-    symmetric = hermitize(lagrange_operator(ens, povm))
-    best_j, best_value, best_vector = -1, np.inf, None
-    for j in range(len(ens)):
-        value, vector = min_eigenvalue(symmetric - ens.weighted(j))
-        if value < best_value:
-            best_j, best_value, best_vector = j, value, vector
-    if best_value >= -tol:
+    _, minima, j, vector = _witness_scan(lagrange_operator(ens, povm), ens.weighted_states)
+    if minima[j] >= -tol:
         return None
-    return NegativeMode(outcome=best_j, lam=-best_value, vector=readonly(best_vector))
+    return NegativeMode(outcome=j, lam=-float(minima[j]), vector=readonly(fix_phase(vector)))
 
 
 def _check_mode(povm: Povm, mode: NegativeMode) -> np.ndarray:
@@ -196,7 +186,7 @@ def perturb(povm: Povm, mode: NegativeMode, epsilon: float) -> Povm:
     if not 0.0 < epsilon <= 1.0:
         raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
     vector = _check_mode(povm, mode)
-    return validate_povm(_apply_step(list(povm), mode.outcome, vector, epsilon))
+    return validate_povm(_apply_step(povm.elements, mode.outcome, vector, epsilon))
 
 
 def gain(ens: Ensemble, povm: Povm, mode: NegativeMode, epsilon: float) -> float:
@@ -209,9 +199,7 @@ def gain(ens: Ensemble, povm: Povm, mode: NegativeMode, epsilon: float) -> float
         raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
     check_match(ens, povm)
     vector = _check_mode(povm, mode)
-    a, b = _coefficients(
-        ens.priors, [s.mat for s in ens.states], list(povm), mode.outcome, vector
-    )
+    a, b = _coefficients(ens.priors, _state_stack(ens), povm.elements, mode.outcome, vector)
     return (a * epsilon + b) * epsilon
 
 
@@ -219,24 +207,21 @@ def best_epsilon(ens: Ensemble, povm: Povm, mode: NegativeMode) -> float:
     """Step size maximizing the exact quadratic gain over (0, 1]."""
     check_match(ens, povm)
     vector = _check_mode(povm, mode)
-    a, b = _coefficients(
-        ens.priors, [s.mat for s in ens.states], list(povm), mode.outcome, vector
-    )
+    a, b = _coefficients(ens.priors, _state_stack(ens), povm.elements, mode.outcome, vector)
     return _argmax_quadratic(a, b)
 
 
 def _ascend(
     ens: Ensemble, povm: Povm, config: SolverConfig, ascent_tol: float
 ) -> tuple[Povm, list[IterationRecord]]:
-    priors = np.asarray(ens.priors, dtype=float)
-    mats = [s.mat for s in ens.states]
-    weighted = [p * m for p, m in zip(priors, mats)]
-    elements = [np.array(e) for e in povm]
+    priors, weighted, elements = ens.priors, ens.weighted_states, povm.elements
+    mats = _state_stack(ens)
 
     records: list[IterationRecord] = []
     current_p = _success_probability(weighted, elements)
     for _ in range(config.max_iter):
-        j0, value, vector = _scan_modes(weighted, elements)
+        _, minima, j0, vector = _witness_scan(_gamma(weighted, elements), weighted)
+        value = float(minima[j0])
         if value >= -ascent_tol:
             break
         a, b = _coefficients(priors, mats, elements, j0, vector)

@@ -197,3 +197,39 @@ def test_verdict_follows_tolerance_exactly(trine_ensemble):
     assert tight.lagrange_herm_residual <= 1e-12
     assert not tight.is_optimal
     assert loose.is_optimal
+
+
+def _consistency_instances():
+    rng = np.random.default_rng(2024)
+    kets = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+    pure = tuple(md.pure_state(k) for k in kets)
+    yield random_instance(5, dim=3, n=4)
+    yield md.Ensemble(np.full(3, 1 / 3), pure), md.random_povm(3, 4, rng)
+    yield md.Ensemble([0.6, 0.4, 0.0], pure), md.random_povm(3, 4, rng)
+    yield md.Ensemble([1.0], (md.random_mixed(3, 1, seed=9).states[0],)), md.uniform_povm(1, 3)
+    scalar = md.validate_density([[1.0]])
+    yield md.Ensemble([0.5, 0.3, 0.2], (scalar,) * 3), md.random_povm(3, 1, rng)
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_certify_agrees_with_public_functions(case):
+    # certify, find_negative_mode and the public residuals share one set of
+    # kernels, so their values agree exactly, not just within a tolerance
+    ens, povm = list(_consistency_instances())[case]
+    tol = 1e-7
+    cert = md.certify(ens, povm, tol=tol)
+    per_outcome = [min_eigenvalue(md.witness_operator(ens, povm, j)) for j in range(len(ens))]
+    assert cert.witness_min_eigenvalues == tuple(value for value, _ in per_outcome)
+    assert cert.pairwise_equality_residual == md.pairwise_equality_residual(ens, povm)
+    assert cert.zero_product_residual == md.zero_product_residual(ens, povm)
+    assert cert.lagrange_herm_residual == md.hermiticity_residual(md.lagrange_operator(ens, povm))
+
+    mode = md.find_negative_mode(ens, povm, tol)
+    if mode is None:
+        assert min(cert.witness_min_eigenvalues) >= -tol
+    else:
+        assert cert.witness is not None
+        assert cert.witness.outcome == mode.outcome
+        assert cert.witness.eigenvalue == -mode.lam
+        assert np.array_equal(cert.witness.vector, mode.vector)
+        assert np.array_equal(cert.witness.vector, per_outcome[mode.outcome][1])

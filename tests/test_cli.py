@@ -239,3 +239,17 @@ def test_canonical_dump_sorts_keys():
     text = cli.dumps_canonical({"b": 1, "a": [1.5, 2]})
     assert text.index('"a"') < text.index('"b"')
     assert text.endswith("\n")
+
+
+def test_non_finite_state_is_validation_error(tmp_path):
+    path = tmp_path / "nan.json"
+    doc = {
+        "dim": 2,
+        "states": [
+            {"prior": 0.5, "matrix": [[[float("nan"), 0], [0, 0]], [[0, 0], [0.5, 0]]]},
+            {"prior": 0.5, "matrix": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]},
+        ],
+    }
+    path.write_text(json.dumps(doc))
+    assert "NaN" in path.read_text()
+    assert run(["solve", path, "--output", tmp_path / "sol.json"])[0] == cli.EXIT_VALIDATION

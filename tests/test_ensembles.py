@@ -156,3 +156,9 @@ def test_generated_ensembles_satisfy_invariants():
         for state in ens.states:
             md.validate_density(state.mat)
         assert abs(ens.priors.sum() - 1.0) <= PRIOR_TOL
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_entries_rejected(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        md.validate_density([[bad, 0], [0, 0.5]])

@@ -182,3 +182,9 @@ def test_random_povm_is_seeded():
 
 def test_check_match_passes_on_consistent_pair(trine_ensemble, trine_srm):
     check_match(trine_ensemble, trine_srm)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_entries_report_index(bad):
+    with pytest.raises(ValueError, match="element 1 has non-finite"):
+        md.validate_povm([np.diag([1.0, 0.0]), np.diag([bad, 1.0])])

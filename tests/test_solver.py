@@ -194,6 +194,8 @@ def test_solver_config_validation():
         md.SolverConfig(tol=0.0)
     with pytest.raises(ValueError):
         md.SolverConfig(max_iter=0)
+    with pytest.raises(ValueError):
+        md.SolverConfig(restarts=-1)
 
 
 def test_helstrom_identical_states_tie():
