@@ -16,12 +16,12 @@ import numpy as np
 
 from .ensembles import Ensemble
 from .matrices import as_matrix, checked_eigh, fix_phase, hermitize, ordered_sum, readonly
-from .povm import Povm, check_match, p_correct
+from .povm import Povm, _success_probability, check_match
 
 DEFAULT_TOL = 1e-7
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Witness:
     """Improvable direction: an outcome whose witness operator dips negative."""
 
@@ -146,7 +146,7 @@ def certify(
         optimal = optimal and eq_residual <= tol and zp_residual <= tol
 
     return Certificate(
-        p_corr=p_correct(ens, povm),
+        p_corr=_success_probability(weighted, elements),
         lagrange_herm_residual=herm_residual,
         witness_min_eigenvalues=tuple(minima.tolist()),
         pairwise_equality_residual=eq_residual,

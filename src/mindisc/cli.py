@@ -132,9 +132,7 @@ def dumps_canonical(value) -> str:
 # problem files
 
 def _encode_matrix(mat: np.ndarray) -> list:
-    return [
-        [[float(entry.real), float(entry.imag)] for entry in row] for row in mat
-    ]
+    return np.stack((mat.real, mat.imag), axis=-1).tolist()
 
 
 def _decode_matrix(obj, dim: int, field: str) -> np.ndarray:
@@ -170,6 +168,12 @@ def problem_to_json(ens: Ensemble, povm: Povm | None = None) -> str:
     return dumps_canonical(doc)
 
 
+def _spec_number(value, field: str):
+    if not (_is_number(value) and abs(value) < math.inf):
+        raise ProblemFormatError(f"{field}: expected a finite number, got {value!r}")
+    return value
+
+
 def _spec_from_dict(obj, field: str):
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ProblemFormatError(f"{field}: expected an object with a 'kind' key")
@@ -178,14 +182,18 @@ def _spec_from_dict(obj, field: str):
         priors = obj.get("priors", [0.5, 0.5])
         if not isinstance(priors, list) or len(priors) != 2:
             raise ProblemFormatError(f"{field}.priors: expected two numbers")
-        return PurePairSpec(float(obj.get("overlap", 0.0)), (float(priors[0]), float(priors[1])))
+        overlap = _spec_number(obj.get("overlap", 0.0), f"{field}.overlap")
+        priors = tuple(float(_spec_number(p, f"{field}.priors")) for p in priors)
+        return PurePairSpec(float(overlap), priors)
     if kind == "trine":
         return TrineSpec()
     if kind == "random":
+        values = []
         for key in ("dim", "n", "seed"):
             if key not in obj:
                 raise ProblemFormatError(f"{field}.{key}: required for kind 'random'")
-        return RandomMixedSpec(int(obj["dim"]), int(obj["n"]), int(obj["seed"]))
+            values.append(int(_spec_number(obj[key], f"{field}.{key}")))
+        return RandomMixedSpec(*values)
     raise ProblemFormatError(f"{field}.kind: unknown kind {kind!r}")
 
 
@@ -217,7 +225,7 @@ def load_problem(path: str | Path) -> LoadedProblem:
 
     if has_spec:
         ensemble = generate(_spec_from_dict(doc["spec"], "spec"))
-        if "dim" in doc and int(doc["dim"]) != ensemble.dim:
+        if "dim" in doc and int(_spec_number(doc["dim"], f"{path}: dim")) != ensemble.dim:
             raise ProblemFormatError(
                 f"{path}: dim {doc['dim']} does not match spec dimension {ensemble.dim}"
             )

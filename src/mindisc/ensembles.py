@@ -28,7 +28,7 @@ class TraceNotOneError(ValueError):
         super().__init__(f"trace is {self.trace.real:.12g}, expected 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian, positive semidefinite, unit-trace operator."""
 
@@ -69,14 +69,14 @@ def pure_state(v) -> DensityMatrix:
     return DensityMatrix(np.outer(vec, vec.conj()) / norm_sq)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ensemble:
     """States paired with prior probabilities summing to one; ``weighted_states``
     holds every p_i rho_i as one readonly (n, d, d) stack."""
 
     priors: np.ndarray
     states: tuple[DensityMatrix, ...]
-    weighted_states: np.ndarray = field(init=False, repr=False, compare=False)
+    weighted_states: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         priors = np.asarray(self.priors, dtype=float).reshape(-1)
@@ -164,6 +164,13 @@ def trine() -> Ensemble:
     return Ensemble(np.full(3, 1.0 / 3.0), states)
 
 
+def _gaussian_grams(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
+    """(n, d, d) stack of A A^dagger, each A drawn as Gaussian real, then imaginary, part."""
+    draws = rng.standard_normal((n, 2, dim, dim))
+    a = draws[:, 0] + 1j * draws[:, 1]
+    return a @ a.conj().swapaxes(1, 2)
+
+
 def random_mixed(dim: int, n: int, seed: int) -> Ensemble:
     """``n`` uniform-prior states rho = A A^dagger / tr, A complex Gaussian.
 
@@ -174,13 +181,9 @@ def random_mixed(dim: int, n: int, seed: int) -> Ensemble:
         raise ValueError(f"need at least one state, got n={n}")
     if dim < 1:
         raise ValueError(f"dimension must be positive, got {dim}")
-    rng = np.random.default_rng(seed)
-    states = []
-    for _ in range(n):
-        a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        raw = a @ a.conj().T
-        states.append(DensityMatrix(raw / raw.trace().real))
-    return Ensemble(np.full(n, 1.0 / n), tuple(states))
+    raws = _gaussian_grams(np.random.default_rng(seed), n, dim)
+    states = tuple(DensityMatrix(raw / raw.trace().real) for raw in raws)
+    return Ensemble(np.full(n, 1.0 / n), states)
 
 
 def generate(spec: EnsembleSpec) -> Ensemble:

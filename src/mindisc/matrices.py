@@ -79,17 +79,19 @@ def is_hermitian(m, tol: float = HERM_TOL) -> bool:
 
 
 def hermitize(m) -> np.ndarray:
-    """Project onto the Hermitian part, (m + m^dagger)/2.
+    """Hermitian part (m + m^dagger)/2 of a square matrix, or of each matrix in a stack.
 
     The result is exactly Hermitian entrywise, so a second application
     returns it bit for bit.  Inputs already Hermitian within HERM_TOL move
     by at most HERM_TOL/2.
     """
-    arr = as_matrix(m)
-    return (arr + arr.conj().T) / 2
+    arr = np.asarray(m, dtype=complex)
+    if arr.ndim not in (2, 3) or arr.shape[-1] != arr.shape[-2] or arr.shape[-1] == 0:
+        raise MatrixShapeError(f"expected a square matrix or stack, got shape {arr.shape}")
+    return (arr + arr.conj().swapaxes(-1, -2)) / 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
     """Full eigensystem of a Hermitian matrix.
 

@@ -12,7 +12,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .ensembles import Ensemble
+from .ensembles import Ensemble, _gaussian_grams
 from .matrices import (
     HERM_TOL,
     PSD_TOL,
@@ -52,7 +52,7 @@ class SupportError(ValueError):
     """A weighted state leaks outside the support of the average state."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Povm:
     """Ordered probability operators: Hermitian, PSD, summing to identity,
     held as one readonly (n, d, d) array."""
@@ -73,13 +73,11 @@ class Povm:
         finite = np.isfinite(stack).all(axis=(1, 2))
         if not finite.all():
             raise ValueError(f"element {int(np.argmin(finite))} has non-finite entries")
-        adjoint = stack.conj().swapaxes(1, 2)
-        deviations = np.abs(stack - adjoint).max(axis=(1, 2))
+        deviations = np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2))
         bad = np.flatnonzero(deviations > HERM_TOL)
         if bad.size:
             raise NotHermitianError(deviations[bad[0]], index=int(bad[0]))
-        stack += adjoint
-        stack /= 2
+        stack = hermitize(stack)
         lowest = np.linalg.eigvalsh(stack)[:, 0]
         bad = np.flatnonzero(lowest < -PSD_TOL)
         if bad.size:
@@ -108,13 +106,18 @@ def validate_povm(elements) -> Povm:
     return Povm(elements)
 
 
-def _real_trace(product: np.ndarray) -> float:
-    value = complex(np.trace(product))
-    if abs(value.imag) > IMAG_TOL:
-        raise NumericFailure(
-            f"trace has imaginary part {value.imag:.3e}, expected real"
-        )
-    return value.real
+def _real_traces(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re tr(a_k b_k) for two (n, d, d) stacks, or Re tr(a b) for two matrices."""
+    values = np.einsum("...ij,...ji->...", a, b)
+    norm_sq = np.vdot(values.imag, values.imag)
+    if norm_sq > IMAG_TOL**2:
+        raise NumericFailure(f"traces have imaginary norm {np.sqrt(norm_sq):.3e}, expected real")
+    return values.real
+
+
+def _success_probability(weighted: np.ndarray, elements: np.ndarray) -> float:
+    """sum_i tr(W_i pi_i) in index order, for stacks W = p rho and pi."""
+    return float(ordered_sum(_real_traces(weighted, elements)))
 
 
 def check_match(ens: Ensemble, povm: Povm) -> None:
@@ -137,16 +140,13 @@ def outcome_probability(rho, povm: Povm, j: int) -> float:
         raise DimensionMismatchError(
             f"state dimension {rho.dim} does not match POVM dimension {povm.dim}"
         )
-    return _real_trace(rho.mat @ povm[j])
+    return float(_real_traces(rho.mat, povm[j]))
 
 
 def p_correct(ens: Ensemble, povm: Povm) -> float:
     """Success probability sum_i p_i tr(rho_i pi_i)."""
     check_match(ens, povm)
-    total = 0.0
-    for i in range(len(ens)):
-        total += ens.priors[i] * _real_trace(ens.states[i].mat @ povm[i])
-    return float(total)
+    return _success_probability(ens.weighted_states, povm.elements)
 
 
 def p_error(ens: Ensemble, povm: Povm) -> float:
@@ -174,6 +174,13 @@ def _inv_sqrt_on_support(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hermitize(inv_sqrt), hermitize(kernel)
 
 
+def _completed_povm(blocks: np.ndarray, inv_sqrt: np.ndarray, kernel: np.ndarray) -> Povm:
+    """pi_i = S^{-1/2} B_i S^{-1/2} over the stack B, plus S's kernel projector on outcome 0."""
+    elements = hermitize(inv_sqrt @ blocks @ inv_sqrt)
+    elements[0] += kernel
+    return validate_povm(elements)
+
+
 def square_root_measurement(ens: Ensemble) -> Povm:
     """The measurement pi_i = S^{-1/2} p_i rho_i S^{-1/2}, S the average state.
 
@@ -181,19 +188,15 @@ def square_root_measurement(ens: Ensemble) -> Povm:
     is assigned to outcome 0.  Raises SupportError when some weighted state
     is not contained in the support of S.
     """
-    average = ens.average_state()
-    inv_sqrt, kernel = _inv_sqrt_on_support(average)
-    elements = []
-    for i in range(len(ens)):
-        weighted = ens.weighted(i)
-        leak = _real_trace(kernel @ weighted @ kernel)
-        if leak > SUPPORT_LEAK_TOL:
-            raise SupportError(
-                f"state {i} leaks {leak:.3e} outside the average-state support"
-            )
-        elements.append(hermitize(inv_sqrt @ weighted @ inv_sqrt))
-    elements[0] = elements[0] + kernel
-    return validate_povm(elements)
+    weighted = ens.weighted_states
+    inv_sqrt, kernel = _inv_sqrt_on_support(ens.average_state())
+    leaks = _real_traces(kernel @ weighted, kernel)
+    bad = np.flatnonzero(leaks > SUPPORT_LEAK_TOL)
+    if bad.size:
+        raise SupportError(
+            f"state {bad[0]} leaks {leaks[bad[0]]:.3e} outside the average-state support"
+        )
+    return _completed_povm(weighted, inv_sqrt, kernel)
 
 
 def random_povm(n: int, dim: int, rng) -> Povm:
@@ -205,12 +208,5 @@ def random_povm(n: int, dim: int, rng) -> Povm:
     """
     if n < 1 or dim < 1:
         raise ValueError(f"need n >= 1 and dim >= 1, got n={n}, dim={dim}")
-    gen = np.random.default_rng(rng)
-    blocks = []
-    for _ in range(n):
-        a = gen.standard_normal((dim, dim)) + 1j * gen.standard_normal((dim, dim))
-        blocks.append(a @ a.conj().T)
-    inv_sqrt, kernel = _inv_sqrt_on_support(ordered_sum(blocks))
-    elements = [hermitize(inv_sqrt @ block @ inv_sqrt) for block in blocks]
-    elements[0] = elements[0] + kernel
-    return validate_povm(elements)
+    blocks = _gaussian_grams(np.random.default_rng(rng), n, dim)
+    return _completed_povm(blocks, *_inv_sqrt_on_support(ordered_sum(blocks)))

@@ -15,6 +15,7 @@ optimum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,7 @@ from .matrices import (
 )
 from .povm import (
     Povm,
+    _success_probability,
     check_match,
     p_correct,
     random_povm,
@@ -43,9 +45,11 @@ from .povm import (
 # ascent pushes negative modes well below the certificate tolerance so the
 # equality-condition residuals settle before the loop stops
 ASCENT_TOL = 1e-10
+# a step predicted to gain less than this ends the ascent as a stall
+STALL_THRESHOLD = 1e-14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NegativeMode:
     """Most negative witness eigenpair; ``lam`` stores the positive magnitude."""
 
@@ -77,7 +81,6 @@ class SolveTrace:
 class SolverConfig:
     tol: float = DEFAULT_TOL
     max_iter: int = 10000
-    stall_threshold: float = 1e-14
     seed: int = 0
     restarts: int = 5
 
@@ -101,10 +104,6 @@ def _real_dots(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Re vdot(x, row) per row, as Re(x . conj(row)): BLAS then gets ``x`` in
     its own memory layout, whose strides fix the summation order."""
     return (x[..., None, :] @ rows.conj()[..., :, None])[..., 0, 0].real
-
-
-def _success_probability(weighted: np.ndarray, elements: np.ndarray) -> float:
-    return float(ordered_sum(np.einsum("kij,kji->k", weighted, elements).real))
 
 
 def _coefficients(
@@ -135,11 +134,9 @@ def _argmax_quadratic(a: float, b: float) -> float:
 def _apply_step(
     elements: np.ndarray, j0: int, vector: np.ndarray, epsilon: float
 ) -> np.ndarray:
-    projector = np.outer(vector, vector.conj())
+    projector = vector[:, None] * vector.conj()
     damp = np.eye(elements.shape[1]) - epsilon * projector
-    updated = damp @ elements @ damp
-    updated += updated.conj().swapaxes(1, 2)
-    updated /= 2
+    updated = hermitize(damp @ elements @ damp)
     updated[j0] += epsilon * (2.0 - epsilon) * projector
     return updated
 
@@ -227,13 +224,13 @@ def _ascend(
         a, b = _coefficients(priors, mats, elements, j0, vector)
         epsilon = _argmax_quadratic(a, b)
         predicted = (a * epsilon + b) * epsilon
-        if not np.isfinite(predicted):
+        if not math.isfinite(predicted):
             raise NumericFailure("predicted step gain is not finite")
-        if predicted < config.stall_threshold:
+        if predicted < STALL_THRESHOLD:
             break
         candidate = _apply_step(elements, j0, vector, epsilon)
         new_p = _success_probability(weighted, candidate)
-        if not np.isfinite(new_p):
+        if not math.isfinite(new_p):
             raise NumericFailure("success probability is not finite")
         if new_p <= current_p:
             # rounding floor: the predicted gain no longer materializes

@@ -223,6 +223,7 @@ def test_certify_agrees_with_public_functions(case):
     assert cert.pairwise_equality_residual == md.pairwise_equality_residual(ens, povm)
     assert cert.zero_product_residual == md.zero_product_residual(ens, povm)
     assert cert.lagrange_herm_residual == md.hermiticity_residual(md.lagrange_operator(ens, povm))
+    assert cert.p_corr == md.p_correct(ens, povm)
 
     mode = md.find_negative_mode(ens, povm, tol)
     if mode is None:

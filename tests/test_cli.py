@@ -207,6 +207,23 @@ def test_spec_file_input(tmp_path):
         assert np.array_equal(a.mat, b.mat)
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"spec": {"kind": "random", "dim": [2], "n": 2, "seed": 1}},
+        {"spec": {"kind": "random", "dim": "x", "n": 2, "seed": 1}},
+        {"spec": {"kind": "random", "dim": 2, "n": 2, "seed": float("inf")}},
+        {"spec": {"kind": "pair", "overlap": None}},
+        {"spec": {"kind": "pair", "priors": [0.5, None]}},
+        {"dim": [2], "spec": {"kind": "trine"}},
+    ],
+)
+def test_malformed_spec_fields_are_parse_errors(tmp_path, doc):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    assert run(["solve", path])[0] == cli.EXIT_PARSE
+
+
 def test_spec_and_states_conflict(tmp_path):
     path = tmp_path / "both.json"
     path.write_text(json.dumps({

@@ -41,6 +41,16 @@ def test_hermitize_rejects_non_square():
         hermitize(np.zeros((2, 3)))
 
 
+def test_hermitize_stack_matches_each_matrix():
+    rng = np.random.default_rng(11)
+    stack = np.array([random_complex(rng, 4) for _ in range(5)])
+    projected = hermitize(stack)
+    for m, h in zip(stack, projected):
+        assert np.array_equal(h, hermitize(m))
+    with pytest.raises(MatrixShapeError):
+        hermitize(np.zeros((2, 3, 4)))
+
+
 def test_is_hermitian():
     assert is_hermitian(np.diag([1.0, 2.0]))
     assert not is_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))

@@ -188,3 +188,23 @@ def test_check_match_passes_on_consistent_pair(trine_ensemble, trine_srm):
 def test_non_finite_entries_report_index(bad):
     with pytest.raises(ValueError, match="element 1 has non-finite"):
         md.validate_povm([np.diag([1.0, 0.0]), np.diag([bad, 1.0])])
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: md.pure_state([1.0, 1j]),
+        md.trine,
+        lambda: md.uniform_povm(2, 2),
+        lambda: md.spectral_decompose(np.diag([1.0, 2.0])),
+        lambda: md.certify(md.trine(), md.uniform_povm(3, 2)),
+        lambda: md.certify(md.trine(), md.uniform_povm(3, 2)).witness,
+        lambda: md.find_negative_mode(md.trine(), md.uniform_povm(3, 2)),
+    ],
+    ids=["DensityMatrix", "Ensemble", "Povm", "Spectrum", "Certificate", "Witness", "NegativeMode"],
+)
+def test_array_holding_values_compare_and_hash(make):
+    value, copy = make(), make()
+    assert value == value
+    assert isinstance(value == copy, bool)
+    hash(value)

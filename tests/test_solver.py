@@ -165,6 +165,18 @@ def test_solve_records_describe_steps():
         assert 0 < record.epsilon <= 1
 
 
+def test_last_record_matches_final_certificate():
+    # the ascent and the certificate compute P_corr with one function, so
+    # the last step's value is the certified value to the bit
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        dim, n = (int(k) for k in rng.integers(2, 9, size=2))
+        config = md.SolverConfig(max_iter=100, restarts=0)
+        trace = md.solve(md.random_mixed(dim, n, seed), config=config)
+        if trace.iterations:
+            assert trace.iterations[-1].p_corr == trace.final_certificate.p_corr
+
+
 def test_solve_converged_implies_certified():
     for seed in range(8):
         ens = md.random_mixed(2, 2, seed=seed + 40)
