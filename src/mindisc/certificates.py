@@ -5,7 +5,10 @@ operator G_j = sym(Gamma) - p_j rho_j is positive semidefinite, where
 Gamma = sum_i p_i rho_i pi_i; Hermiticity of Gamma and the equality
 conditions pi_j (p_j rho_j - p_k rho_k) pi_k = 0 follow at any optimum.
 The certificate bundles all of these residuals with a verdict at a stated
-tolerance.
+tolerance, and with a weak-duality bound on the distance to the optimum
+(Eldar, Megretski and Verghese, IEEE TIT 49, 1007 (2003)): Z = sym(Gamma)
++ mu I is dual feasible for mu = max(0, -min_j lambda_min(G_j)), so
+P_opt - P_corr <= tr(Z) - P_corr = d mu for any valid POVM.
 """
 
 from __future__ import annotations
@@ -37,7 +40,8 @@ class Certificate:
     ``is_optimal`` is True iff every witness minimum eigenvalue is at least
     ``-tolerance`` and the Lagrange-operator Hermiticity residual is at most
     ``tolerance``.  When False, ``witness`` carries the globally most
-    negative eigenpair across outcomes.
+    negative eigenpair across outcomes.  ``gap_bound`` = d max(0, -min_j
+    lambda_min(G_j)) bounds P_opt - P_corr whatever the verdict.
     """
 
     p_corr: float
@@ -45,6 +49,7 @@ class Certificate:
     witness_min_eigenvalues: tuple[float, ...]
     pairwise_equality_residual: float
     zero_product_residual: float
+    gap_bound: float
     tolerance: float
     is_optimal: bool
     witness: Witness | None
@@ -151,6 +156,7 @@ def certify(
         witness_min_eigenvalues=tuple(minima.tolist()),
         pairwise_equality_residual=eq_residual,
         zero_product_residual=zp_residual,
+        gap_bound=ens.dim * max(0.0, -lowest),
         tolerance=float(tol),
         is_optimal=optimal,
         witness=None if optimal else Witness(j, lowest, readonly(fix_phase(vector))),

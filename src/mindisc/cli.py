@@ -174,6 +174,13 @@ def _spec_number(value, field: str):
     return value
 
 
+def _spec_int(value, field: str) -> int:
+    value = _spec_number(value, field)
+    if value != int(value):
+        raise ProblemFormatError(f"{field}: expected an integer, got {value!r}")
+    return int(value)
+
+
 def _spec_from_dict(obj, field: str):
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ProblemFormatError(f"{field}: expected an object with a 'kind' key")
@@ -192,7 +199,7 @@ def _spec_from_dict(obj, field: str):
         for key in ("dim", "n", "seed"):
             if key not in obj:
                 raise ProblemFormatError(f"{field}.{key}: required for kind 'random'")
-            values.append(int(_spec_number(obj[key], f"{field}.{key}")))
+            values.append(_spec_int(obj[key], f"{field}.{key}"))
         return RandomMixedSpec(*values)
     raise ProblemFormatError(f"{field}.kind: unknown kind {kind!r}")
 
@@ -225,7 +232,7 @@ def load_problem(path: str | Path) -> LoadedProblem:
 
     if has_spec:
         ensemble = generate(_spec_from_dict(doc["spec"], "spec"))
-        if "dim" in doc and int(_spec_number(doc["dim"], f"{path}: dim")) != ensemble.dim:
+        if "dim" in doc and _spec_int(doc["dim"], f"{path}: dim") != ensemble.dim:
             raise ProblemFormatError(
                 f"{path}: dim {doc['dim']} does not match spec dimension {ensemble.dim}"
             )
@@ -282,6 +289,7 @@ def _certificate_dict(cert: Certificate) -> dict:
         "lagrange_hermiticity_residual": cert.lagrange_herm_residual,
         "pairwise_equality_residual": cert.pairwise_equality_residual,
         "zero_product_residual": cert.zero_product_residual,
+        "gap_bound": cert.gap_bound,
         "witness": witness,
     }
 
@@ -312,6 +320,7 @@ def _print_report(report: dict, out=None) -> None:
     print(f"verdict: {verdict} (tolerance {_format_float(report['tolerance'])})", file=out)
     minima = ", ".join(_format_float(v) for v in cert["witness_min_eigenvalues"])
     print(f"witness min eigenvalues: [{minima}]", file=out)
+    print(f"optimality gap bound: P_opt - P_corr <= {_format_float(cert['gap_bound'])}", file=out)
     print(
         "residuals: hermiticity "
         f"{_format_float(cert['lagrange_hermiticity_residual'])}, "

@@ -161,24 +161,36 @@ def uniform_povm(n: int, dim: int) -> Povm:
     return Povm(tuple(element.copy() for _ in range(n)))
 
 
-def _inv_sqrt_on_support(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse square root on the support of a PSD matrix, plus kernel projector.
+def _inv_sqrt_on_support(
+    eigenvalues: np.ndarray, eigenvectors: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse square root on the support of a PSD matrix, plus kernel projector,
+    from the matrix's eigensystem (eigenvectors in columns).
 
     Eigenvalues at or below SUPPORT_FLOOR are treated as kernel.
     """
-    spectrum = spectral_decompose(mat)
-    keep = spectrum.eigenvalues > SUPPORT_FLOOR
-    vs = spectrum.eigenvectors[:, keep]
-    inv_sqrt = (vs / np.sqrt(spectrum.eigenvalues[keep])) @ vs.conj().T
-    kernel = np.eye(mat.shape[0]) - vs @ vs.conj().T
+    keep = eigenvalues > SUPPORT_FLOOR
+    vs = eigenvectors[:, keep]
+    inv_sqrt = (vs / np.sqrt(eigenvalues[keep])) @ vs.conj().T
+    kernel = np.eye(eigenvectors.shape[0]) - vs @ vs.conj().T
     return hermitize(inv_sqrt), hermitize(kernel)
 
 
-def _completed_povm(blocks: np.ndarray, inv_sqrt: np.ndarray, kernel: np.ndarray) -> Povm:
-    """pi_i = S^{-1/2} B_i S^{-1/2} over the stack B, plus S's kernel projector on outcome 0."""
+def _completed_povm(blocks: np.ndarray, inv_sqrt: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """pi_i = S^{-1/2} B_i S^{-1/2} over the stack B, plus S's kernel projector on outcome 0.
+
+    Unvalidated, but exactly Hermitian: both terms are.
+    """
     elements = hermitize(inv_sqrt @ blocks @ inv_sqrt)
     elements[0] += kernel
-    return validate_povm(elements)
+    return elements
+
+
+def _phase_fixed_support(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_inv_sqrt_on_support`` from the phase-fixed eigensystem, which pins
+    the bits of the constructed measurements."""
+    spectrum = spectral_decompose(mat)
+    return _inv_sqrt_on_support(spectrum.eigenvalues, spectrum.eigenvectors)
 
 
 def square_root_measurement(ens: Ensemble) -> Povm:
@@ -189,14 +201,14 @@ def square_root_measurement(ens: Ensemble) -> Povm:
     is not contained in the support of S.
     """
     weighted = ens.weighted_states
-    inv_sqrt, kernel = _inv_sqrt_on_support(ens.average_state())
+    inv_sqrt, kernel = _phase_fixed_support(ens.average_state())
     leaks = _real_traces(kernel @ weighted, kernel)
     bad = np.flatnonzero(leaks > SUPPORT_LEAK_TOL)
     if bad.size:
         raise SupportError(
             f"state {bad[0]} leaks {leaks[bad[0]]:.3e} outside the average-state support"
         )
-    return _completed_povm(weighted, inv_sqrt, kernel)
+    return validate_povm(_completed_povm(weighted, inv_sqrt, kernel))
 
 
 def random_povm(n: int, dim: int, rng) -> Povm:
@@ -209,4 +221,4 @@ def random_povm(n: int, dim: int, rng) -> Povm:
     if n < 1 or dim < 1:
         raise ValueError(f"need n >= 1 and dim >= 1, got n={n}, dim={dim}")
     blocks = _gaussian_grams(np.random.default_rng(rng), n, dim)
-    return _completed_povm(blocks, *_inv_sqrt_on_support(ordered_sum(blocks)))
+    return validate_povm(_completed_povm(blocks, *_phase_fixed_support(ordered_sum(blocks))))

@@ -11,6 +11,16 @@ this family, so each iteration takes the argmax of that quadratic instead
 of an infinitesimal step.  A point with no negative mode satisfies the
 sufficient optimality conditions, so a certified fixed point is a global
 optimum.
+
+The single-mode ascent approaches degenerate or rank-deficient optima only
+sublinearly.  Behind it runs the fixed-point iteration of Jezek, Rehacek and
+Fiurasek (PRA 65, 060301(R), 2002),
+
+    pi_j <- S^{-1/2} W_j pi_j W_j S^{-1/2},   W_j = p_j rho_j,  S = sum_j W_j pi_j W_j,
+
+whose fixed points satisfy the equality conditions and which converges
+linearly on those optima.  It cannot grow an element's support, so the
+ascent also polishes what it leaves.
 """
 
 from __future__ import annotations
@@ -21,10 +31,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certificates import DEFAULT_TOL, Certificate, certify, lagrange_operator
-from .certificates import _gamma, _witness_scan
+from .certificates import _gamma, _herm_residual, _witness_scan
 from .ensembles import PRIOR_TOL, DensityMatrix, Ensemble
 from .matrices import (
     NumericFailure,
+    checked_eigh,
     fix_phase,
     hermitize,
     ordered_sum,
@@ -33,6 +44,8 @@ from .matrices import (
 )
 from .povm import (
     Povm,
+    _completed_povm,
+    _inv_sqrt_on_support,
     _success_probability,
     check_match,
     p_correct,
@@ -47,6 +60,12 @@ from .povm import (
 ASCENT_TOL = 1e-10
 # a step predicted to gain less than this ends the ascent as a stall
 STALL_THRESHOLD = 1e-14
+# an attempt's first ascent runs at most this many steps per dimension
+# before the fixed-point engine takes over; binary problems certify in fewer
+ASCENT_STEPS_PER_DIM = 2
+
+# why an engine run, or an attempt, stopped
+CERTIFIED, STALL, FLOOR, CAP = "certified", "stall", "floor", "cap"
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,10 +79,15 @@ class NegativeMode:
 
 @dataclass(frozen=True)
 class IterationRecord:
+    """One accepted step.  ``engine`` is "ascent" or "fixed_point"; a
+    fixed-point step has no mode or step size, so its ``outcome``, ``lam``
+    and ``epsilon`` are None."""
+
     p_corr: float
-    outcome: int
-    lam: float
-    epsilon: float
+    outcome: int | None
+    lam: float | None
+    epsilon: float | None
+    engine: str = "ascent"
 
 
 @dataclass(frozen=True)
@@ -208,54 +232,146 @@ def best_epsilon(ens: Ensemble, povm: Povm, mode: NegativeMode) -> float:
     return _argmax_quadratic(a, b)
 
 
-def _ascend(
-    ens: Ensemble, povm: Povm, config: SolverConfig, ascent_tol: float
-) -> tuple[Povm, list[IterationRecord]]:
-    priors, weighted, elements = ens.priors, ens.weighted_states, povm.elements
-    mats = _state_stack(ens)
+def _run_ascent(
+    priors: np.ndarray,
+    mats: np.ndarray,
+    weighted: np.ndarray,
+    elements: np.ndarray,
+    current_p: float,
+    records: list[IterationRecord],
+    steps: int,
+    tol: float,
+    ascent_tol: float,
+) -> tuple[np.ndarray, float, str]:
+    """At most ``steps`` ascent steps; returns (elements, P_corr, stop reason).
 
-    records: list[IterationRecord] = []
-    current_p = _success_probability(weighted, elements)
-    for _ in range(config.max_iter):
-        _, minima, j0, vector = _witness_scan(_gamma(weighted, elements), weighted)
+    Clearing ``ascent_tol`` certifies only if Gamma is also Hermitian within
+    ``tol``; otherwise the ascent stops on the floor and hands over.
+    """
+    for _ in range(steps):
+        gamma = _gamma(weighted, elements)
+        _, minima, j0, vector = _witness_scan(gamma, weighted)
         value = float(minima[j0])
         if value >= -ascent_tol:
-            break
+            return elements, current_p, CERTIFIED if _herm_residual(gamma) <= tol else FLOOR
         a, b = _coefficients(priors, mats, elements, j0, vector)
         epsilon = _argmax_quadratic(a, b)
         predicted = (a * epsilon + b) * epsilon
         if not math.isfinite(predicted):
             raise NumericFailure("predicted step gain is not finite")
         if predicted < STALL_THRESHOLD:
-            break
+            return elements, current_p, STALL
         candidate = _apply_step(elements, j0, vector, epsilon)
         new_p = _success_probability(weighted, candidate)
         if not math.isfinite(new_p):
             raise NumericFailure("success probability is not finite")
         if new_p <= current_p:
             # rounding floor: the predicted gain no longer materializes
-            break
+            return elements, current_p, FLOOR
         elements = candidate
         records.append(
             IterationRecord(p_corr=new_p, outcome=j0, lam=-value, epsilon=epsilon)
         )
         current_p = new_p
-    return validate_povm(elements), records
+    return elements, current_p, CAP
+
+
+def _fixed_point_step(weighted: np.ndarray, products: np.ndarray) -> np.ndarray:
+    """pi_j <- S^{-1/2} B_j S^{-1/2} from the products W_j pi_j, where
+    B_j = W_j pi_j W_j and S = sum_j B_j; S's kernel projector goes to outcome 0.
+    The result is exactly Hermitian but not validated."""
+    blocks = products @ weighted
+    eigenvalues, eigenvectors = checked_eigh(hermitize(ordered_sum(blocks)))
+    return _completed_povm(blocks, *_inv_sqrt_on_support(eigenvalues, eigenvectors))
+
+
+def _run_fixed_point(
+    weighted: np.ndarray,
+    elements: np.ndarray,
+    current_p: float,
+    records: list[IterationRecord],
+    steps: int,
+    tol: float,
+) -> tuple[np.ndarray, float, str]:
+    """At most ``steps`` fixed-point steps; returns (elements, P_corr, stop reason).
+
+    Before each step Gamma comes from the step's own products W_j pi_j, and
+    the witness scan runs only once Gamma is Hermitian within ``tol``, so
+    the loop stops exactly when ``certify`` would return optimal.
+    """
+    for _ in range(steps):
+        products = weighted @ elements
+        gamma = ordered_sum(products)
+        if _herm_residual(gamma) <= tol and _witness_scan(gamma, weighted)[1].min() >= -tol:
+            return elements, current_p, CERTIFIED
+        candidate = _fixed_point_step(weighted, products)
+        new_p = _success_probability(weighted, candidate)
+        if not math.isfinite(new_p):
+            raise NumericFailure("success probability is not finite")
+        if new_p <= current_p:
+            return elements, current_p, FLOOR
+        elements = candidate
+        records.append(IterationRecord(new_p, None, None, None, engine="fixed_point"))
+        current_p = new_p
+    return elements, current_p, CAP
+
+
+def _ascend(
+    ens: Ensemble, povm: Povm, config: SolverConfig, ascent_tol: float, engine: str = "ascent"
+) -> tuple[Povm, list[IterationRecord], str, str]:
+    """One attempt from ``povm``, starting in ``engine``.
+
+    The ascent runs first for at most ``ASCENT_STEPS_PER_DIM * d`` steps,
+    then the fixed-point engine, then the ascent on whatever budget is
+    left; an engine that stops short of the verdict hands over to the
+    other.  Every step counts against ``config.max_iter``.  The attempt
+    ends when the verdict holds, when the budget is spent (reason CAP), or
+    when neither engine can take a step.  Returns the validated POVM, the
+    records, the stop reason and the engine that ran last.
+    """
+    priors, weighted, elements = ens.priors, ens.weighted_states, povm.elements
+    mats = _state_stack(ens)
+
+    records: list[IterationRecord] = []
+    current_p = _success_probability(weighted, elements)
+    ascent_cap = ASCENT_STEPS_PER_DIM * ens.dim
+    idle = False
+    while True:
+        before = len(records)
+        budget = config.max_iter - before
+        if engine == "ascent":
+            elements, current_p, reason = _run_ascent(
+                priors, mats, weighted, elements, current_p, records,
+                min(budget, ascent_cap), config.tol, ascent_tol,
+            )
+            ascent_cap = config.max_iter  # later ascent runs take what is left
+        else:
+            elements, current_p, reason = _run_fixed_point(
+                weighted, elements, current_p, records, budget, config.tol
+            )
+        taken = len(records) - before
+        if reason == CERTIFIED or len(records) == config.max_iter or (idle and not taken):
+            break
+        idle = not taken
+        engine = "fixed_point" if engine == "ascent" else "ascent"
+    return validate_povm(elements), records, reason, engine
 
 
 def solve(
     ens: Ensemble, start: Povm | None = None, config: SolverConfig | None = None
 ) -> SolveTrace:
-    """Run the perturbation ascent to a certified optimum.
+    """Run the ascent and the fixed-point engine to a certified optimum.
 
-    Starts from ``start`` (default: the uniform POVM), repeatedly removes
-    the most negative witness mode at its optimal step size, and certifies
-    the fixed point at ``config.tol``.  If the certificate is not optimal
-    (stall or iteration cap), the square-root measurement and then up to
-    ``config.restarts - 1`` seeded random POVMs are tried as fresh starts
+    Starts from ``start`` (default: the uniform POVM) and runs the attempt
+    schedule of ``_ascend``, then certifies the result at ``config.tol``.
+    If the certificate is not optimal, an attempt that ended on the
+    iteration cap while still improving continues from where it stopped;
+    one that stalled gives way to the square-root measurement and then to
+    seeded random POVMs, up to ``config.restarts`` further attempts in all,
     and the best run is returned.  ``converged`` is True exactly when the
     returned certificate is optimal; ``iterations`` describes the returned
-    run while ``iterations_used`` counts steps across all attempts.
+    run from its start while ``iterations_used`` counts steps across all
+    attempts.
     """
     config = config or SolverConfig()
     initial = start if start is not None else uniform_povm(len(ens), ens.dim)
@@ -276,16 +392,25 @@ def solve(
 
     best: tuple[Povm, list[IterationRecord], Certificate] | None = None
     total_steps = 0
-    for attempt in range(config.restarts + 1):
-        povm0 = initial if attempt == 0 else restart_candidate(attempt - 1)
-        final, records = _ascend(ens, povm0, config, ascent_tol)
+    rung = 0
+    # (start POVM, records that led to it, engine to run first)
+    resume = (initial, [], "ascent")
+    for _ in range(config.restarts + 1):
+        if resume is None:
+            resume = (restart_candidate(rung), [], "ascent")
+            rung += 1
+        povm0, earlier, engine = resume
+        final, records, reason, engine = _ascend(ens, povm0, config, ascent_tol, engine)
         total_steps += len(records)
+        records = earlier + records
         cert = certify(ens, final, config.tol)
         if cert.is_optimal:
             best = (final, records, cert)
             break
         if best is None or cert.p_corr > best[2].p_corr:
             best = (final, records, cert)
+        # a start still improving at the cap continues where it stopped
+        resume = (final, records, engine) if reason == CAP else None
     final, records, cert = best
     return SolveTrace(
         iterations=tuple(records),

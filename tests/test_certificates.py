@@ -234,3 +234,19 @@ def test_certify_agrees_with_public_functions(case):
         assert cert.witness.eigenvalue == -mode.lam
         assert np.array_equal(cert.witness.vector, mode.vector)
         assert np.array_equal(cert.witness.vector, per_outcome[mode.outcome][1])
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_gap_bound_bounds_distance_to_binary_optimum(dim):
+    # weak duality: P_opt - P_corr <= d max(0, -min_j lambda_min(G_j)) for
+    # any valid POVM; Helstrom gives P_opt for two states
+    rng = np.random.default_rng(4242 + dim)
+    ensembles = [md.pure_pair(0.5, priors=(0.3, 0.7)), md.random_mixed(dim, 2, seed=dim)]
+    for ens in ensembles:
+        _, helstrom_p = md.helstrom_binary(
+            float(ens.priors[0]), ens.states[0], float(ens.priors[1]), ens.states[1]
+        )
+        for _ in range(20):
+            cert = md.certify(ens, md.random_povm(2, ens.dim, rng))
+            assert cert.gap_bound == ens.dim * max(0.0, -min(cert.witness_min_eigenvalues))
+            assert helstrom_p - cert.p_corr <= cert.gap_bound + 1e-12

@@ -134,6 +134,21 @@ def test_solve_pure_pair_report(tmp_path, capsys):
     assert len(report["input_sha256"]) == 64
 
 
+def test_solve_report_states_gap_bound_and_fixed_point_ending(tmp_path, capsys):
+    problem = tmp_path / "spec.json"
+    problem.write_text(json.dumps({"spec": {"kind": "random", "dim": 3, "n": 3, "seed": 1}}))
+    report_path = tmp_path / "r.json"
+    code, captured = run(["solve", problem, "--report", report_path], capsys)
+    assert code == 0
+    report = json.loads(report_path.read_text())
+    certificate = report["certificate"]
+    assert certificate["gap_bound"] == 3 * max(0.0, -min(certificate["witness_min_eigenvalues"]))
+    assert "optimality gap bound: P_opt - P_corr <= " in captured.out
+    # the run ends on a fixed-point step, which has no step size
+    assert report["solver"]["final_epsilon"] is None
+    assert "final epsilon none" in captured.out
+
+
 def test_solve_then_certify_consistent_verdict(tmp_path):
     problem = tmp_path / "trine.json"
     run(["generate", "--kind", "trine", "--output", problem])
@@ -207,6 +222,15 @@ def test_spec_file_input(tmp_path):
         assert np.array_equal(a.mat, b.mat)
 
 
+def test_spec_accepts_integral_floats(tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"dim": 2.0, "spec": {"kind": "random", "dim": 2.0, "n": 3.0, "seed": 4.0}}))
+    problem = cli.load_problem(path)
+    reference = md.random_mixed(2, 3, seed=4)
+    for a, b in zip(problem.ensemble.states, reference.states):
+        assert np.array_equal(a.mat, b.mat)
+
+
 @pytest.mark.parametrize(
     "doc",
     [
@@ -216,6 +240,9 @@ def test_spec_file_input(tmp_path):
         {"spec": {"kind": "pair", "overlap": None}},
         {"spec": {"kind": "pair", "priors": [0.5, None]}},
         {"dim": [2], "spec": {"kind": "trine"}},
+        {"spec": {"kind": "random", "dim": 2.7, "n": 2.9, "seed": 1.5}},
+        {"spec": {"kind": "random", "dim": 2, "n": 2, "seed": 1.5}},
+        {"dim": 2.5, "spec": {"kind": "trine"}},
     ],
 )
 def test_malformed_spec_fields_are_parse_errors(tmp_path, doc):

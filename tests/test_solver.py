@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import mindisc as md
 from helpers import random_instance, suboptimal_mode_instance
-from mindisc.solver import _argmax_quadratic, _coefficients
+from mindisc.solver import _argmax_quadratic, _coefficients, _fixed_point_step
 
 
 def test_no_mode_at_orthogonal_optimum(orthogonal_pair, orthogonal_projectors):
@@ -302,3 +302,71 @@ def test_trine_suboptimal_witness_matches_gap(trine_ensemble):
     assert value - uniform_p == pytest.approx(1.0 / 3.0, abs=1e-6)
     mode = md.find_negative_mode(trine_ensemble, md.uniform_povm(3, 2))
     assert mode is not None and mode.lam > 0
+
+
+def _pure_ensemble(seed: int, dim: int, priors) -> md.Ensemble:
+    rng = np.random.default_rng(seed)
+    kets = rng.standard_normal((len(priors), dim)) + 1j * rng.standard_normal((len(priors), dim))
+    return md.Ensemble(np.asarray(priors, dtype=float), tuple(md.pure_state(k) for k in kets))
+
+
+@pytest.mark.parametrize(
+    "ens",
+    [
+        md.random_mixed(2, 3, seed=1),
+        md.random_mixed(3, 3, seed=2),
+        md.random_mixed(4, 8, seed=3),
+        md.random_mixed(8, 8, seed=4),
+        _pure_ensemble(5, 4, [1 / 6] * 6),
+        _pure_ensemble(6, 3, [1 / 3, 1 / 3, 1 / 3, 0.0]),
+    ],
+    ids=["mixed-2x3", "mixed-3x3", "mixed-4x8", "mixed-8x8", "pure-4x6", "zero-prior-3x4"],
+)
+def test_default_solve_certifies_generic_ensembles(ens):
+    trace = md.solve(ens)
+    assert trace.converged
+    assert md.certify(ens, trace.final_povm).is_optimal
+    engines = {record.engine for record in trace.iterations}
+    assert engines <= {"ascent", "fixed_point"}
+    for record in trace.iterations:
+        if record.engine == "fixed_point":
+            assert record.outcome is record.lam is record.epsilon is None
+
+
+@pytest.mark.parametrize(
+    "ens",
+    [md.pure_pair(0.5), md.pure_pair(0.9, priors=(0.3, 0.7))]
+    + [md.random_mixed(d, 2, seed=d) for d in (2, 3, 4, 8, 16)],
+)
+def test_binary_solves_use_the_ascent_alone(ens):
+    trace = md.solve(ens)
+    assert trace.converged
+    assert trace.iterations_used == len(trace.iterations) <= ens.dim
+    assert all(record.engine == "ascent" for record in trace.iterations)
+
+
+def test_trine_srm_is_a_fixed_point_of_the_fixed_point_step(trine_ensemble, trine_srm):
+    weighted = trine_ensemble.weighted_states
+    stepped = _fixed_point_step(weighted, weighted @ trine_srm.elements)
+    assert np.max(np.abs(stepped - trine_srm.elements)) <= 1e-12
+
+
+def test_fixed_point_step_gives_a_valid_hermitian_povm():
+    for seed in range(10):
+        ens, povm = random_instance(seed, 3, 4)
+        weighted = ens.weighted_states
+        stepped = _fixed_point_step(weighted, weighted @ povm.elements)
+        # exactly Hermitian, so validation leaves every bit in place
+        assert np.array_equal(stepped, stepped.conj().swapaxes(1, 2))
+        assert np.array_equal(md.validate_povm(stepped).elements, stepped)
+
+
+def test_capped_attempt_continues_from_its_endpoint():
+    ens = md.random_mixed(8, 8, seed=1)
+    trace = md.solve(ens, config=md.SolverConfig(max_iter=40))
+    assert trace.converged
+    assert trace.iterations_used > 40
+    # one start, resumed: the returned run holds every step taken
+    assert len(trace.iterations) == trace.iterations_used
+    values = [record.p_corr for record in trace.iterations]
+    assert all(b > a for a, b in zip(values, values[1:]))
