@@ -237,9 +237,9 @@ def load_problem(path: str | Path) -> LoadedProblem:
                 f"{path}: dim {doc['dim']} does not match spec dimension {ensemble.dim}"
             )
     else:
-        if "dim" not in doc or not isinstance(doc["dim"], int) or doc["dim"] < 1:
+        dim = doc.get("dim")
+        if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
             raise ProblemFormatError(f"{path}: 'dim' must be a positive integer")
-        dim = doc["dim"]
         states_obj = doc["states"]
         if not isinstance(states_obj, list) or not states_obj:
             raise ProblemFormatError(f"{path}: 'states' must be a nonempty list")

@@ -87,6 +87,8 @@ class Ensemble:
             raise ValueError(
                 f"{priors.shape[0]} priors for {len(states)} states"
             )
+        if not np.all(np.isfinite(priors)):
+            raise ValueError("priors have non-finite entries")
         if np.any(priors < 0):
             raise ValueError(f"negative prior {priors.min():.6g}")
         total = float(priors.sum())

@@ -21,6 +21,14 @@ Fiurasek (PRA 65, 060301(R), 2002),
 whose fixed points satisfy the equality conditions and which converges
 linearly on those optima.  It cannot grow an element's support, so the
 ascent also polishes what it leaves.
+
+The iteration runs on factors A_j with pi_j = A_j A_j^*, through the map
+g(A)_j = S^{-1/2} W_j A_j, S = sum_j (W_j A_j)(W_j A_j)^*: the same step,
+whose output is a measurement by construction.  Anderson acceleration
+(Walker and Ni, SIAM J. Numer. Anal. 49, 1715 (2011)) feeds the map a
+mix of its last few inputs and outputs in place of the last output.  The
+mix is only a proposal: it is kept when its image raises P_corr and is
+otherwise dropped, with the history, for the plain step.
 """
 
 from __future__ import annotations
@@ -43,6 +51,7 @@ from .matrices import (
     spectral_decompose,
 )
 from .povm import (
+    SUPPORT_FLOOR,
     Povm,
     _completed_povm,
     _inv_sqrt_on_support,
@@ -63,6 +72,9 @@ STALL_THRESHOLD = 1e-14
 # an attempt's first ascent runs at most this many steps per dimension
 # before the fixed-point engine takes over; binary problems certify in fewer
 ASCENT_STEPS_PER_DIM = 2
+# the fixed-point engine's Anderson mix spans this many differences of its
+# last ANDERSON_DEPTH + 1 (input, output) pairs
+ANDERSON_DEPTH = 3
 
 # why an engine run, or an attempt, stopped
 CERTIFIED, STALL, FLOOR, CAP = "certified", "stall", "floor", "cap"
@@ -276,13 +288,61 @@ def _run_ascent(
     return elements, current_p, CAP
 
 
+def _normalizer(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
+    """S^{-1/2} on the support of S = sum_j B_j, S's kernel projector, and
+    whether that kernel is empty."""
+    eigenvalues, eigenvectors = checked_eigh(hermitize(ordered_sum(blocks)))
+    return *_inv_sqrt_on_support(eigenvalues, eigenvectors), eigenvalues[0] > SUPPORT_FLOOR
+
+
 def _fixed_point_step(weighted: np.ndarray, products: np.ndarray) -> np.ndarray:
     """pi_j <- S^{-1/2} B_j S^{-1/2} from the products W_j pi_j, where
     B_j = W_j pi_j W_j and S = sum_j B_j; S's kernel projector goes to outcome 0.
     The result is exactly Hermitian but not validated."""
     blocks = products @ weighted
-    eigenvalues, eigenvectors = checked_eigh(hermitize(ordered_sum(blocks)))
-    return _completed_povm(blocks, *_inv_sqrt_on_support(eigenvalues, eigenvectors))
+    inv_sqrt, kernel, _ = _normalizer(blocks)
+    return _completed_povm(blocks, inv_sqrt, kernel)
+
+
+def _factor_map(
+    weighted: np.ndarray, factors: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, bool]:
+    """The fixed-point step on factors A_j of pi_j = A_j A_j^*:
+    g(A)_j = S^{-1/2} W_j A_j with S = sum_j (W_j A_j)(W_j A_j)^*.
+
+    Returns g(A), the POVM g(A) g(A)^* with S's kernel projector on outcome
+    0 (exactly Hermitian, not validated), and whether that kernel is empty,
+    that is whether g(A) factors the whole POVM.
+    """
+    products = weighted @ factors
+    blocks = products @ products.conj().swapaxes(1, 2)
+    inv_sqrt, kernel, full = _normalizer(blocks)
+    return inv_sqrt @ products, _completed_povm(blocks, inv_sqrt, kernel), full
+
+
+def _hermitian_sqrt(elements: np.ndarray) -> np.ndarray:
+    """Hermitian square root of each PSD element, rounding negatives to zero."""
+    eigenvalues, eigenvectors = checked_eigh(elements)
+    roots = np.sqrt(np.maximum(eigenvalues, 0.0))
+    return (eigenvectors * roots[:, None, :]) @ eigenvectors.conj().swapaxes(1, 2)
+
+
+def _anderson_mix(history: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """Anderson mix g_k - dG gamma of the (input, output) pairs in ``history``,
+    oldest first, where dG and dF hold the differences of consecutive
+    outputs g and residuals f = g - x.
+
+    The factor map is not complex-analytic, so gamma is real: the least-
+    squares solution of dF gamma ~ f_k over the real space of factor
+    entries, taken through its normal equations, whose ``rcond`` cutoff
+    drops directions the history no longer resolves.
+    """
+    inputs, outputs = (np.array(side).reshape(len(history), -1) for side in zip(*history))
+    residuals = outputs - inputs
+    df, dg = np.diff(residuals, axis=0), np.diff(outputs, axis=0)
+    gram = (df.conj() @ df.T).real
+    gamma = np.linalg.lstsq(gram, (df.conj() @ residuals[-1]).real, rcond=None)[0]
+    return (outputs[-1] - gamma @ dg).reshape(history[-1][1].shape)
 
 
 def _run_fixed_point(
@@ -298,18 +358,49 @@ def _run_fixed_point(
     Before each step Gamma comes from the step's own products W_j pi_j, and
     the witness scan runs only once Gamma is Hermitian within ``tol``, so
     the loop stops exactly when ``certify`` would return optimal.
+
+    A step maps factors through ``_factor_map``.  Its input is the Anderson
+    mix of the last ``ANDERSON_DEPTH + 1`` (input, output) pairs; a mix that
+    is not finite or does not raise P_corr drops the history and gives way
+    to the plain step from the accepted factors, and only a plain step that
+    does not raise P_corr ends the run, on the floor.  Every accepted POVM
+    is thus an output of the map.  When S has a kernel, its projector on
+    outcome 0 is in no factor, so the factors restart from the Hermitian
+    square roots of the accepted POVM.
     """
+    factors = None
+    history: list[tuple[np.ndarray, np.ndarray]] = []
     for _ in range(steps):
         products = weighted @ elements
         gamma = ordered_sum(products)
         if _herm_residual(gamma) <= tol and _witness_scan(gamma, weighted)[1].min() >= -tol:
             return elements, current_p, CERTIFIED
-        candidate = _fixed_point_step(weighted, products)
-        new_p = _success_probability(weighted, candidate)
-        if not math.isfinite(new_p):
-            raise NumericFailure("success probability is not finite")
-        if new_p <= current_p:
-            return elements, current_p, FLOOR
+        if factors is None:
+            factors = _hermitian_sqrt(elements)
+        step = None
+        if len(history) > 1:
+            mixed = _anderson_mix(history)
+            if np.isfinite(mixed).all():
+                output, candidate, full = _factor_map(weighted, mixed)
+                new_p = _success_probability(weighted, candidate)
+                if new_p > current_p:
+                    step = mixed
+            if step is None:
+                history.clear()
+        if step is None:
+            step = factors
+            output, candidate, full = _factor_map(weighted, step)
+            new_p = _success_probability(weighted, candidate)
+            if not math.isfinite(new_p):
+                raise NumericFailure("success probability is not finite")
+            if new_p <= current_p:
+                return elements, current_p, FLOOR
+        if full:
+            factors = output
+            history = history[-ANDERSON_DEPTH:] + [(step, output)]
+        else:
+            factors = None
+            history.clear()
         elements = candidate
         records.append(IterationRecord(new_p, None, None, None, engine="fixed_point"))
         current_p = new_p
@@ -430,6 +521,8 @@ def helstrom_binary(
     p1 rho1 - p2 rho2 (zero eigenvalues included, which settles ties), so
     P_corr = p2 + tr(Delta pi_1) = (1 + sum |eig(Delta)|) / 2.
     """
+    if not (math.isfinite(p1) and math.isfinite(p2)):
+        raise ValueError(f"priors must be finite, got {p1!r} and {p2!r}")
     if abs(p1 + p2 - 1.0) > PRIOR_TOL:
         raise ValueError(f"priors sum to {p1 + p2:.12g}, expected 1")
     if rho1.dim != rho2.dim:

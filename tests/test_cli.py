@@ -243,6 +243,7 @@ def test_spec_accepts_integral_floats(tmp_path):
         {"spec": {"kind": "random", "dim": 2.7, "n": 2.9, "seed": 1.5}},
         {"spec": {"kind": "random", "dim": 2, "n": 2, "seed": 1.5}},
         {"dim": 2.5, "spec": {"kind": "trine"}},
+        {"dim": True, "states": [{"prior": 1.0, "matrix": [[[1, 0]]]}]},
     ],
 )
 def test_malformed_spec_fields_are_parse_errors(tmp_path, doc):
@@ -297,3 +298,25 @@ def test_non_finite_state_is_validation_error(tmp_path):
     path.write_text(json.dumps(doc))
     assert "NaN" in path.read_text()
     assert run(["solve", path, "--output", tmp_path / "sol.json"])[0] == cli.EXIT_VALIDATION
+
+
+def test_generate_non_finite_priors_is_validation_error(tmp_path):
+    code = run(["generate", "--kind", "pair", "--priors", "nan,0.5",
+                "--output", tmp_path / "x.json"])[0]
+    assert code == cli.EXIT_VALIDATION
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_non_finite_prior_is_validation_error(tmp_path):
+    path = tmp_path / "nan-prior.json"
+    doc = {
+        "dim": 2,
+        "states": [
+            {"prior": float("nan"), "matrix": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]},
+            {"prior": 0.5, "matrix": [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]},
+        ],
+    }
+    path.write_text(json.dumps(doc))
+    assert '"prior": NaN' in path.read_text()
+    assert run(["solve", path, "--output", tmp_path / "sol.json"])[0] == cli.EXIT_VALIDATION
+

@@ -162,3 +162,10 @@ def test_generated_ensembles_satisfy_invariants():
 def test_non_finite_entries_rejected(bad):
     with pytest.raises(ValueError, match="non-finite"):
         md.validate_density([[bad, 0], [0, 0.5]])
+
+
+@pytest.mark.parametrize("priors", [[np.nan, 0.5], [0.5, np.nan], [np.inf, 0.5], [np.nan, np.nan]])
+def test_ensemble_rejects_non_finite_priors(priors):
+    states = (md.pure_state([1, 0]), md.pure_state([0, 1]))
+    with pytest.raises(ValueError, match="non-finite"):
+        md.Ensemble(priors, states)

@@ -5,7 +5,14 @@ from hypothesis import strategies as st
 
 import mindisc as md
 from helpers import random_instance, suboptimal_mode_instance
-from mindisc.solver import _argmax_quadratic, _coefficients, _fixed_point_step
+from mindisc.solver import (
+    _anderson_mix,
+    _argmax_quadratic,
+    _coefficients,
+    _factor_map,
+    _fixed_point_step,
+    _hermitian_sqrt,
+)
 
 
 def test_no_mode_at_orthogonal_optimum(orthogonal_pair, orthogonal_projectors):
@@ -217,6 +224,12 @@ def test_helstrom_identical_states_tie():
     assert np.allclose(povm[0], np.eye(2), atol=1e-12)
 
 
+@pytest.mark.parametrize("priors", [(np.nan, 0.5), (0.5, np.nan), (np.inf, -np.inf)])
+def test_helstrom_rejects_non_finite_priors(priors):
+    with pytest.raises(ValueError, match="finite"):
+        md.helstrom_binary(priors[0], md.pure_state([1, 0]), priors[1], md.pure_state([0, 1]))
+
+
 def test_helstrom_orthogonal_pure_states():
     povm, value = md.helstrom_binary(
         0.5, md.pure_state([1, 0]), 0.5, md.pure_state([0, 1])
@@ -370,3 +383,84 @@ def test_capped_attempt_continues_from_its_endpoint():
     assert len(trace.iterations) == trace.iterations_used
     values = [record.p_corr for record in trace.iterations]
     assert all(b > a for a, b in zip(values, values[1:]))
+
+
+def _zero_prior(ens: md.Ensemble, k: int) -> md.Ensemble:
+    priors = np.array(ens.priors)
+    priors[k] = 0.0
+    return md.Ensemble(priors / priors.sum(), ens.states)
+
+
+@pytest.mark.parametrize(
+    "ens, config",
+    [
+        (_zero_prior(md.random_mixed(4, 7, seed=74), 2), md.SolverConfig(max_iter=300)),
+        (md.random_mixed(6, 5, seed=237), md.SolverConfig()),
+        (md.random_mixed(16, 16, seed=1), md.SolverConfig()),
+    ],
+    ids=["zero-prior-4x7", "mixed-6x5", "mixed-16x16"],
+)
+def test_accelerated_fixed_point_certifies_slow_instances(ens, config):
+    trace = md.solve(ens, config=config)
+    assert trace.converged
+    assert trace.iterations_used <= 300
+    fixed = [record.p_corr for record in trace.iterations if record.engine == "fixed_point"]
+    assert fixed
+    assert all(b > a for a, b in zip(fixed, fixed[1:]))
+    # the engine's output is exactly Hermitian, so validation moved no bit:
+    # the last record's P_corr is that of the returned POVM, bit for bit
+    assert trace.iterations[-1].p_corr == md.p_correct(ens, trace.final_povm)
+    elements = trace.final_povm.elements
+    assert np.array_equal(md.validate_povm(elements).elements, elements)
+
+
+def test_trine_srm_is_a_fixed_point_of_the_factor_map(trine_ensemble, trine_srm):
+    factors = _hermitian_sqrt(trine_srm.elements)
+    outputs, elements, full = _factor_map(trine_ensemble.weighted_states, factors)
+    assert full
+    assert np.max(np.abs(elements - trine_srm.elements)) <= 1e-12
+    assert np.max(np.abs(outputs - factors)) <= 1e-12
+
+
+def test_factor_map_matches_the_fixed_point_step():
+    for seed in range(10):
+        ens, povm = random_instance(seed, 3, 4)
+        weighted = ens.weighted_states
+        _, elements, full = _factor_map(weighted, _hermitian_sqrt(povm.elements))
+        assert full
+        assert np.array_equal(elements, elements.conj().swapaxes(1, 2))
+        stepped = _fixed_point_step(weighted, weighted @ povm.elements)
+        assert np.max(np.abs(elements - stepped)) <= 1e-12
+
+
+def test_anderson_mix_solves_a_real_affine_map():
+    # z -> a z + b conj(z) + c is affine over the reals but not over the
+    # complex numbers; two differences span its two real dimensions
+    a, b, c = 0.3 + 0.2j, 0.4 - 0.1j, 1.0 - 2.0j
+
+    def g(z):
+        return a * z + b * np.conj(z) + c
+
+    history = []
+    x = np.array([[[0.5 + 0.5j]]])
+    for _ in range(3):
+        history.append((x, g(x)))
+        x = g(x)
+    mixed = _anderson_mix(history)
+    assert np.max(np.abs(g(mixed) - mixed)) <= 1e-12
+
+
+def test_singular_s_is_flagged_and_the_solve_certifies():
+    # three pure states in d=4 leave S singular at every step
+    rng = np.random.default_rng(2)
+    kets = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+    ens = md.Ensemble(np.full(3, 1 / 3), tuple(md.pure_state(k) for k in kets))
+    povm = md.uniform_povm(3, 4)
+    _, elements, full = _factor_map(ens.weighted_states, _hermitian_sqrt(povm.elements))
+    assert not full
+    md.validate_povm(elements)
+    trace = md.solve(ens)
+    assert trace.converged
+    fixed = [record.p_corr for record in trace.iterations if record.engine == "fixed_point"]
+    assert fixed
+    assert all(b > a for a, b in zip(fixed, fixed[1:]))
