@@ -34,6 +34,13 @@ SUPPORT_FLOOR = 1e-12
 SUPPORT_LEAK_TOL = 1e-9
 
 
+def _completeness_deviation(stack: np.ndarray) -> float:
+    """Largest entry of |sum_i E_i - I| over an (n, d, d) stack."""
+    total = ordered_sum(stack)
+    total.flat[:: stack.shape[1] + 1] -= 1.0
+    return float(np.abs(total).max())
+
+
 class IncompleteSumError(ValueError):
     """POVM elements do not sum to the identity."""
 
@@ -82,7 +89,7 @@ class Povm:
         bad = np.flatnonzero(lowest < -PSD_TOL)
         if bad.size:
             raise NotPositiveError(lowest[bad[0]], index=int(bad[0]))
-        deviation = float(np.max(np.abs(ordered_sum(stack) - np.eye(dim))))
+        deviation = _completeness_deviation(stack)
         if deviation > COMPLETENESS_TOL:
             raise IncompleteSumError(deviation)
         object.__setattr__(self, "elements", readonly(stack))

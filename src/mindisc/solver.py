@@ -13,14 +13,17 @@ sufficient optimality conditions, so a certified fixed point is a global
 optimum.
 
 The single-mode ascent approaches degenerate or rank-deficient optima only
-sublinearly.  Behind it runs the fixed-point iteration of Jezek, Rehacek and
-Fiurasek (PRA 65, 060301(R), 2002),
+sublinearly, and a step with eps = 1 can empty an element.  So a problem
+with three or more states starts in the fixed-point iteration of Jezek,
+Rehacek and Fiurasek (PRA 65, 060301(R), 2002),
 
     pi_j <- S^{-1/2} W_j pi_j W_j S^{-1/2},   W_j = p_j rho_j,  S = sum_j W_j pi_j W_j,
 
 whose fixed points satisfy the equality conditions and which converges
-linearly on those optima.  It cannot grow an element's support, so the
-ascent also polishes what it leaves.
+linearly on those optima.  It cannot grow an element's support, so when it
+stops short of the verdict the ascent runs a short rescue burst and hands
+back.  A binary problem starts in the ascent instead, which is exact there
+(Helstrom) and certifies within d steps.
 
 The iteration runs on factors A_j with pi_j = A_j A_j^*, through the map
 g(A)_j = S^{-1/2} W_j A_j, S = sum_j (W_j A_j)(W_j A_j)^*: the same step,
@@ -51,9 +54,11 @@ from .matrices import (
     spectral_decompose,
 )
 from .povm import (
+    COMPLETENESS_TOL,
     SUPPORT_FLOOR,
     Povm,
     _completed_povm,
+    _completeness_deviation,
     _inv_sqrt_on_support,
     _success_probability,
     check_match,
@@ -69,8 +74,8 @@ from .povm import (
 ASCENT_TOL = 1e-10
 # a step predicted to gain less than this ends the ascent as a stall
 STALL_THRESHOLD = 1e-14
-# an attempt's first ascent runs at most this many steps per dimension
-# before the fixed-point engine takes over; binary problems certify in fewer
+# an ascent run takes at most this many steps per dimension before the
+# fixed-point engine takes over again; binary problems certify in fewer
 ASCENT_STEPS_PER_DIM = 2
 # the fixed-point engine's Anderson mix spans this many differences of its
 # last ANDERSON_DEPTH + 1 (input, output) pairs
@@ -237,10 +242,17 @@ def gain(ens: Ensemble, povm: Povm, mode: NegativeMode, epsilon: float) -> float
 
 
 def best_epsilon(ens: Ensemble, povm: Povm, mode: NegativeMode) -> float:
-    """Step size maximizing the exact quadratic gain over (0, 1]."""
+    """Step size maximizing the exact quadratic gain over (0, 1].
+
+    Raises ValueError when the gain's linear coefficient is not positive:
+    then no step along ``mode`` gains to first order, and the maximum over
+    (0, 1] may not exist.
+    """
     check_match(ens, povm)
     vector = _check_mode(povm, mode)
     a, b = _coefficients(ens.priors, _state_stack(ens), povm.elements, mode.outcome, vector)
+    if not b > 0.0:
+        raise ValueError(f"not an ascent direction: linear gain coefficient {b!r} <= 0")
     return _argmax_quadratic(a, b)
 
 
@@ -312,12 +324,30 @@ def _factor_map(
 
     Returns g(A), the POVM g(A) g(A)^* with S's kernel projector on outcome
     0 (exactly Hermitian, not validated), and whether that kernel is empty,
-    that is whether g(A) factors the whole POVM.
+    that is whether g(A) factors the whole POVM.  The elements are formed
+    as the Gram products g_j g_j^*, which stay positive semidefinite to
+    rounding however ill-conditioned S is; S^{-1/2} B_j S^{-1/2} does not.
     """
     products = weighted @ factors
-    blocks = products @ products.conj().swapaxes(1, 2)
-    inv_sqrt, kernel, full = _normalizer(blocks)
-    return inv_sqrt @ products, _completed_povm(blocks, inv_sqrt, kernel), full
+    inv_sqrt, kernel, full = _normalizer(products @ products.conj().swapaxes(1, 2))
+    outputs = inv_sqrt @ products
+    elements = hermitize(outputs @ outputs.conj().swapaxes(1, 2))
+    elements[0] += kernel
+    return outputs, elements, full
+
+
+def _kernel_is_unseen(weighted: np.ndarray, outputs: np.ndarray, elements: np.ndarray) -> bool:
+    """Whether every W_j annihilates the kernel projector K = pi_0 - g_0 g_0^*
+    that ``_factor_map`` put on outcome 0.  Then the products W_j A_j, and
+    so the map, are the same whether or not the factors hold K."""
+    kernel = elements[0] - outputs[0] @ outputs[0].conj().T
+    return float(np.linalg.norm(weighted @ kernel, axis=(1, 2)).max()) <= SUPPORT_FLOOR
+
+
+def _accepts(candidate: np.ndarray, new_p: float, current_p: float) -> bool:
+    """Whether a fixed-point step's POVM raises P_corr and sums to the
+    identity within ``COMPLETENESS_TOL``, as ``validate_povm`` requires."""
+    return new_p > current_p and _completeness_deviation(candidate) <= COMPLETENESS_TOL
 
 
 def _hermitian_sqrt(elements: np.ndarray) -> np.ndarray:
@@ -361,12 +391,16 @@ def _run_fixed_point(
 
     A step maps factors through ``_factor_map``.  Its input is the Anderson
     mix of the last ``ANDERSON_DEPTH + 1`` (input, output) pairs; a mix that
-    is not finite or does not raise P_corr drops the history and gives way
-    to the plain step from the accepted factors, and only a plain step that
-    does not raise P_corr ends the run, on the floor.  Every accepted POVM
-    is thus an output of the map.  When S has a kernel, its projector on
-    outcome 0 is in no factor, so the factors restart from the Hermitian
-    square roots of the accepted POVM.
+    is not finite, does not raise P_corr, or whose elements miss the
+    identity by more than ``COMPLETENESS_TOL`` drops the history and gives
+    way to the plain step from the accepted factors.  Only a plain step that
+    fails the same tests ends the run, on the floor.  Every accepted POVM
+    is thus an output of the map that ``validate_povm`` accepts: an
+    ill-conditioned S amplifies rounding in the element sum.  When S has a
+    kernel, its projector on outcome 0 is in no factor.  The factors and
+    the history carry on if every W_j annihilates that projector, as when
+    the states do not span the space; otherwise the factors restart from
+    the Hermitian square roots of the accepted POVM.
     """
     factors = None
     history: list[tuple[np.ndarray, np.ndarray]] = []
@@ -383,7 +417,7 @@ def _run_fixed_point(
             if np.isfinite(mixed).all():
                 output, candidate, full = _factor_map(weighted, mixed)
                 new_p = _success_probability(weighted, candidate)
-                if new_p > current_p:
+                if _accepts(candidate, new_p, current_p):
                     step = mixed
             if step is None:
                 history.clear()
@@ -393,9 +427,9 @@ def _run_fixed_point(
             new_p = _success_probability(weighted, candidate)
             if not math.isfinite(new_p):
                 raise NumericFailure("success probability is not finite")
-            if new_p <= current_p:
+            if not _accepts(candidate, new_p, current_p):
                 return elements, current_p, FLOOR
-        if full:
+        if full or _kernel_is_unseen(weighted, output, candidate):
             factors = output
             history = history[-ANDERSON_DEPTH:] + [(step, output)]
         else:
@@ -408,24 +442,25 @@ def _run_fixed_point(
 
 
 def _ascend(
-    ens: Ensemble, povm: Povm, config: SolverConfig, ascent_tol: float, engine: str = "ascent"
+    ens: Ensemble, povm: Povm, config: SolverConfig, ascent_tol: float, engine: str
 ) -> tuple[Povm, list[IterationRecord], str, str]:
     """One attempt from ``povm``, starting in ``engine``.
 
-    The ascent runs first for at most ``ASCENT_STEPS_PER_DIM * d`` steps,
-    then the fixed-point engine, then the ascent on whatever budget is
-    left; an engine that stops short of the verdict hands over to the
-    other.  Every step counts against ``config.max_iter``.  The attempt
-    ends when the verdict holds, when the budget is spent (reason CAP), or
-    when neither engine can take a step.  Returns the validated POVM, the
-    records, the stop reason and the engine that ran last.
+    The fixed-point engine runs until the verdict holds or it stops on the
+    floor.  The ascent then runs as a rescue, a burst of at most
+    ``ASCENT_STEPS_PER_DIM * d`` steps, and hands back; a binary problem
+    starts with such a burst, which certifies it.  Every step counts
+    against ``config.max_iter``.  The attempt ends when the verdict holds,
+    when the budget is spent (reason CAP), or when neither engine can take
+    a step.  Returns the validated POVM, the records, the stop reason and
+    the engine that ran last.
     """
     priors, weighted, elements = ens.priors, ens.weighted_states, povm.elements
     mats = _state_stack(ens)
 
     records: list[IterationRecord] = []
     current_p = _success_probability(weighted, elements)
-    ascent_cap = ASCENT_STEPS_PER_DIM * ens.dim
+    burst = ASCENT_STEPS_PER_DIM * ens.dim
     idle = False
     while True:
         before = len(records)
@@ -433,9 +468,8 @@ def _ascend(
         if engine == "ascent":
             elements, current_p, reason = _run_ascent(
                 priors, mats, weighted, elements, current_p, records,
-                min(budget, ascent_cap), config.tol, ascent_tol,
+                min(budget, burst), config.tol, ascent_tol,
             )
-            ascent_cap = config.max_iter  # later ascent runs take what is left
         else:
             elements, current_p, reason = _run_fixed_point(
                 weighted, elements, current_p, records, budget, config.tol
@@ -451,10 +485,12 @@ def _ascend(
 def solve(
     ens: Ensemble, start: Povm | None = None, config: SolverConfig | None = None
 ) -> SolveTrace:
-    """Run the ascent and the fixed-point engine to a certified optimum.
+    """Run the fixed-point engine and the ascent to a certified optimum.
 
     Starts from ``start`` (default: the uniform POVM) and runs the attempt
     schedule of ``_ascend``, then certifies the result at ``config.tol``.
+    Every start of a problem with three or more states opens in the
+    fixed-point engine, and every start of a binary one in the ascent.
     If the certificate is not optimal, an attempt that ended on the
     iteration cap while still improving continues from where it stopped;
     one that stalled gives way to the square-root measurement and then to
@@ -484,11 +520,12 @@ def solve(
     best: tuple[Povm, list[IterationRecord], Certificate] | None = None
     total_steps = 0
     rung = 0
+    first_engine = "ascent" if len(ens) <= 2 else "fixed_point"
     # (start POVM, records that led to it, engine to run first)
-    resume = (initial, [], "ascent")
+    resume = (initial, [], first_engine)
     for _ in range(config.restarts + 1):
         if resume is None:
-            resume = (restart_candidate(rung), [], "ascent")
+            resume = (restart_candidate(rung), [], first_engine)
             rung += 1
         povm0, earlier, engine = resume
         final, records, reason, engine = _ascend(ens, povm0, config, ascent_tol, engine)

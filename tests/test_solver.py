@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mindisc as md
+import mindisc.solver as solver
 from helpers import random_instance, suboptimal_mode_instance
 from mindisc.solver import (
     _anderson_mix,
@@ -123,6 +124,33 @@ def test_best_epsilon_gains_positive(trine_ensemble):
     epsilon = md.best_epsilon(trine_ensemble, povm, mode)
     assert 0.0 < epsilon <= 1.0
     assert md.gain(trine_ensemble, povm, mode, epsilon) > 0.0
+
+
+def test_best_epsilon_rejects_directions_that_do_not_ascend():
+    # random modes on random measurements: about half point downhill to
+    # first order, where no step size in (0, 1] is an argmax
+    ens = md.random_mixed(3, 3, seed=0)
+    rng = np.random.default_rng(0)
+    rejected = 0
+    for _ in range(200):
+        povm = md.random_povm(3, 3, rng)
+        vector = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        mode = md.NegativeMode(
+            outcome=int(rng.integers(3)), lam=1.0, vector=vector / np.linalg.norm(vector)
+        )
+        _, b = _coefficients(
+            ens.priors, [s.mat for s in ens.states], list(povm), mode.outcome, mode.vector
+        )
+        if b <= 0:
+            rejected += 1
+            with pytest.raises(ValueError, match="not an ascent direction"):
+                md.best_epsilon(ens, povm, mode)
+        else:
+            epsilon = md.best_epsilon(ens, povm, mode)
+            assert 0.0 < epsilon <= 1.0
+            assert md.gain(ens, povm, mode, epsilon) > 0.0
+            md.perturb(povm, mode, epsilon)
+    assert rejected > 0
 
 
 def test_best_epsilon_maximizes_over_grid():
@@ -341,6 +369,8 @@ def test_default_solve_certifies_generic_ensembles(ens):
     assert md.certify(ens, trace.final_povm).is_optimal
     engines = {record.engine for record in trace.iterations}
     assert engines <= {"ascent", "fixed_point"}
+    # three or more states start in the fixed-point engine
+    assert trace.iterations[0].engine == "fixed_point"
     for record in trace.iterations:
         if record.engine == "fixed_point":
             assert record.outcome is record.lam is record.epsilon is None
@@ -464,3 +494,75 @@ def test_singular_s_is_flagged_and_the_solve_certifies():
     fixed = [record.p_corr for record in trace.iterations if record.engine == "fixed_point"]
     assert fixed
     assert all(b > a for a, b in zip(fixed, fixed[1:]))
+
+
+def test_fixed_point_keeps_its_factors_when_no_state_sees_the_kernel(monkeypatch):
+    # three pure states in d=4: S's kernel is the complement of their span,
+    # which every W_j annihilates, so the factors and the Anderson history
+    # carry over from step to step instead of restarting from square roots
+    rng = np.random.default_rng(2)
+    kets = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+    ens = md.Ensemble(np.full(3, 1 / 3), tuple(md.pure_state(k) for k in kets))
+    calls = []
+    real_sqrt = solver._hermitian_sqrt
+    monkeypatch.setattr(solver, "_hermitian_sqrt", lambda e: calls.append(1) or real_sqrt(e))
+    trace = md.solve(ens)
+    assert trace.converged
+    assert all(record.engine == "fixed_point" for record in trace.iterations)
+    assert len(trace.iterations) > 1
+    assert len(calls) == 1
+
+
+def _perturbed_qubits(n: int, delta: float, theta: float, seed: int) -> md.Ensemble:
+    """n equiprior kets (cos theta, e^{2 pi i m / n} sin theta) + delta (g + i g'):
+    symmetric qubit ensembles nudged off their degenerate optima."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((n, 2))
+    g_imag = rng.standard_normal((n, 2))
+    phases = np.exp(2j * np.pi * np.arange(n) / n)
+    kets = np.stack([np.full(n, np.cos(theta)), phases * np.sin(theta)], axis=1)
+    kets = kets + delta * (g + 1j * g_imag)
+    return md.Ensemble(np.full(n, 1 / n), tuple(md.pure_state(k) for k in kets))
+
+
+@pytest.mark.parametrize(
+    "n, delta, theta, seed",
+    [
+        (4, 1e-3, 0.5, 0),
+        (4, 1e-3, 0.5, 1),
+        (4, 1e-2, np.pi / 4, 0),
+        (5, 1e-3, 0.3, 0),
+        (6, 1e-3, 0.5, 2),
+        (8, 1e-3, 0.5, 0),
+    ],
+)
+def test_perturbed_symmetric_qubits_certify(n, delta, theta, seed):
+    # an ascent step with epsilon = 1 can empty an element on these, and
+    # the fixed-point map never regrows one, so they start fixed-point
+    ens = _perturbed_qubits(n, delta, theta, seed)
+    trace = md.solve(ens, config=md.SolverConfig(max_iter=300, restarts=0))
+    assert trace.converged
+    assert trace.iterations[0].engine == "fixed_point"
+
+
+def _zero_prior_rank_two(seed: int) -> md.Ensemble:
+    rng = np.random.default_rng(seed)
+    priors = rng.random(4)
+    priors[0] = 0.0
+    states = []
+    for _ in range(4):
+        a = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
+        states.append(md.validate_density(a @ a.conj().T / np.linalg.norm(a) ** 2))
+    return md.Ensemble(priors / priors.sum(), tuple(states))
+
+
+@pytest.mark.parametrize("seed", [19, 25, 141])
+def test_fixed_point_accepts_only_valid_measurements_when_s_is_ill_conditioned(seed):
+    # rank-2 states in d=6 with small priors leave S with a condition number
+    # near 1e8, where S^{-1/2} B_j S^{-1/2} lost positivity and the element
+    # sum lost its 1e-9 completeness, and the final validation raised
+    ens = _zero_prior_rank_two(seed)
+    start = md.uniform_povm(4, 6)
+    trace = md.solve(ens, start, md.SolverConfig(max_iter=200, restarts=0))
+    assert trace.final_certificate.p_corr >= md.p_correct(ens, start)
+    md.validate_povm(trace.final_povm.elements)
