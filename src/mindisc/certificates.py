@@ -6,9 +6,12 @@ Gamma = sum_i p_i rho_i pi_i; Hermiticity of Gamma and the equality
 conditions pi_j (p_j rho_j - p_k rho_k) pi_k = 0 follow at any optimum.
 The certificate bundles all of these residuals with a verdict at a stated
 tolerance, and with a weak-duality bound on the distance to the optimum
-(Eldar, Megretski and Verghese, IEEE TIT 49, 1007 (2003)): Z = sym(Gamma)
-+ mu I is dual feasible for mu = max(0, -min_j lambda_min(G_j)), so
-P_opt - P_corr <= tr(Z) - P_corr = d mu for any valid POVM.
+(Eldar, Megretski and Verghese, IEEE TIT 49, 1007 (2003)).  Both
+Z = sym(Gamma) + mu I with mu = max(0, -min_j lambda_min(G_j)) and
+Z = sym(Gamma) + sum_j neg(G_j), where neg(G) is the negative part of G,
+are dual feasible (Z - p_j rho_j is at least G_j + neg(G_j) >= 0), so for
+any valid POVM P_opt - P_corr <= tr(Z) - P_corr, which is the smaller of
+d mu and sum_j tr neg(G_j).
 """
 
 from __future__ import annotations
@@ -40,8 +43,10 @@ class Certificate:
     ``is_optimal`` is True iff every witness minimum eigenvalue is at least
     ``-tolerance`` and the Lagrange-operator Hermiticity residual is at most
     ``tolerance``.  When False, ``witness`` carries the globally most
-    negative eigenpair across outcomes.  ``gap_bound`` = d max(0, -min_j
-    lambda_min(G_j)) bounds P_opt - P_corr whatever the verdict.
+    negative eigenpair across outcomes.  ``gap_bound`` = min(d max(0,
+    -min_j lambda_min(G_j)), sum_j tr neg(G_j)), where tr neg(G) sums the
+    magnitudes of G's negative eigenvalues, bounds P_opt - P_corr whatever
+    the verdict.
     """
 
     p_corr: float
@@ -66,12 +71,12 @@ def _gamma(weighted: np.ndarray, elements: np.ndarray) -> np.ndarray:
 
 def _witness_scan(gamma: np.ndarray, weighted: np.ndarray):
     """One batched ``eigh`` of every witness G_j = sym(Gamma) - W_j: returns the
-    witnesses, their minimum eigenvalues, the most negative outcome (ties:
-    smallest index) and its eigenvector as ``eigh`` gives it."""
+    witnesses, their eigenvalues (row j ascending for G_j), the most negative
+    outcome (ties: smallest index) and its eigenvector as ``eigh`` gives it."""
     witnesses = hermitize(gamma) - weighted
     values, vectors = checked_eigh(witnesses)
     j = int(np.argmin(values[:, 0]))
-    return witnesses, values[:, 0], j, vectors[j, :, 0]
+    return witnesses, values, j, vectors[j, :, 0]
 
 
 def _herm_residual(m: np.ndarray) -> float:
@@ -143,9 +148,11 @@ def certify(
     gamma = _gamma(weighted, elements)
     herm_residual = _herm_residual(gamma)
     eq_residual = _pairwise_residual(weighted, elements)
-    witnesses, minima, j, vector = _witness_scan(gamma, weighted)
+    witnesses, values, j, vector = _witness_scan(gamma, weighted)
     zp_residual = _zero_product_residual(witnesses, elements)
+    minima = values[:, 0]
     lowest = float(minima[j])
+    negative_trace = float(np.maximum(-values, 0.0).sum())
     optimal = lowest >= -tol and herm_residual <= tol
     if strict:
         optimal = optimal and eq_residual <= tol and zp_residual <= tol
@@ -156,7 +163,7 @@ def certify(
         witness_min_eigenvalues=tuple(minima.tolist()),
         pairwise_equality_residual=eq_residual,
         zero_product_residual=zp_residual,
-        gap_bound=ens.dim * max(0.0, -lowest),
+        gap_bound=min(ens.dim * max(0.0, -lowest), negative_trace),
         tolerance=float(tol),
         is_optimal=optimal,
         witness=None if optimal else Witness(j, lowest, readonly(fix_phase(vector))),

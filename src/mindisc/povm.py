@@ -170,30 +170,37 @@ def uniform_povm(n: int, dim: int) -> Povm:
 
 def _inv_sqrt_on_support(
     eigenvalues: np.ndarray, eigenvectors: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Inverse square root on the support of a PSD matrix, plus kernel projector,
     from the matrix's eigensystem (eigenvectors in columns).
 
-    Eigenvalues at or below SUPPORT_FLOOR are treated as kernel.
+    Eigenvalues at or below SUPPORT_FLOOR are treated as kernel.  The kernel
+    projector is None when there is no kernel, that is when the matrix is
+    full rank.
     """
     keep = eigenvalues > SUPPORT_FLOOR
     vs = eigenvectors[:, keep]
-    inv_sqrt = (vs / np.sqrt(eigenvalues[keep])) @ vs.conj().T
-    kernel = np.eye(eigenvectors.shape[0]) - vs @ vs.conj().T
-    return hermitize(inv_sqrt), hermitize(kernel)
+    inv_sqrt = hermitize((vs / np.sqrt(eigenvalues[keep])) @ vs.conj().T)
+    if keep.all():
+        return inv_sqrt, None
+    return inv_sqrt, hermitize(np.eye(eigenvectors.shape[0]) - vs @ vs.conj().T)
 
 
-def _completed_povm(blocks: np.ndarray, inv_sqrt: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """pi_i = S^{-1/2} B_i S^{-1/2} over the stack B, plus S's kernel projector on outcome 0.
+def _completed_povm(
+    blocks: np.ndarray, inv_sqrt: np.ndarray, kernel: np.ndarray | None
+) -> np.ndarray:
+    """pi_i = S^{-1/2} B_i S^{-1/2} over the stack B, plus S's kernel projector,
+    if it has one, on outcome 0.
 
     Unvalidated, but exactly Hermitian: both terms are.
     """
     elements = hermitize(inv_sqrt @ blocks @ inv_sqrt)
-    elements[0] += kernel
+    if kernel is not None:
+        elements[0] += kernel
     return elements
 
 
-def _phase_fixed_support(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _phase_fixed_support(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """``_inv_sqrt_on_support`` from the phase-fixed eigensystem, which pins
     the bits of the constructed measurements."""
     spectrum = spectral_decompose(mat)
@@ -209,12 +216,13 @@ def square_root_measurement(ens: Ensemble) -> Povm:
     """
     weighted = ens.weighted_states
     inv_sqrt, kernel = _phase_fixed_support(ens.average_state())
-    leaks = _real_traces(kernel @ weighted, kernel)
-    bad = np.flatnonzero(leaks > SUPPORT_LEAK_TOL)
-    if bad.size:
-        raise SupportError(
-            f"state {bad[0]} leaks {leaks[bad[0]]:.3e} outside the average-state support"
-        )
+    if kernel is not None:
+        leaks = _real_traces(kernel @ weighted, kernel)
+        bad = np.flatnonzero(leaks > SUPPORT_LEAK_TOL)
+        if bad.size:
+            raise SupportError(
+                f"state {bad[0]} leaks {leaks[bad[0]]:.3e} outside the average-state support"
+            )
     return validate_povm(_completed_povm(weighted, inv_sqrt, kernel))
 
 

@@ -27,11 +27,14 @@ back.  A binary problem starts in the ascent instead, which is exact there
 
 The iteration runs on factors A_j with pi_j = A_j A_j^*, through the map
 g(A)_j = S^{-1/2} W_j A_j, S = sum_j (W_j A_j)(W_j A_j)^*: the same step,
-whose output is a measurement by construction.  Anderson acceleration
-(Walker and Ni, SIAM J. Numer. Anal. 49, 1715 (2011)) feeds the map a
-mix of its last few inputs and outputs in place of the last output.  The
-mix is only a proposal: it is kept when its image raises P_corr and is
-otherwise dropped, with the history, for the plain step.
+whose output is a measurement by construction.  S is one product of the
+side-by-side matrix [W_1 A_1 ... W_n A_n] with its conjugate transpose,
+and a full-rank S, the usual case, costs no kernel projector.  Anderson
+acceleration (Walker and Ni, SIAM J. Numer. Anal. 49, 1715 (2011)) feeds
+the map a mix of its last few inputs and outputs in place of the last
+output, from a rolling history that adds one row of inner products per
+step.  The mix is only a proposal: it is kept when its image raises P_corr
+and is otherwise dropped, with the history, for the plain step.
 """
 
 from __future__ import annotations
@@ -194,10 +197,11 @@ def find_negative_mode(
     witness operator the deterministic eigenvector convention of
     ``spectral_decompose`` applies.
     """
-    _, minima, j, vector = _witness_scan(lagrange_operator(ens, povm), ens.weighted_states)
-    if minima[j] >= -tol:
+    _, values, j, vector = _witness_scan(lagrange_operator(ens, povm), ens.weighted_states)
+    lowest = float(values[j, 0])
+    if lowest >= -tol:
         return None
-    return NegativeMode(outcome=j, lam=-float(minima[j]), vector=readonly(fix_phase(vector)))
+    return NegativeMode(outcome=j, lam=-lowest, vector=readonly(fix_phase(vector)))
 
 
 def _check_mode(povm: Povm, mode: NegativeMode) -> np.ndarray:
@@ -274,8 +278,8 @@ def _run_ascent(
     """
     for _ in range(steps):
         gamma = _gamma(weighted, elements)
-        _, minima, j0, vector = _witness_scan(gamma, weighted)
-        value = float(minima[j0])
+        _, values, j0, vector = _witness_scan(gamma, weighted)
+        value = float(values[j0, 0])
         if value >= -ascent_tol:
             return elements, current_p, CERTIFIED if _herm_residual(gamma) <= tol else FLOOR
         a, b = _coefficients(priors, mats, elements, j0, vector)
@@ -300,11 +304,10 @@ def _run_ascent(
     return elements, current_p, CAP
 
 
-def _normalizer(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
-    """S^{-1/2} on the support of S = sum_j B_j, S's kernel projector, and
-    whether that kernel is empty."""
-    eigenvalues, eigenvectors = checked_eigh(hermitize(ordered_sum(blocks)))
-    return *_inv_sqrt_on_support(eigenvalues, eigenvectors), eigenvalues[0] > SUPPORT_FLOOR
+def _normalizer(s: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """S^{-1/2} on the support of S, and S's kernel projector (None if S is
+    full rank)."""
+    return _inv_sqrt_on_support(*checked_eigh(hermitize(s)))
 
 
 def _fixed_point_step(weighted: np.ndarray, products: np.ndarray) -> np.ndarray:
@@ -312,35 +315,38 @@ def _fixed_point_step(weighted: np.ndarray, products: np.ndarray) -> np.ndarray:
     B_j = W_j pi_j W_j and S = sum_j B_j; S's kernel projector goes to outcome 0.
     The result is exactly Hermitian but not validated."""
     blocks = products @ weighted
-    inv_sqrt, kernel, _ = _normalizer(blocks)
-    return _completed_povm(blocks, inv_sqrt, kernel)
+    return _completed_povm(blocks, *_normalizer(ordered_sum(blocks)))
 
 
 def _factor_map(
     weighted: np.ndarray, factors: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, bool]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """The fixed-point step on factors A_j of pi_j = A_j A_j^*:
     g(A)_j = S^{-1/2} W_j A_j with S = sum_j (W_j A_j)(W_j A_j)^*.
 
-    Returns g(A), the POVM g(A) g(A)^* with S's kernel projector on outcome
-    0 (exactly Hermitian, not validated), and whether that kernel is empty,
-    that is whether g(A) factors the whole POVM.  The elements are formed
-    as the Gram products g_j g_j^*, which stay positive semidefinite to
-    rounding however ill-conditioned S is; S^{-1/2} B_j S^{-1/2} does not.
+    S is one product of the side-by-side (d, n d) matrix [W_1 A_1 ... W_n A_n]
+    with its conjugate transpose.  Returns g(A), the POVM g(A) g(A)^* with
+    S's kernel projector on outcome 0 (exactly Hermitian, not validated),
+    and that projector, which is None when S is full rank, that is when
+    g(A) factors the whole POVM.  The elements are formed as the Gram
+    products g_j g_j^*, which stay positive semidefinite to rounding however
+    ill-conditioned S is; S^{-1/2} B_j S^{-1/2} does not.
     """
+    n, d, _ = factors.shape
     products = weighted @ factors
-    inv_sqrt, kernel, full = _normalizer(products @ products.conj().swapaxes(1, 2))
+    side = products.transpose(1, 0, 2).reshape(d, n * d)
+    inv_sqrt, kernel = _normalizer(side @ side.conj().T)
     outputs = inv_sqrt @ products
     elements = hermitize(outputs @ outputs.conj().swapaxes(1, 2))
-    elements[0] += kernel
-    return outputs, elements, full
+    if kernel is not None:
+        elements[0] += kernel
+    return outputs, elements, kernel
 
 
-def _kernel_is_unseen(weighted: np.ndarray, outputs: np.ndarray, elements: np.ndarray) -> bool:
-    """Whether every W_j annihilates the kernel projector K = pi_0 - g_0 g_0^*
-    that ``_factor_map`` put on outcome 0.  Then the products W_j A_j, and
-    so the map, are the same whether or not the factors hold K."""
-    kernel = elements[0] - outputs[0] @ outputs[0].conj().T
+def _kernel_is_unseen(weighted: np.ndarray, kernel: np.ndarray) -> bool:
+    """Whether every W_j annihilates the kernel projector K that
+    ``_factor_map`` put on outcome 0.  Then the products W_j A_j, and so the
+    map, are the same whether or not the factors hold K."""
     return float(np.linalg.norm(weighted @ kernel, axis=(1, 2)).max()) <= SUPPORT_FLOOR
 
 
@@ -357,22 +363,64 @@ def _hermitian_sqrt(elements: np.ndarray) -> np.ndarray:
     return (eigenvectors * roots[:, None, :]) @ eigenvectors.conj().swapaxes(1, 2)
 
 
-def _anderson_mix(history: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    """Anderson mix g_k - dG gamma of the (input, output) pairs in ``history``,
-    oldest first, where dG and dF hold the differences of consecutive
-    outputs g and residuals f = g - x.
+def _real_view(a: np.ndarray) -> np.ndarray:
+    """The entries of a complex array as one real vector (re, im interleaved),
+    without a copy when ``a`` is contiguous."""
+    return np.ascontiguousarray(a, dtype=complex).reshape(-1).view(float)
 
-    The factor map is not complex-analytic, so gamma is real: the least-
-    squares solution of dF gamma ~ f_k over the real space of factor
-    entries, taken through its normal equations, whose ``rcond`` cutoff
-    drops directions the history no longer resolves.
+
+class _AndersonHistory:
+    """Rolling history of the fixed-point map for the Anderson mix.
+
+    Keeps the differences of the last ``ANDERSON_DEPTH + 1`` residuals
+    f = g - x and outputs g of the map, oldest first, as real vectors in the
+    rows of ``df`` and ``dg``, with the real Gram matrix of the residual
+    differences.
+    A push adds one row of inner products and drops the oldest.  The map is
+    not complex-analytic, so the mix coefficients are real: they solve the
+    least-squares problem dF gamma ~ f_k over the real space of factor
+    entries, through its normal equations, whose ``rcond`` cutoff drops
+    directions the history no longer resolves.
     """
-    inputs, outputs = (np.array(side).reshape(len(history), -1) for side in zip(*history))
-    residuals = outputs - inputs
-    df, dg = np.diff(residuals, axis=0), np.diff(outputs, axis=0)
-    gram = (df.conj() @ df.T).real
-    gamma = np.linalg.lstsq(gram, (df.conj() @ residuals[-1]).real, rcond=None)[0]
-    return (outputs[-1] - gamma @ dg).reshape(history[-1][1].shape)
+
+    def __init__(self, shape: tuple[int, ...]):
+        self.shape = shape
+        size = 2 * math.prod(shape)
+        self.df = np.empty((ANDERSON_DEPTH, size))
+        self.dg = np.empty((ANDERSON_DEPTH, size))
+        self.gram = np.empty((ANDERSON_DEPTH, ANDERSON_DEPTH))
+        self.clear()
+
+    def clear(self) -> None:
+        self.count = 0
+        self.last: tuple[np.ndarray, np.ndarray] | None = None
+
+    def push(self, x: np.ndarray, g: np.ndarray) -> None:
+        """Add the map's input ``x`` and output ``g``."""
+        g = _real_view(g)
+        f = g - _real_view(x)
+        if self.last is not None:
+            k = self.count
+            if k == len(self.df):
+                k -= 1
+                self.df[:k] = self.df[1:]
+                self.dg[:k] = self.dg[1:]
+                self.gram[:k, :k] = self.gram[1:, 1:]
+            np.subtract(f, self.last[0], out=self.df[k])
+            np.subtract(g, self.last[1], out=self.dg[k])
+            row = self.df[: k + 1] @ self.df[k]
+            self.gram[k, : k + 1] = row
+            self.gram[: k + 1, k] = row
+            self.count = k + 1
+        self.last = (f, g)
+
+    def mix(self) -> np.ndarray:
+        """The Anderson mix g_k - dG gamma, shaped as the map's factors;
+        needs ``count >= 1``."""
+        k = self.count
+        f, g = self.last
+        gamma = np.linalg.lstsq(self.gram[:k, :k], self.df[:k] @ f, rcond=None)[0]
+        return (g - gamma @ self.dg[:k]).view(complex).reshape(self.shape)
 
 
 def _run_fixed_point(
@@ -385,9 +433,9 @@ def _run_fixed_point(
 ) -> tuple[np.ndarray, float, str]:
     """At most ``steps`` fixed-point steps; returns (elements, P_corr, stop reason).
 
-    Before each step Gamma comes from the step's own products W_j pi_j, and
-    the witness scan runs only once Gamma is Hermitian within ``tol``, so
-    the loop stops exactly when ``certify`` would return optimal.
+    Before each step Gamma comes from ``_gamma``, as in ``certify``, and the
+    witness scan runs only once Gamma is Hermitian within ``tol``, so the
+    loop stops exactly when ``certify`` would return optimal.
 
     A step maps factors through ``_factor_map``.  Its input is the Anderson
     mix of the last ``ANDERSON_DEPTH + 1`` (input, output) pairs; a mix that
@@ -403,19 +451,18 @@ def _run_fixed_point(
     the Hermitian square roots of the accepted POVM.
     """
     factors = None
-    history: list[tuple[np.ndarray, np.ndarray]] = []
+    history = _AndersonHistory(elements.shape)
     for _ in range(steps):
-        products = weighted @ elements
-        gamma = ordered_sum(products)
+        gamma = _gamma(weighted, elements)
         if _herm_residual(gamma) <= tol and _witness_scan(gamma, weighted)[1].min() >= -tol:
             return elements, current_p, CERTIFIED
         if factors is None:
             factors = _hermitian_sqrt(elements)
         step = None
-        if len(history) > 1:
-            mixed = _anderson_mix(history)
+        if history.count:
+            mixed = history.mix()
             if np.isfinite(mixed).all():
-                output, candidate, full = _factor_map(weighted, mixed)
+                output, candidate, kernel = _factor_map(weighted, mixed)
                 new_p = _success_probability(weighted, candidate)
                 if _accepts(candidate, new_p, current_p):
                     step = mixed
@@ -423,15 +470,15 @@ def _run_fixed_point(
                 history.clear()
         if step is None:
             step = factors
-            output, candidate, full = _factor_map(weighted, step)
+            output, candidate, kernel = _factor_map(weighted, step)
             new_p = _success_probability(weighted, candidate)
             if not math.isfinite(new_p):
                 raise NumericFailure("success probability is not finite")
             if not _accepts(candidate, new_p, current_p):
                 return elements, current_p, FLOOR
-        if full or _kernel_is_unseen(weighted, output, candidate):
+        if kernel is None or _kernel_is_unseen(weighted, kernel):
             factors = output
-            history = history[-ANDERSON_DEPTH:] + [(step, output)]
+            history.push(step, output)
         else:
             factors = None
             history.clear()

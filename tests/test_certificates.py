@@ -236,17 +236,28 @@ def test_certify_agrees_with_public_functions(case):
         assert np.array_equal(cert.witness.vector, per_outcome[mode.outcome][1])
 
 
+def _expected_gap_bound(ens, povm) -> float:
+    """min(d mu, sum_j tr neg(G_j)) from each witness operator's spectrum."""
+    values = np.array(
+        [np.linalg.eigvalsh(md.witness_operator(ens, povm, j)) for j in range(len(ens))]
+    )
+    return min(ens.dim * max(0.0, -values[:, 0].min()), np.maximum(-values, 0.0).sum())
+
+
 @pytest.mark.parametrize("dim", [2, 3, 4])
 def test_gap_bound_bounds_distance_to_binary_optimum(dim):
-    # weak duality: P_opt - P_corr <= d max(0, -min_j lambda_min(G_j)) for
-    # any valid POVM; Helstrom gives P_opt for two states
+    # weak duality: P_opt - P_corr <= min(d mu, sum_j tr neg(G_j)) for any
+    # valid POVM; Helstrom gives P_opt for two states
     rng = np.random.default_rng(4242 + dim)
-    ensembles = [md.pure_pair(0.5, priors=(0.3, 0.7)), md.random_mixed(dim, 2, seed=dim)]
+    ensembles = [md.pure_pair(0.5, priors=(0.3, 0.7))]
+    ensembles += [md.random_mixed(dim, 2, seed=seed) for seed in range(dim, dim + 10)]
     for ens in ensembles:
         _, helstrom_p = md.helstrom_binary(
             float(ens.priors[0]), ens.states[0], float(ens.priors[1]), ens.states[1]
         )
         for _ in range(20):
-            cert = md.certify(ens, md.random_povm(2, ens.dim, rng))
-            assert cert.gap_bound == ens.dim * max(0.0, -min(cert.witness_min_eigenvalues))
+            povm = md.random_povm(2, ens.dim, rng)
+            cert = md.certify(ens, povm)
+            assert cert.gap_bound == pytest.approx(_expected_gap_bound(ens, povm), rel=1e-12)
+            assert cert.gap_bound <= ens.dim * max(0.0, -min(cert.witness_min_eigenvalues))
             assert helstrom_p - cert.p_corr <= cert.gap_bound + 1e-12

@@ -6,13 +6,16 @@ from hypothesis import strategies as st
 import mindisc as md
 import mindisc.solver as solver
 from helpers import random_instance, suboptimal_mode_instance
+from mindisc.povm import SUPPORT_FLOOR, _inv_sqrt_on_support
 from mindisc.solver import (
-    _anderson_mix,
+    ANDERSON_DEPTH,
+    _AndersonHistory,
     _argmax_quadratic,
     _coefficients,
     _factor_map,
     _fixed_point_step,
     _hermitian_sqrt,
+    _kernel_is_unseen,
 )
 
 
@@ -446,8 +449,8 @@ def test_accelerated_fixed_point_certifies_slow_instances(ens, config):
 
 def test_trine_srm_is_a_fixed_point_of_the_factor_map(trine_ensemble, trine_srm):
     factors = _hermitian_sqrt(trine_srm.elements)
-    outputs, elements, full = _factor_map(trine_ensemble.weighted_states, factors)
-    assert full
+    outputs, elements, kernel = _factor_map(trine_ensemble.weighted_states, factors)
+    assert kernel is None
     assert np.max(np.abs(elements - trine_srm.elements)) <= 1e-12
     assert np.max(np.abs(outputs - factors)) <= 1e-12
 
@@ -456,11 +459,64 @@ def test_factor_map_matches_the_fixed_point_step():
     for seed in range(10):
         ens, povm = random_instance(seed, 3, 4)
         weighted = ens.weighted_states
-        _, elements, full = _factor_map(weighted, _hermitian_sqrt(povm.elements))
-        assert full
+        _, elements, kernel = _factor_map(weighted, _hermitian_sqrt(povm.elements))
+        assert kernel is None
         assert np.array_equal(elements, elements.conj().swapaxes(1, 2))
         stepped = _fixed_point_step(weighted, weighted @ povm.elements)
         assert np.max(np.abs(elements - stepped)) <= 1e-12
+
+
+def _three_pure_states_in_d4() -> md.Ensemble:
+    # three pure states in d=4 leave S singular at every step
+    rng = np.random.default_rng(2)
+    kets = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+    return md.Ensemble(np.full(3, 1 / 3), tuple(md.pure_state(k) for k in kets))
+
+
+def test_factor_map_matches_the_fixed_point_step_when_s_has_a_kernel():
+    ens = _three_pure_states_in_d4()
+    weighted = ens.weighted_states
+    rng = np.random.default_rng(5)
+    for povm in [md.uniform_povm(3, 4)] + [md.random_povm(3, 4, rng) for _ in range(5)]:
+        _, elements, kernel = _factor_map(weighted, _hermitian_sqrt(povm.elements))
+        assert kernel is not None
+        # the kernel is the complement of the states' span, which no W_j sees
+        assert _kernel_is_unseen(weighted, kernel)
+        assert np.array_equal(elements, elements.conj().swapaxes(1, 2))
+        stepped = _fixed_point_step(weighted, weighted @ povm.elements)
+        assert np.max(np.abs(elements - stepped)) <= 1e-12
+
+
+def _support_reference(eigenvalues, eigenvectors):
+    """V diag(lambda)^{-1/2} V^* on the support and I - V V^*, formed as
+    two products before either is symmetrized."""
+    keep = eigenvalues > SUPPORT_FLOOR
+    vs = eigenvectors[:, keep]
+    inv_sqrt = (vs / np.sqrt(eigenvalues[keep])) @ vs.conj().T
+    kernel = np.eye(eigenvectors.shape[0]) - vs @ vs.conj().T
+    return (inv_sqrt + inv_sqrt.conj().T) / 2, (kernel + kernel.conj().T) / 2
+
+
+@pytest.mark.parametrize("rank", [5, 3])
+def test_inv_sqrt_on_support_gives_a_kernel_only_when_singular(rank):
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((5, rank)) + 1j * rng.standard_normal((5, rank))
+    s = a @ a.conj().T
+    eigenvalues, eigenvectors = np.linalg.eigh(s)
+    inv_sqrt, kernel = _inv_sqrt_on_support(eigenvalues, eigenvectors)
+    ref_inv_sqrt, ref_kernel = _support_reference(eigenvalues, eigenvectors)
+    assert np.max(np.abs(inv_sqrt - ref_inv_sqrt)) <= 1e-12
+    if rank == 5:
+        assert kernel is None
+        kernel = np.zeros((5, 5))
+    else:
+        assert np.array_equal(kernel, kernel.conj().T)
+        assert np.max(np.abs(kernel @ kernel - kernel)) <= 1e-12
+        assert np.trace(kernel).real == pytest.approx(5 - rank, abs=1e-12)
+    # the reference's kernel is a ~1e-16 residue when S is full rank
+    assert np.max(np.abs(kernel - ref_kernel)) <= 1e-12
+    # S^{-1/2} S S^{-1/2} is the projector onto the support
+    assert np.max(np.abs(inv_sqrt @ s @ inv_sqrt - (np.eye(5) - kernel))) <= 1e-12
 
 
 def test_anderson_mix_solves_a_real_affine_map():
@@ -471,23 +527,72 @@ def test_anderson_mix_solves_a_real_affine_map():
     def g(z):
         return a * z + b * np.conj(z) + c
 
-    history = []
+    history = _AndersonHistory((1, 1, 1))
     x = np.array([[[0.5 + 0.5j]]])
     for _ in range(3):
-        history.append((x, g(x)))
+        history.push(x, g(x))
         x = g(x)
-    mixed = _anderson_mix(history)
+    mixed = history.mix()
+    assert mixed.shape == (1, 1, 1)
     assert np.max(np.abs(g(mixed) - mixed)) <= 1e-12
 
 
+def _anderson_reference(pairs):
+    """Real Gram matrix and Anderson mix recomputed from whole (input,
+    output) pairs, oldest first, with complex arithmetic."""
+    inputs = np.array([x.reshape(-1) for x, _ in pairs])
+    outputs = np.array([g.reshape(-1) for _, g in pairs])
+    residuals = outputs - inputs
+    df, dg = np.diff(residuals, axis=0), np.diff(outputs, axis=0)
+    gram = (df.conj() @ df.T).real
+    gamma = np.linalg.lstsq(gram, (df.conj() @ residuals[-1]).real, rcond=None)[0]
+    return gram, (outputs[-1] - gamma @ dg).reshape(pairs[-1][1].shape)
+
+
+def test_anderson_history_rolls_its_gram_matrix_and_mix():
+    # a contraction that mixes real and imaginary parts, so a lost
+    # imaginary part would change both the Gram matrix and the mix
+    rng = np.random.default_rng(11)
+    shape = (3, 2, 2)
+    size = int(np.prod(shape))
+    a = 0.3 * (rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))) / size
+    b = 0.3 * (rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))) / size
+    c = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+
+    def g(x):
+        z = x.reshape(-1)
+        return (a @ z + b @ z.conj() + c).reshape(shape) + 0.1 * np.sin(x)
+
+    history = _AndersonHistory(shape)
+    pairs = []
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for push in range(ANDERSON_DEPTH + 4):
+        pairs.append((x, g(x)))
+        history.push(*pairs[-1])
+        kept = pairs[-(ANDERSON_DEPTH + 1):]
+        assert history.count == len(kept) - 1
+        if push == 0:
+            x = pairs[-1][1]
+            continue
+        gram, mixed = _anderson_reference(kept)
+        k = history.count
+        assert np.max(np.abs(history.gram[:k, :k] - gram)) <= 1e-12 * np.abs(gram).max()
+        got = history.mix()
+        assert got.dtype == complex and got.shape == shape
+        assert np.max(np.abs(got - mixed)) <= 1e-12 * np.abs(mixed).max()
+        # alternate mixed and plain steps, as the engine does
+        x = got if push % 2 else pairs[-1][1]
+    history.clear()
+    assert history.count == 0
+    history.push(x, g(x))
+    assert history.count == 0
+
+
 def test_singular_s_is_flagged_and_the_solve_certifies():
-    # three pure states in d=4 leave S singular at every step
-    rng = np.random.default_rng(2)
-    kets = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
-    ens = md.Ensemble(np.full(3, 1 / 3), tuple(md.pure_state(k) for k in kets))
+    ens = _three_pure_states_in_d4()
     povm = md.uniform_povm(3, 4)
-    _, elements, full = _factor_map(ens.weighted_states, _hermitian_sqrt(povm.elements))
-    assert not full
+    _, elements, kernel = _factor_map(ens.weighted_states, _hermitian_sqrt(povm.elements))
+    assert kernel is not None
     md.validate_povm(elements)
     trace = md.solve(ens)
     assert trace.converged
@@ -500,9 +605,7 @@ def test_fixed_point_keeps_its_factors_when_no_state_sees_the_kernel(monkeypatch
     # three pure states in d=4: S's kernel is the complement of their span,
     # which every W_j annihilates, so the factors and the Anderson history
     # carry over from step to step instead of restarting from square roots
-    rng = np.random.default_rng(2)
-    kets = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
-    ens = md.Ensemble(np.full(3, 1 / 3), tuple(md.pure_state(k) for k in kets))
+    ens = _three_pure_states_in_d4()
     calls = []
     real_sqrt = solver._hermitian_sqrt
     monkeypatch.setattr(solver, "_hermitian_sqrt", lambda e: calls.append(1) or real_sqrt(e))
