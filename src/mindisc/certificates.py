@@ -72,11 +72,12 @@ def _gamma(weighted: np.ndarray, elements: np.ndarray) -> np.ndarray:
 def _witness_scan(gamma: np.ndarray, weighted: np.ndarray):
     """One batched ``eigh`` of every witness G_j = sym(Gamma) - W_j: returns the
     witnesses, their eigenvalues (row j ascending for G_j), the most negative
-    outcome (ties: smallest index) and its eigenvector as ``eigh`` gives it."""
+    outcome j (ties: smallest index) and G_j's eigenvectors as ``eigh`` gives
+    them, in the columns, in the order of row j."""
     witnesses = hermitize(gamma) - weighted
     values, vectors = checked_eigh(witnesses)
     j = int(np.argmin(values[:, 0]))
-    return witnesses, values, j, vectors[j, :, 0]
+    return witnesses, values, j, vectors[j]
 
 
 def _herm_residual(m: np.ndarray) -> float:
@@ -148,7 +149,7 @@ def certify(
     gamma = _gamma(weighted, elements)
     herm_residual = _herm_residual(gamma)
     eq_residual = _pairwise_residual(weighted, elements)
-    witnesses, values, j, vector = _witness_scan(gamma, weighted)
+    witnesses, values, j, vectors = _witness_scan(gamma, weighted)
     zp_residual = _zero_product_residual(witnesses, elements)
     minima = values[:, 0]
     lowest = float(minima[j])
@@ -166,5 +167,5 @@ def certify(
         gap_bound=min(ens.dim * max(0.0, -lowest), negative_trace),
         tolerance=float(tol),
         is_optimal=optimal,
-        witness=None if optimal else Witness(j, lowest, readonly(fix_phase(vector))),
+        witness=None if optimal else Witness(j, lowest, readonly(fix_phase(vectors[:, 0]))),
     )

@@ -1,18 +1,26 @@
 """Ascent solver for minimum-error discrimination, plus independent oracles.
 
-Whenever some witness operator G_j has a negative eigenvalue -lam with unit
-eigenvector v, the rank-1 update
+Whenever some witness operator G_j has negative eigenvalues, let V hold
+their unit eigenvectors in its columns and P = V V* be the projector onto
+that negative eigenspace.  The block update
 
-    pi'_i = (1 - eps v v*) pi_i (1 - eps v v*) + eps (2 - eps) v v* [i == j]
+    pi'_i = (1 - eps P) pi_i (1 - eps P) + eps (2 - eps) P [i == j]
 
-is again a valid measurement and improves the success probability by
-2 eps lam to first order.  The improvement is exactly quadratic in eps for
-this family, so each iteration takes the argmax of that quadratic instead
-of an infinitesimal step.  A point with no negative mode satisfies the
-sufficient optimality conditions, so a certified fixed point is a global
-optimum.
+is again a valid measurement: each damped element stays positive
+semidefinite, and since P^2 = P the elements still sum to
+(1 - eps P)^2 + eps (2 - eps) P = 1.  It improves the success probability
+by 2 eps sum_k |lam_k| to first order, summed over the negative
+eigenvalues -|lam_k|.  The improvement is exactly quadratic in eps, and its
+two coefficients come from k x k blocks for a k-column V, so each iteration
+takes the argmax of that quadratic instead of an infinitesimal step.  The
+ascent steps toward the witness with the most negative eigenvalue, along
+every eigenvector whose eigenvalue lies below the ascent tolerance; an
+ascent record's ``lam`` is the magnitude of that most negative eigenvalue.
+For two states from the uniform measurement, two such steps give Helstrom's
+measurement.  A point with no negative mode satisfies the sufficient
+optimality conditions, so a certified fixed point is a global optimum.
 
-The single-mode ascent approaches degenerate or rank-deficient optima only
+The ascent approaches degenerate or rank-deficient optima only
 sublinearly, and a step with eps = 1 can empty an element.  So a problem
 with three or more states starts in the fixed-point iteration of Jezek,
 Rehacek and Fiurasek (PRA 65, 060301(R), 2002),
@@ -23,7 +31,7 @@ whose fixed points satisfy the equality conditions and which converges
 linearly on those optima.  It cannot grow an element's support, so when it
 stops short of the verdict the ascent runs a short rescue burst and hands
 back.  A binary problem starts in the ascent instead, which is exact there
-(Helstrom) and certifies within d steps.
+(Helstrom) and certifies from the uniform measurement in two steps.
 
 The iteration runs on factors A_j with pi_j = A_j A_j^*, through the map
 g(A)_j = S^{-1/2} W_j A_j, S = sum_j (W_j A_j)(W_j A_j)^*: the same step,
@@ -99,9 +107,11 @@ class NegativeMode:
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """One accepted step.  ``engine`` is "ascent" or "fixed_point"; a
-    fixed-point step has no mode or step size, so its ``outcome``, ``lam``
-    and ``epsilon`` are None."""
+    """One accepted step.  ``engine`` is "ascent" or "fixed_point".  An
+    ascent step's ``outcome`` is the witness G_j0 it moved toward, ``lam``
+    the magnitude of G_j0's most negative eigenvalue and ``epsilon`` its
+    step size; a fixed-point step has no mode or step size, so these are
+    None."""
 
     p_corr: float
     outcome: int | None
@@ -140,32 +150,38 @@ class SolverConfig:
 # ---------------------------------------------------------------------------
 # inner loop on (n, d, d) stacks; public operations wrap these with checked types
 
-def _state_stack(ens: Ensemble) -> np.ndarray:
-    return np.array([s.mat for s in ens.states])
-
-
 def _real_dots(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Re vdot(x, row) per row, as Re(x . conj(row)): BLAS then gets ``x`` in
     its own memory layout, whose strides fix the summation order."""
     return (x[..., None, :] @ rows.conj()[..., :, None])[..., 0, 0].real
 
 
-def _coefficients(
-    priors: np.ndarray,
-    mats: np.ndarray,
-    elements: np.ndarray,
-    j0: int,
-    vector: np.ndarray,
+def _block_coefficients(
+    weighted: np.ndarray, elements: np.ndarray, j0: int, basis: np.ndarray
 ) -> tuple[float, float]:
-    """Coefficients (a, b) of the exact step gain  a eps^2 + b eps."""
-    pi_v = np.asarray(elements) @ vector
-    rho_v = np.asarray(mats) @ vector
-    v_pi_v = _real_dots(vector, pi_v)
-    v_rho_v = _real_dots(vector, rho_v)
-    expect_rho = priors[j0] * v_rho_v[j0]
-    a = ordered_sum(priors * v_pi_v * v_rho_v) - expect_rho
-    b = 2.0 * expect_rho - ordered_sum(2.0 * priors * _real_dots(rho_v, pi_v))
+    """Coefficients (a, b) of the exact gain  a eps^2 + b eps  of the block
+    step toward outcome ``j0`` along the orthonormal columns V of ``basis``,
+    from k x k blocks (k columns):
+
+        a = sum_i Re tr((V* W_i V)(V* pi_i V)) - tr(V* W_j0 V)
+        b = 2 tr(V* W_j0 V) - 2 sum_i Re tr((pi_i V)* (W_i V))
+    """
+    n = len(weighted)
+    basis_h = basis.conj().T
+    w_v = weighted @ basis
+    pi_v = elements @ basis
+    v_w_v = (basis_h @ w_v).reshape(n, -1)
+    v_pi_v = (basis_h @ pi_v).reshape(n, -1)
+    expect_w = float(v_w_v[j0, :: basis.shape[1] + 1].sum().real)
+    a = ordered_sum(_real_dots(v_w_v, v_pi_v)) - expect_w
+    b = 2.0 * expect_w - 2.0 * ordered_sum(_real_dots(w_v.reshape(n, -1), pi_v.reshape(n, -1)))
     return float(a), float(b)
+
+
+def _coefficients(priors, mats, elements, j0: int, vector: np.ndarray) -> tuple[float, float]:
+    """Rank-1 step coefficients (a, b) with priors and states given apart."""
+    weighted = np.asarray(priors)[:, None, None] * np.asarray(mats)
+    return _block_coefficients(weighted, np.asarray(elements), j0, vector[:, None])
 
 
 def _argmax_quadratic(a: float, b: float) -> float:
@@ -175,14 +191,16 @@ def _argmax_quadratic(a: float, b: float) -> float:
     return 1.0
 
 
-def _apply_step(
-    elements: np.ndarray, j0: int, vector: np.ndarray, epsilon: float
+def _block_step(
+    elements: np.ndarray, j0: int, basis: np.ndarray, epsilon: float
 ) -> np.ndarray:
-    projector = vector[:, None] * vector.conj()
+    """pi'_i = (I - eps P) pi_i (I - eps P) + eps (2 - eps) P [i == j0] with
+    P = V V* the projector onto the orthonormal columns V of ``basis``."""
+    projector = basis @ basis.conj().T
     damp = np.eye(elements.shape[1]) - epsilon * projector
-    updated = hermitize(damp @ elements @ damp)
+    updated = damp @ elements @ damp
     updated[j0] += epsilon * (2.0 - epsilon) * projector
-    return updated
+    return hermitize(updated)
 
 
 # ---------------------------------------------------------------------------
@@ -197,11 +215,11 @@ def find_negative_mode(
     witness operator the deterministic eigenvector convention of
     ``spectral_decompose`` applies.
     """
-    _, values, j, vector = _witness_scan(lagrange_operator(ens, povm), ens.weighted_states)
+    _, values, j, vectors = _witness_scan(lagrange_operator(ens, povm), ens.weighted_states)
     lowest = float(values[j, 0])
     if lowest >= -tol:
         return None
-    return NegativeMode(outcome=j, lam=-lowest, vector=readonly(fix_phase(vector)))
+    return NegativeMode(outcome=j, lam=-lowest, vector=readonly(fix_phase(vectors[:, 0])))
 
 
 def _check_mode(povm: Povm, mode: NegativeMode) -> np.ndarray:
@@ -228,7 +246,7 @@ def perturb(povm: Povm, mode: NegativeMode, epsilon: float) -> Povm:
     if not 0.0 < epsilon <= 1.0:
         raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
     vector = _check_mode(povm, mode)
-    return validate_povm(_apply_step(povm.elements, mode.outcome, vector, epsilon))
+    return validate_povm(_block_step(povm.elements, mode.outcome, vector[:, None], epsilon))
 
 
 def gain(ens: Ensemble, povm: Povm, mode: NegativeMode, epsilon: float) -> float:
@@ -241,7 +259,7 @@ def gain(ens: Ensemble, povm: Povm, mode: NegativeMode, epsilon: float) -> float
         raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
     check_match(ens, povm)
     vector = _check_mode(povm, mode)
-    a, b = _coefficients(ens.priors, _state_stack(ens), povm.elements, mode.outcome, vector)
+    a, b = _block_coefficients(ens.weighted_states, povm.elements, mode.outcome, vector[:, None])
     return (a * epsilon + b) * epsilon
 
 
@@ -254,15 +272,13 @@ def best_epsilon(ens: Ensemble, povm: Povm, mode: NegativeMode) -> float:
     """
     check_match(ens, povm)
     vector = _check_mode(povm, mode)
-    a, b = _coefficients(ens.priors, _state_stack(ens), povm.elements, mode.outcome, vector)
+    a, b = _block_coefficients(ens.weighted_states, povm.elements, mode.outcome, vector[:, None])
     if not b > 0.0:
         raise ValueError(f"not an ascent direction: linear gain coefficient {b!r} <= 0")
     return _argmax_quadratic(a, b)
 
 
 def _run_ascent(
-    priors: np.ndarray,
-    mats: np.ndarray,
     weighted: np.ndarray,
     elements: np.ndarray,
     current_p: float,
@@ -273,23 +289,27 @@ def _run_ascent(
 ) -> tuple[np.ndarray, float, str]:
     """At most ``steps`` ascent steps; returns (elements, P_corr, stop reason).
 
-    Clearing ``ascent_tol`` certifies only if Gamma is also Hermitian within
-    ``tol``; otherwise the ascent stops on the floor and hands over.
+    Each step moves toward the witness G_j0 with the most negative
+    eigenvalue, along the eigenvectors of G_j0 whose eigenvalues lie below
+    ``-ascent_tol``.  Clearing ``ascent_tol`` certifies only if Gamma is
+    also Hermitian within ``tol``; otherwise the ascent stops on the floor
+    and hands over.
     """
     for _ in range(steps):
         gamma = _gamma(weighted, elements)
-        _, values, j0, vector = _witness_scan(gamma, weighted)
+        _, values, j0, vectors = _witness_scan(gamma, weighted)
         value = float(values[j0, 0])
         if value >= -ascent_tol:
             return elements, current_p, CERTIFIED if _herm_residual(gamma) <= tol else FLOOR
-        a, b = _coefficients(priors, mats, elements, j0, vector)
+        basis = vectors[:, : int(np.searchsorted(values[j0], -ascent_tol))]
+        a, b = _block_coefficients(weighted, elements, j0, basis)
         epsilon = _argmax_quadratic(a, b)
         predicted = (a * epsilon + b) * epsilon
         if not math.isfinite(predicted):
             raise NumericFailure("predicted step gain is not finite")
         if predicted < STALL_THRESHOLD:
             return elements, current_p, STALL
-        candidate = _apply_step(elements, j0, vector, epsilon)
+        candidate = _block_step(elements, j0, basis, epsilon)
         new_p = _success_probability(weighted, candidate)
         if not math.isfinite(new_p):
             raise NumericFailure("success probability is not finite")
@@ -502,8 +522,7 @@ def _ascend(
     a step.  Returns the validated POVM, the records, the stop reason and
     the engine that ran last.
     """
-    priors, weighted, elements = ens.priors, ens.weighted_states, povm.elements
-    mats = _state_stack(ens)
+    weighted, elements = ens.weighted_states, povm.elements
 
     records: list[IterationRecord] = []
     current_p = _success_probability(weighted, elements)
@@ -514,7 +533,7 @@ def _ascend(
         budget = config.max_iter - before
         if engine == "ascent":
             elements, current_p, reason = _run_ascent(
-                priors, mats, weighted, elements, current_p, records,
+                weighted, elements, current_p, records,
                 min(budget, burst), config.tol, ascent_tol,
             )
         else:

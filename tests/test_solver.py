@@ -669,3 +669,68 @@ def test_fixed_point_accepts_only_valid_measurements_when_s_is_ill_conditioned(s
     trace = md.solve(ens, start, md.SolverConfig(max_iter=200, restarts=0))
     assert trace.final_certificate.p_corr >= md.p_correct(ens, start)
     md.validate_povm(trace.final_povm.elements)
+
+
+def _orthonormal_columns(rng: np.random.Generator, dim: int, k: int) -> np.ndarray:
+    a = rng.standard_normal((dim, k)) + 1j * rng.standard_normal((dim, k))
+    return np.linalg.qr(a)[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    epsilon=st.floats(0.0, 1.0, exclude_min=True),
+    fraction=st.floats(0.0, 1.0),
+)
+def test_block_step_preserves_validity(seed, epsilon, fraction):
+    # P = V V* is a projector, so the damped elements plus eps (2 - eps) P
+    # still sum to the identity and stay positive semidefinite
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(2, 7))
+    n = int(rng.integers(2, 5))
+    k = 1 + min(dim - 1, int(fraction * dim))
+    povm = md.random_povm(n, dim, rng)
+    basis = _orthonormal_columns(rng, dim, k)
+    stepped = solver._block_step(povm.elements, int(rng.integers(n)), basis, epsilon)
+    assert isinstance(md.validate_povm(stepped), md.Povm)
+
+
+@pytest.mark.parametrize("epsilon", [0.01, 0.1, 0.5, 1.0])
+def test_block_gain_matches_direct_reevaluation(epsilon):
+    for seed in range(6):
+        ens, povm = random_instance(seed, 4, 3)
+        rng = np.random.default_rng(seed)
+        for k in (2, 3, 4):
+            basis = _orthonormal_columns(rng, 4, k)
+            j0 = int(rng.integers(3))
+            a, b = solver._block_coefficients(ens.weighted_states, povm.elements, j0, basis)
+            stepped = md.validate_povm(solver._block_step(povm.elements, j0, basis, epsilon))
+            direct = md.p_correct(ens, stepped) - md.p_correct(ens, povm)
+            assert abs((a * epsilon + b) * epsilon - direct) <= 1e-10
+
+
+def test_block_linear_gain_is_twice_the_negative_eigenvalue_sum():
+    for seed in range(10):
+        ens, povm = random_instance(seed, 6, 2)
+        values = np.array([np.linalg.eigvalsh(md.witness_operator(ens, povm, j)) for j in (0, 1)])
+        j0 = int(np.argmin(values[:, 0]))
+        g = md.witness_operator(ens, povm, j0)
+        eigenvalues, eigenvectors = np.linalg.eigh(g)
+        negative = eigenvalues < 0
+        assert negative.sum() > 1
+        _, b = solver._block_coefficients(
+            ens.weighted_states, povm.elements, j0, eigenvectors[:, negative]
+        )
+        assert b == pytest.approx(-2 * eigenvalues[negative].sum(), rel=1e-10)
+
+
+@pytest.mark.parametrize("dim", [2, 4, 8, 16, 32])
+def test_binary_solves_from_uniform_certify_in_two_block_steps(dim):
+    # one step gives outcome 0 the positive eigenspace of p1 rho1 - p2 rho2,
+    # the other gives outcome 1 the negative one: Helstrom's measurement
+    ens = md.random_mixed(dim, 2, seed=dim + 7)
+    trace = md.solve(ens)
+    assert trace.converged
+    assert trace.iterations_used == len(trace.iterations) <= 2
+    _, oracle = md.helstrom_binary(ens.priors[0], ens.states[0], ens.priors[1], ens.states[1])
+    assert abs(trace.final_certificate.p_corr - oracle) <= 1e-12
