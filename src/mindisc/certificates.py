@@ -16,6 +16,7 @@ d mu and sum_j tr neg(G_j).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,8 +143,8 @@ def certify(
     residuals to sit below ``tol``; by default they are reported but not
     gated on, since positivity of the witnesses already implies them.
     """
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
     check_match(ens, povm)
     weighted, elements = ens.weighted_states, povm.elements
     gamma = _gamma(weighted, elements)

@@ -457,7 +457,10 @@ def build_parser() -> argparse.ArgumentParser:
     slv.add_argument("input", help="problem file with states (povm optional as start)")
     slv.add_argument("--tol", type=float, default=DEFAULT_TOL, help="certificate tolerance (default %(default)g)")
     slv.add_argument("--max-iter", type=int, default=10000, help="iteration cap (default %(default)s)")
-    slv.add_argument("--seed", type=int, default=0, help="seed for solver restarts (default %(default)s)")
+    slv.add_argument(
+        "--seed", type=int, default=0,
+        help="recorded in the report; the solver draws no random numbers (default %(default)s)",
+    )
     slv.add_argument(
         "--start",
         choices=("uniform", "srm", "file"),

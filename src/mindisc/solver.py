@@ -133,14 +133,23 @@ class SolveTrace:
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Settings of one ``solve`` call.
+
+    ``tol`` is the certificate tolerance, a finite positive number.
+    ``max_iter`` caps the steps of one run, and ``restarts`` is how many
+    times a run stopped by that cap, uncertified, continues from where it
+    stopped.  ``seed`` is kept for callers and reports; ``solve`` draws no
+    random numbers and does not read it.
+    """
+
     tol: float = DEFAULT_TOL
     max_iter: int = 10000
     seed: int = 0
     restarts: int = 5
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError(f"tol must be finite and positive, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
         if self.restarts < 0:
@@ -553,65 +562,37 @@ def solve(
 ) -> SolveTrace:
     """Run the fixed-point engine and the ascent to a certified optimum.
 
-    Starts from ``start`` (default: the uniform POVM) and runs the attempt
-    schedule of ``_ascend``, then certifies the result at ``config.tol``.
-    Every start of a problem with three or more states opens in the
-    fixed-point engine, and every start of a binary one in the ascent.
-    If the certificate is not optimal, an attempt that ended on the
-    iteration cap while still improving continues from where it stopped;
-    one that stalled gives way to the square-root measurement and then to
-    seeded random POVMs, up to ``config.restarts`` further attempts in all,
-    and the best run is returned.  ``converged`` is True exactly when the
-    returned certificate is optimal; ``iterations`` describes the returned
-    run from its start while ``iterations_used`` counts steps across all
-    attempts.
+    Runs one start, ``start`` (default: the uniform POVM), through the
+    schedule of ``_ascend``, and certifies the result at ``config.tol``.
+    A problem with three or more states opens in the fixed-point engine,
+    and a binary one in the ascent.  If the certificate is not optimal and
+    the run ended on the ``config.max_iter`` cap while still improving, it
+    continues from where it stopped, up to ``config.restarts`` times.  The
+    optimality conditions are sufficient as well as necessary, so a run
+    that stops short has no local maximum that another start would escape;
+    and every accepted step raises P_corr, so the last run is the best one.
+    ``converged`` is True exactly when the returned certificate is optimal;
+    ``iterations`` holds every step from the start, and ``iterations_used``
+    counts them.  No random numbers are drawn: ``config.seed`` is not read.
     """
     config = config or SolverConfig()
-    initial = start if start is not None else uniform_povm(len(ens), ens.dim)
-    check_match(ens, initial)
-    rng = np.random.default_rng(config.seed)
+    povm = start if start is not None else uniform_povm(len(ens), ens.dim)
+    check_match(ens, povm)
     ascent_tol = min(config.tol, ASCENT_TOL)
-
-    # restart ladder: the square-root measurement first (exact for symmetric
-    # ensembles, where the ascent approaches a degenerate optimum only
-    # sublinearly), then seeded random POVMs
-    def restart_candidate(k: int) -> Povm:
-        if k == 0:
-            try:
-                return square_root_measurement(ens)
-            except ValueError:
-                pass
-        return random_povm(len(ens), ens.dim, rng)
-
-    best: tuple[Povm, list[IterationRecord], Certificate] | None = None
-    total_steps = 0
-    rung = 0
-    first_engine = "ascent" if len(ens) <= 2 else "fixed_point"
-    # (start POVM, records that led to it, engine to run first)
-    resume = (initial, [], first_engine)
+    engine = "ascent" if len(ens) <= 2 else "fixed_point"
+    records: list[IterationRecord] = []
     for _ in range(config.restarts + 1):
-        if resume is None:
-            resume = (restart_candidate(rung), [], first_engine)
-            rung += 1
-        povm0, earlier, engine = resume
-        final, records, reason, engine = _ascend(ens, povm0, config, ascent_tol, engine)
-        total_steps += len(records)
-        records = earlier + records
-        cert = certify(ens, final, config.tol)
-        if cert.is_optimal:
-            best = (final, records, cert)
+        povm, run, reason, engine = _ascend(ens, povm, config, ascent_tol, engine)
+        records += run
+        cert = certify(ens, povm, config.tol)
+        if reason != CAP or cert.is_optimal:
             break
-        if best is None or cert.p_corr > best[2].p_corr:
-            best = (final, records, cert)
-        # a start still improving at the cap continues where it stopped
-        resume = (final, records, engine) if reason == CAP else None
-    final, records, cert = best
     return SolveTrace(
         iterations=tuple(records),
-        final_povm=final,
+        final_povm=povm,
         final_certificate=cert,
         converged=cert.is_optimal,
-        iterations_used=total_steps,
+        iterations_used=len(records),
     )
 
 
@@ -626,6 +607,8 @@ def helstrom_binary(
     """
     if not (math.isfinite(p1) and math.isfinite(p2)):
         raise ValueError(f"priors must be finite, got {p1!r} and {p2!r}")
+    if p1 < 0.0 or p2 < 0.0:
+        raise ValueError(f"priors must be nonnegative, got {p1!r} and {p2!r}")
     if abs(p1 + p2 - 1.0) > PRIOR_TOL:
         raise ValueError(f"priors sum to {p1 + p2:.12g}, expected 1")
     if rho1.dim != rho2.dim:
@@ -682,7 +665,7 @@ def brute_force(ens: Ensemble, budget: int = 16, seed: int = 0) -> tuple[Povm, f
 
     # modest iteration cap: the multi-start sweep, not ascent depth, does
     # the work here, and stalled-but-high starts still rank correctly
-    config = SolverConfig(max_iter=600, seed=int(rng.integers(2**31)), restarts=0)
+    config = SolverConfig(max_iter=600, restarts=0)
     best_povm: Povm | None = None
     best_p = -np.inf
     for povm0 in starts:

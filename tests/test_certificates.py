@@ -110,6 +110,12 @@ def test_certify_rejects_bad_tolerance(trine_ensemble, trine_srm):
         md.certify(trine_ensemble, trine_srm, tol=0.0)
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf])
+def test_certify_rejects_non_finite_tolerance(trine_ensemble, trine_srm, tol):
+    with pytest.raises(ValueError, match="finite"):
+        md.certify(trine_ensemble, trine_srm, tol=tol)
+
+
 def test_pairwise_residual_single_state(single_state_problem):
     ens, povm = single_state_problem
     assert md.pairwise_equality_residual(ens, povm) == 0.0

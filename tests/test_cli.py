@@ -207,6 +207,18 @@ def test_solve_start_file_uses_given_povm(tmp_path):
     assert json.loads(report.read_text())["solver"]["iterations"] == 0
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_non_finite_tolerance_is_validation_error_before_any_work(tmp_path, tol):
+    problem = tmp_path / "r.json"
+    run(["generate", "--kind", "random", "--dim", 3, "--n", 3, "--seed", 1, "--output", problem])
+    assert run(["solve", problem, "--tol", tol])[0] == cli.EXIT_VALIDATION
+    assert not (tmp_path / "r.solution.json").exists()
+    trine = tmp_path / "t.json"
+    run(["generate", "--kind", "trine", "--output", trine])
+    run(["solve", trine, "--start", "srm"])
+    assert run(["certify", tmp_path / "t.solution.json", "--tol", tol])[0] == cli.EXIT_VALIDATION
+
+
 def test_solve_default_output_path(tmp_path):
     problem = tmp_path / "prob.json"
     run(["generate", "--kind", "pair", "--overlap", 0.25, "--output", problem])

@@ -248,6 +248,12 @@ def test_solver_config_validation():
         md.SolverConfig(restarts=-1)
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf])
+def test_solver_config_rejects_non_finite_tol(tol):
+    with pytest.raises(ValueError, match="finite"):
+        md.SolverConfig(tol=tol)
+
+
 def test_helstrom_identical_states_tie():
     rho = md.validate_density(np.eye(2) / 2)
     povm, value = md.helstrom_binary(0.5, rho, 0.5, rho)
@@ -293,6 +299,12 @@ def test_helstrom_output_certifies_optimal():
     cert = md.certify(ens, povm, tol=1e-7)
     assert cert.is_optimal
     assert cert.p_corr == pytest.approx(value, abs=1e-12)
+
+
+def test_helstrom_rejects_negative_priors():
+    # they sum to one, but are no probability distribution
+    with pytest.raises(ValueError, match="nonnegative"):
+        md.helstrom_binary(-0.5, md.pure_state([1, 0]), 1.5, md.pure_state([0, 1]))
 
 
 def test_helstrom_rejects_bad_priors():
@@ -734,3 +746,18 @@ def test_binary_solves_from_uniform_certify_in_two_block_steps(dim):
     assert trace.iterations_used == len(trace.iterations) <= 2
     _, oracle = md.helstrom_binary(ens.priors[0], ens.states[0], ens.priors[1], ens.states[1])
     assert abs(trace.final_certificate.p_corr - oracle) <= 1e-12
+
+
+def test_solve_runs_one_start(monkeypatch):
+    # a run that stalls short of the verdict is not resumed from another
+    # start: the optimality conditions are sufficient, so it sits at no local
+    # maximum that a second start would escape
+    def second_start(*args, **kwargs):
+        raise AssertionError("solve built a second start")
+
+    monkeypatch.setattr(solver, "square_root_measurement", second_start)
+    monkeypatch.setattr(solver, "random_povm", second_start)
+    ens = _zero_prior_rank_two(19)
+    trace = md.solve(ens)
+    assert trace.iterations_used == len(trace.iterations)
+    assert trace.final_certificate.p_corr >= md.p_correct(ens, md.uniform_povm(4, 6))
