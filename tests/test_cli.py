@@ -334,3 +334,77 @@ def test_non_finite_prior_is_validation_error(tmp_path):
     assert '"prior": NaN' in path.read_text()
     assert run(["solve", path, "--output", tmp_path / "sol.json"])[0] == cli.EXIT_VALIDATION
 
+
+
+def _diagonal_doc():
+    """Two orthogonal qubit states with the measurement that tells them apart."""
+    def zero():
+        return [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]
+
+    def one():
+        return [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]
+
+    return {
+        "dim": 2,
+        "states": [{"prior": 0.5, "matrix": zero()}, {"prior": 0.5, "matrix": one()}],
+        "povm": [zero(), one()],
+    }
+
+
+def _set_entry(r, c, entry):
+    def edit(matrix):
+        matrix[r][c] = entry
+    return edit
+
+
+def _set_row(r, row):
+    def edit(matrix):
+        matrix[r] = row
+    return edit
+
+
+def _entry_before_short_row(matrix):
+    matrix[0][1] = [None, 0]
+    matrix[1] = []
+
+
+MALFORMED_MATRICES = {
+    "bool": (_set_entry(0, 1, [True, 0]), "row 0 column 1: expected [re, im] pair"),
+    "string": (_set_entry(1, 0, ["0", 0]), "row 1 column 0: expected [re, im] pair"),
+    "null": (_set_entry(1, 1, [1, None]), "row 1 column 1: expected [re, im] pair"),
+    "three-element entry": (_set_entry(0, 0, [1, 0, 0]), "row 0 column 0: expected [re, im] pair"),
+    "bare number entry": (_set_entry(0, 0, 1), "row 0 column 0: expected [re, im] pair"),
+    "short row": (_set_row(1, [[0, 0]]), "row 1: expected 2 entries"),
+    "non-list row": (_set_row(1, 7), "row 1: expected 2 entries"),
+    "entry before short row": (_entry_before_short_row, "row 0 column 1: expected [re, im] pair"),
+}
+
+
+@pytest.mark.parametrize("where", ["states", "povm"])
+@pytest.mark.parametrize("case", sorted(MALFORMED_MATRICES))
+def test_malformed_matrix_is_parse_error_with_its_message(tmp_path, capsys, where, case):
+    edit, message = MALFORMED_MATRICES[case]
+    doc = _diagonal_doc()
+    if where == "states":
+        edit(doc["states"][1]["matrix"])
+        field = "states[1].matrix"
+    else:
+        edit(doc["povm"][1])
+        field = "povm[1]"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, captured = run(["certify", path], capsys)
+    assert code == cli.EXIT_PARSE
+    assert captured.err == f"parse error: {path}: {field} {message}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("where", ["states", "povm"])
+@pytest.mark.parametrize("entry", [[float("nan"), 0], [0, float("inf")], [-float("inf"), 0]])
+def test_non_finite_matrix_entry_is_validation_error(tmp_path, where, entry):
+    doc = _diagonal_doc()
+    matrix = doc["states"][1]["matrix"] if where == "states" else doc["povm"][1]
+    matrix[1][0] = entry
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert run(["certify", path])[0] == cli.EXIT_VALIDATION
