@@ -13,13 +13,24 @@ A file may instead carry a generator spec under "spec"
 ({"kind": "pair" | "trine" | "random", ...}).  Exit codes: 0 optimal,
 10 not optimal, 11 validation failure, 12 parse failure, 13 file not
 found, 14 numeric failure (2 is argparse usage).  All report numbers are
-printed with 17 significant digits so doubles round-trip exactly.
+printed with 17 significant digits so doubles round-trip exactly (-0.0 is
+printed as -0, which reads back as 0).
+
+Numbers cross between JSON and arrays a whole matrix at a time.  A matrix
+is decoded by flattening its [re, im] pairs into one list, type-checking
+that list at once (JSON integers and floats only, not booleans, strings or
+null) and viewing its doubles as complex entries; a number too large for
+a double is a parse error.  A list of floats, or of equal-length float
+rows such as a matrix row of [re, im] pairs, is emitted through one %.17g
+template; any other list is emitted scalar by scalar.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -96,6 +107,38 @@ def _inline_list(items) -> bool:
     )
 
 
+_ROWS = {list, tuple}
+
+
+@functools.lru_cache(maxsize=None)
+def _float_template(count: int, width: int) -> str:
+    """%-template of an inline list of `count` floats (width 0) or of
+    `count` rows of `width` floats."""
+    item = "%.17g" if width == 0 else "[" + ", ".join(["%.17g"] * width) + "]"
+    return "[" + ", ".join([item] * count) + "]"
+
+
+def _inline_floats(items: list) -> str | None:
+    """Emit a list of floats, or of equal-length float rows, with one
+    template over the flattened values; None when the list holds anything
+    else (ints, bools, None, ragged rows), which takes the per-scalar path."""
+    width = 0
+    flat = items
+    if type(items[0]) in _ROWS:
+        if not set(map(type, items)) <= _ROWS:
+            return None
+        widths = set(map(len, items))
+        if len(widths) != 1:
+            return None
+        (width,) = widths
+        flat = list(itertools.chain.from_iterable(items))
+    if set(map(type, flat)) != {float}:
+        return None
+    if not all(map(math.isfinite, flat)):
+        _format_float(next(u for u in flat if not math.isfinite(u)))
+    return _float_template(len(items), width) % tuple(flat)
+
+
 def _emit(value, indent: int) -> str:
     pad = "  " * indent
     inner = "  " * (indent + 1)
@@ -111,6 +154,9 @@ def _emit(value, indent: int) -> str:
         items = list(value)
         if not items:
             return "[]"
+        text = _inline_floats(items)
+        if text is not None:
+            return text
         if _inline_list(items):
             flat = [
                 "[" + ", ".join(_scalar(u) for u in v) + "]"
@@ -135,24 +181,64 @@ def _encode_matrix(mat: np.ndarray) -> list:
     return np.stack((mat.real, mat.imag), axis=-1).tolist()
 
 
+# json.loads yields these two types for numbers; bool is not among them
+_JSON_NUMBERS = {int, float}
+# stands in for an entry that is not a 2-list, so its slots fail the type check
+_NOT_A_PAIR = (None, None)
+
+
+def _slot_problem(u) -> str | None:
+    if type(u) not in _JSON_NUMBERS:
+        return "expected [re, im] pair"
+    try:
+        float(u)
+    except OverflowError:
+        return "number too large for a double"
+    return None
+
+
+def _entry_error(flat: list, dim: int, field: str) -> ProblemFormatError:
+    """The error for the first flat slot that is not a number a double holds."""
+    k, problem = next((k, p) for k, p in enumerate(map(_slot_problem, flat)) if p)
+    r, c = divmod(k // 2, dim)
+    return ProblemFormatError(f"{field} row {r} column {c}: {problem}")
+
+
+def _as_double(value, field: str) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        raise ProblemFormatError(f"{field}: number too large for a double") from None
+
+
 def _decode_matrix(obj, dim: int, field: str) -> np.ndarray:
+    """Decode a d x d matrix of [re, im] pairs in one pass over its entries.
+
+    The complex matrix is a bit-exact view of the flat (re, im) doubles, so
+    an infinite part stays infinite instead of turning into NaN.
+    """
     if not isinstance(obj, list) or len(obj) != dim:
         raise ProblemFormatError(f"{field}: expected {dim} rows")
-    out = np.zeros((dim, dim), dtype=complex)
-    for r, row in enumerate(obj):
-        if not isinstance(row, list) or len(row) != dim:
-            raise ProblemFormatError(f"{field} row {r}: expected {dim} entries")
-        for c, entry in enumerate(row):
-            if (
-                not isinstance(entry, list)
-                or len(entry) != 2
-                or not all(_is_number(u) for u in entry)
-            ):
-                raise ProblemFormatError(
-                    f"{field} row {r} column {c}: expected [re, im] pair"
-                )
-            out[r, c] = complex(float(entry[0]), float(entry[1]))
-    return out
+    bad_row = next(
+        (r for r, row in enumerate(obj) if not isinstance(row, list) or len(row) != dim),
+        dim,
+    )
+    # an entry error in a row before a malformed row is reported first
+    flat = [
+        u
+        for row in obj[:bad_row]
+        for entry in row
+        for u in (entry if isinstance(entry, list) and len(entry) == 2 else _NOT_A_PAIR)
+    ]
+    if not set(map(type, flat)) <= _JSON_NUMBERS:
+        raise _entry_error(flat, dim, field)
+    if bad_row < dim:
+        raise ProblemFormatError(f"{field} row {bad_row}: expected {dim} entries")
+    try:
+        values = np.array(flat, dtype=float)
+    except OverflowError:
+        raise _entry_error(flat, dim, field) from None
+    return values.view(complex).reshape(dim, dim)
 
 
 def problem_to_json(ens: Ensemble, povm: Povm | None = None) -> str:
@@ -174,6 +260,10 @@ def _spec_number(value, field: str):
     return value
 
 
+def _spec_float(value, field: str) -> float:
+    return _as_double(_spec_number(value, field), field)
+
+
 def _spec_int(value, field: str) -> int:
     value = _spec_number(value, field)
     if value != int(value):
@@ -189,9 +279,9 @@ def _spec_from_dict(obj, field: str):
         priors = obj.get("priors", [0.5, 0.5])
         if not isinstance(priors, list) or len(priors) != 2:
             raise ProblemFormatError(f"{field}.priors: expected two numbers")
-        overlap = _spec_number(obj.get("overlap", 0.0), f"{field}.overlap")
-        priors = tuple(float(_spec_number(p, f"{field}.priors")) for p in priors)
-        return PurePairSpec(float(overlap), priors)
+        overlap = _spec_float(obj.get("overlap", 0.0), f"{field}.overlap")
+        priors = tuple(_spec_float(p, f"{field}.priors") for p in priors)
+        return PurePairSpec(overlap, priors)
     if kind == "trine":
         return TrineSpec()
     if kind == "random":
@@ -220,6 +310,8 @@ def load_problem(path: str | Path) -> LoadedProblem:
         raise ProblemFormatError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError:
+        raise ProblemFormatError(f"{path}: JSON nested too deeply") from None
     if not isinstance(doc, dict):
         raise ProblemFormatError(f"{path}: top level must be an object")
 
@@ -252,7 +344,7 @@ def load_problem(path: str | Path) -> LoadedProblem:
                 )
             if not _is_number(item["prior"]):
                 raise ProblemFormatError(f"{path}: states[{i}].prior must be a number")
-            priors.append(float(item["prior"]))
+            priors.append(_as_double(item["prior"], f"{path}: states[{i}].prior"))
             states.append(
                 DensityMatrix(_decode_matrix(item["matrix"], dim, f"{path}: states[{i}].matrix"))
             )
@@ -484,8 +576,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parse_args keeps no state in the parser, so one parser serves every call
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except FileNotFoundError as exc:

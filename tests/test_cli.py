@@ -1,7 +1,14 @@
 import json
+import math
+import tempfile
+from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mindisc as md
 from mindisc import cli
@@ -408,3 +415,173 @@ def test_non_finite_matrix_entry_is_validation_error(tmp_path, where, entry):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     assert run(["certify", path])[0] == cli.EXIT_VALIDATION
+
+
+HUGE = 10**400  # an integer literal no double can hold
+
+
+@pytest.mark.parametrize(
+    "where, field",
+    [
+        ("states", "{path}: states[1].matrix row 1 column 0"),
+        ("povm", "{path}: povm[1] row 1 column 0"),
+        ("prior", "{path}: states[0].prior"),
+        ("spec overlap", "spec.overlap"),
+        ("spec prior", "spec.priors"),
+    ],
+    ids=["states", "povm", "prior", "spec-overlap", "spec-prior"],
+)
+def test_number_too_large_for_a_double_is_parse_error(tmp_path, capsys, where, field):
+    doc = _diagonal_doc()
+    if where == "states":
+        doc["states"][1]["matrix"][1][0] = [HUGE, 0]
+    elif where == "povm":
+        doc["povm"][1][1][0] = [0, HUGE]
+    elif where == "prior":
+        doc["states"][0]["prior"] = HUGE
+    elif where == "spec overlap":
+        doc = {"spec": {"kind": "pair", "overlap": HUGE}}
+    else:
+        doc = {"spec": {"kind": "pair", "priors": [0.5, -HUGE]}}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    assert "0" * 400 in path.read_text()
+    for argv in (["certify", path], ["solve", path, "--output", tmp_path / "s.json"]):
+        code, captured = run(argv, capsys)
+        assert code == cli.EXIT_PARSE
+        message = field.format(path=path) + ": number too large for a double"
+        assert captured.err == f"parse error: {message}\n"
+    assert not (tmp_path / "s.json").exists()
+
+
+@pytest.mark.parametrize(
+    "text", ["[" * 100_000, '{"dim": 2, "states": ' + "[" * 100_000], ids=["bare", "in-states"]
+)
+def test_deeply_nested_file_is_parse_error(tmp_path, capsys, text):
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    code, captured = run(["certify", path], capsys)
+    assert code == cli.EXIT_PARSE
+    assert captured.err == f"parse error: {path}: JSON nested too deeply\n"
+
+
+def _report_block(stdout: str) -> dict:
+    return json.loads(stdout.split("--- report ---\n", 1)[1])
+
+
+def test_successive_main_calls_do_not_share_arguments(tmp_path, capsys):
+    trine = tmp_path / "t.json"
+    run(["generate", "--kind", "trine", "--output", trine])
+    first_report = tmp_path / "first.json"
+    code, captured = run(["solve", trine, "--start", "srm", "--output", tmp_path / "a.json",
+                          "--report", first_report], capsys)
+    assert code == 0
+    assert _report_block(captured.out)["solver"]["start"] == "srm"
+    assert json.loads(first_report.read_text())["solver"]["start"] == "srm"
+    first_report.unlink()
+    code, captured = run(["solve", trine, "--output", tmp_path / "b.json"], capsys)
+    assert code == 0
+    assert _report_block(captured.out)["solver"]["start"] == "uniform"
+    assert not first_report.exists()
+    code, captured = run(["certify", tmp_path / "b.json", "--report", tmp_path / "c.json"],
+                         capsys)
+    assert code == 0
+    assert json.loads((tmp_path / "c.json").read_text())["solver"] is None
+    assert not first_report.exists()
+    assert cli._parser() is cli._parser()
+
+
+# Values that stress a text round trip of doubles: signed zeros, subnormals,
+# extremes, and integers beyond 2**53.
+SPECIAL_DOUBLES = [
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, -1e-300,
+    1e300, -1e300, 1.7976931348623157e308, 1.0, -3.0, 2.0**60 + 2.0**8, 1e22, 0.1,
+]
+doubles = st.one_of(
+    st.sampled_from(SPECIAL_DOUBLES), st.floats(allow_nan=False, allow_infinity=False)
+)
+
+
+@st.composite
+def complex_stacks(draw):
+    n = draw(st.integers(1, 3))
+    d = draw(st.integers(1, 4))
+    parts = draw(st.lists(doubles, min_size=2 * n * d * d, max_size=2 * n * d * d))
+    as_int = draw(st.lists(st.booleans(), min_size=len(parts), max_size=len(parts)))
+    stack = np.array(parts, dtype=float).view(complex).reshape(n, d, d)
+    return stack, as_int
+
+
+def _json_slots(stack, as_int) -> list:
+    """The [re, im] pairs of every matrix, with integer-valued slots chosen
+    by `as_int` written as JSON integers (-0.0 stays a float: int drops its sign)."""
+    flat = [
+        int(x) if use_int and x.is_integer() and math.copysign(1.0, x) > 0 else x
+        for x, use_int in zip(stack.view(float).ravel().tolist(), as_int)
+    ]
+    n, d, _ = stack.shape
+    pairs = [flat[k:k + 2] for k in range(0, len(flat), 2)]
+    return [[pairs[(i * d + r) * d:(i * d + r + 1) * d] for r in range(d)] for i in range(n)]
+
+
+def _reference_matrix_text(stack) -> str:
+    """The canonical emission of {"stack": <matrices>}, one scalar at a time."""
+    def row(values):
+        return "[" + ", ".join(
+            f"[{format(z.real, '.17g')}, {format(z.imag, '.17g')}]" for z in values
+        ) + "]"
+
+    def matrix(m):
+        return "[\n" + ",\n".join("      " + row(r) for r in m) + "\n    ]"
+
+    return '{\n  "stack": [\n' + ",\n".join("    " + matrix(m) for m in stack) + "\n  ]\n}\n"
+
+
+@settings(max_examples=80, deadline=None)
+@given(complex_stacks())
+def test_matrices_round_trip_bit_for_bit(drawn):
+    stack, as_int = drawn
+    n, d, _ = stack.shape
+    matrices = _json_slots(stack, as_int)
+    doc = {
+        "dim": d,
+        "states": [{"prior": 1.0 / n, "matrix": m} for m in matrices],
+        "povm": matrices,
+    }
+    # physical validation is out of scope here: keep the decoded arrays as they are
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.multiple(
+        cli,
+        DensityMatrix=lambda mat: SimpleNamespace(mat=mat),
+        Ensemble=lambda priors, states: SimpleNamespace(priors=priors, states=states, dim=d),
+        validate_povm=np.array,
+    ):
+        path = Path(tmp) / "p.json"
+        path.write_text(json.dumps(doc))
+        loaded = cli.load_problem(path)
+    states = np.array([s.mat for s in loaded.ensemble.states])
+    assert states.tobytes() == stack.tobytes()
+    assert loaded.povm.tobytes() == stack.tobytes()
+
+    text = cli.dumps_canonical({"stack": stack.view(float).reshape(n, d, d, 2).tolist()})
+    assert text == _reference_matrix_text(stack)
+    flat = stack.view(float).ravel().tolist()
+    assert cli.dumps_canonical(flat) == "[" + ", ".join(format(x, ".17g") for x in flat) + "]\n"
+    # -0.0 is emitted as "-0", which JSON reads back as the integer 0
+    reloaded = json.loads(text)["stack"]
+    decoded = [cli._decode_matrix(m, d, "stack") for m in reloaded]
+    assert np.array(decoded).tobytes() == (stack + 0.0).tobytes()
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        [float("nan")],
+        [1.0, float("inf")],
+        [[0.0, -float("inf")]],
+        {"matrix": [[[1.0, 0.0], [0.0, float("nan")]]]},
+        [1, float("inf")],
+    ],
+)
+def test_non_finite_value_in_report_is_numeric_failure(value):
+    with pytest.raises(md.NumericFailure, match="non-finite value"):
+        cli.dumps_canonical(value)
