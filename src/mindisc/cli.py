@@ -430,8 +430,8 @@ def _print_report(report: dict, out=None) -> None:
         s = report["solver"]
         eps = "none" if s["final_epsilon"] is None else _format_float(s["final_epsilon"])
         print(
-            f"solver: converged={s['converged']} iterations={s['iterations']} "
-            f"(total {s['iterations_used']}), final epsilon {eps}, seed {s['seed']}",
+            f"solver: converged={s['converged']} iterations={s['iterations']}, "
+            f"final epsilon {eps}, seed {s['seed']}",
             file=out,
         )
     print("--- report ---", file=out)
@@ -470,7 +470,6 @@ def _solver_summary(trace: SolveTrace, seed: int, start: str) -> dict:
         "seed": seed,
         "converged": trace.converged,
         "iterations": len(trace.iterations),
-        "iterations_used": trace.iterations_used,
         "final_epsilon": final_epsilon,
     }
 

@@ -158,6 +158,19 @@ def test_solve_report_states_gap_bound_and_fixed_point_ending(tmp_path, capsys):
     assert "final epsilon none" in captured.out
 
 
+def test_solve_report_solver_block(tmp_path, capsys):
+    problem = tmp_path / "trine.json"
+    run(["generate", "--kind", "trine", "--output", problem])
+    report = tmp_path / "r.json"
+    code, captured = run(["solve", problem, "--seed", 5, "--report", report], capsys)
+    assert code == 0
+    solver = json.loads(report.read_text())["solver"]
+    assert set(solver) == {"start", "seed", "converged", "iterations", "final_epsilon"}
+    assert solver["seed"] == 5
+    assert f"iterations={solver['iterations']}, final epsilon" in captured.out
+    assert "(total" not in captured.out
+
+
 def test_solve_then_certify_consistent_verdict(tmp_path):
     problem = tmp_path / "trine.json"
     run(["generate", "--kind", "trine", "--output", problem])
