@@ -107,7 +107,7 @@ def _inline_list(items) -> bool:
     )
 
 
-_ROWS = {list, tuple}
+_ROW_TYPES = {list, tuple}
 
 
 @functools.lru_cache(maxsize=None)
@@ -121,20 +121,25 @@ def _float_template(count: int, width: int) -> str:
 def _inline_floats(items: list) -> str | None:
     """Emit a list of floats, or of equal-length float rows, with one
     template over the flattened values; None when the list holds anything
-    else (ints, bools, None, ragged rows), which takes the per-scalar path."""
-    width = 0
-    flat = items
-    if type(items[0]) in _ROWS:
-        if not set(map(type, items)) <= _ROWS:
+    else (ints, bools, None, ragged or nested rows), which takes the
+    per-scalar path."""
+    first = items[0]
+    if type(first) in _ROW_TYPES:
+        width = len(first)
+        if (
+            set(map(type, first)) != {float}
+            or not set(map(type, items)) <= _ROW_TYPES
+            or set(map(len, items)) != {width}
+        ):
             return None
-        widths = set(map(len, items))
-        if len(widths) != 1:
-            return None
-        (width,) = widths
         flat = list(itertools.chain.from_iterable(items))
+    else:
+        width = 0
+        flat = items
     if set(map(type, flat)) != {float}:
         return None
     if not all(map(math.isfinite, flat)):
+        # raises NumericFailure naming the first non-finite value
         _format_float(next(u for u in flat if not math.isfinite(u)))
     return _float_template(len(items), width) % tuple(flat)
 
