@@ -12,6 +12,12 @@ Z = sym(Gamma) + sum_j neg(G_j), where neg(G) is the negative part of G,
 are dual feasible (Z - p_j rho_j is at least G_j + neg(G_j) >= 0), so for
 any valid POVM P_opt - P_corr <= tr(Z) - P_corr, which is the smaller of
 d mu and sum_j tr neg(G_j).
+
+The pairwise residual reuses the products P_k = W_k pi_k (W_k = p_k rho_k)
+whose sum is Gamma: pi_j W_j = P_j^*, so
+X_jk = pi_j (W_j - W_k) pi_k = P_j^* pi_k - pi_j P_k, and X_kj = -X_jk^*.
+Each unordered pair is therefore formed once, and all pairs (j, k > j) of
+row j come from one gemm; no temporary holds more than 2 n d^2 entries.
 """
 
 from __future__ import annotations
@@ -65,6 +71,11 @@ class Certificate:
         return 1.0 - self.p_corr
 
 
+def _check_tolerance(tol: float) -> None:
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
+
+
 def _gamma(weighted: np.ndarray, elements: np.ndarray) -> np.ndarray:
     """Gamma = sum_i W_i E_i from (n, d, d) stacks W = p rho and E = pi."""
     return ordered_sum(weighted @ elements)
@@ -93,9 +104,25 @@ def _zero_product_residual(witnesses: np.ndarray, elements: np.ndarray) -> float
     return _max_norm(witnesses @ elements)
 
 
-def _pairwise_residual(weighted: np.ndarray, elements: np.ndarray) -> float:
-    # row by row, so that no temporary exceeds n d^2 entries
-    return max(_max_norm(e @ (w - weighted) @ elements) for w, e in zip(weighted, elements))
+def _max_block_square(blocks: np.ndarray) -> float:
+    """Largest squared Frobenius norm among the square blocks stacked down ``blocks``."""
+    flat = blocks.view(float).reshape(-1, 1, 2 * blocks.shape[1] ** 2)
+    return float((flat @ flat.swapaxes(1, 2)).max())
+
+
+def _pairwise_residual(products: np.ndarray, elements: np.ndarray) -> float:
+    """max over (j, k) of ||pi_j (W_j - W_k) pi_k||_F from the stacks P = W pi and pi."""
+    # row j forms X_jk^* = pi_k (W_j - W_k) pi_j = [pi_k, P_k^*] [P_j; -pi_j]
+    # for every k > j in one gemm; ``rows`` holds 2 n d^2 entries and one
+    # row's product at a time at most n d^2
+    n, d, _ = elements.shape
+    rows = np.concatenate((elements, products.conj().swapaxes(1, 2)), axis=2)
+    rows = rows.reshape(n * d, 2 * d)
+    squares = (
+        _max_block_square(rows[(j + 1) * d:] @ np.concatenate((products[j], -elements[j])))
+        for j in range(n - 1)
+    )
+    return math.sqrt(max(squares, default=0.0))
 
 
 def lagrange_operator(ens: Ensemble, povm: Povm) -> np.ndarray:
@@ -125,7 +152,7 @@ def hermiticity_residual(m) -> float:
 def pairwise_equality_residual(ens: Ensemble, povm: Povm) -> float:
     """max over ordered pairs (j, k) of ||pi_j (p_j rho_j - p_k rho_k) pi_k||_F."""
     check_match(ens, povm)
-    return _pairwise_residual(ens.weighted_states, povm.elements)
+    return _pairwise_residual(ens.weighted_states @ povm.elements, povm.elements)
 
 
 def zero_product_residual(ens: Ensemble, povm: Povm) -> float:
@@ -143,13 +170,14 @@ def certify(
     residuals to sit below ``tol``; by default they are reported but not
     gated on, since positivity of the witnesses already implies them.
     """
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tolerance must be finite and positive, got {tol}")
+    _check_tolerance(tol)
     check_match(ens, povm)
     weighted, elements = ens.weighted_states, povm.elements
-    gamma = _gamma(weighted, elements)
+    products = weighted @ elements
+    gamma = ordered_sum(products)  # _gamma(weighted, elements), bit for bit
     herm_residual = _herm_residual(gamma)
-    eq_residual = _pairwise_residual(weighted, elements)
+    eq_residual = _pairwise_residual(products, elements)
+    del products  # freed before the witness scan allocates its own stacks
     witnesses, values, j, vectors = _witness_scan(gamma, weighted)
     zp_residual = _zero_product_residual(witnesses, elements)
     minima = values[:, 0]

@@ -267,3 +267,57 @@ def test_gap_bound_bounds_distance_to_binary_optimum(dim):
             assert cert.gap_bound == pytest.approx(_expected_gap_bound(ens, povm), rel=1e-12)
             assert cert.gap_bound <= ens.dim * max(0.0, -min(cert.witness_min_eigenvalues))
             assert helstrom_p - cert.p_corr <= cert.gap_bound + 1e-12
+
+
+def _pairwise_reference(ens, povm) -> float:
+    """The defining formula: max over ordered pairs of ||pi_j (W_j - W_k) pi_k||_F,
+    one (n, d, d) stack of products per row j."""
+    weighted, elements = ens.weighted_states, povm.elements
+    return max(
+        float(np.linalg.norm(e @ (w - weighted) @ elements, axis=(1, 2)).max())
+        for w, e in zip(weighted, elements)
+    )
+
+
+def _with_zero_prior(ens: md.Ensemble, k: int) -> md.Ensemble:
+    priors = np.array(ens.priors)
+    priors[k] = 0.0
+    return md.Ensemble(priors / priors.sum(), ens.states)
+
+
+def _reference_cases(dim: int, n: int):
+    ens = md.random_mixed(dim, n, seed=10 * dim + n)
+    rng = np.random.default_rng(dim * n)
+    yield ens, md.square_root_measurement(ens)
+    yield ens, md.random_povm(n, dim, rng)
+    yield ens, md.solve(ens).final_povm
+    if n >= 3:
+        zero = _with_zero_prior(ens, 1)
+        yield zero, md.square_root_measurement(zero)
+        yield zero, md.random_povm(n, dim, rng)
+        yield zero, md.solve(zero).final_povm
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 16])
+@pytest.mark.parametrize("dim", [1, 2, 4, 32])
+def test_pairwise_residual_matches_reference_formula(dim, n):
+    for ens, povm in _reference_cases(dim, n):
+        value = md.pairwise_equality_residual(ens, povm)
+        if n == 1:
+            assert value == 0.0
+        assert value == pytest.approx(_pairwise_reference(ens, povm), rel=1e-12, abs=1e-15)
+        assert md.certify(ens, povm).pairwise_equality_residual == value
+
+
+@pytest.mark.parametrize("dim, n", [(2, 3), (4, 8), (32, 16)])
+def test_pairwise_residual_is_invariant_under_relabelling(dim, n):
+    ens = _with_zero_prior(md.random_mixed(dim, n, seed=dim + n), n - 1)
+    order = np.random.default_rng(n).permutation(n)
+    for povm in (md.square_root_measurement(ens), md.random_povm(n, dim, np.random.default_rng(dim))):
+        value = md.pairwise_equality_residual(ens, povm)
+        permuted = md.pairwise_equality_residual(
+            md.Ensemble(ens.priors[order], tuple(ens.states[i] for i in order)),
+            md.validate_povm(povm.elements[order]),
+        )
+        assert value > 0.0
+        assert permuted == pytest.approx(value, rel=1e-12, abs=1e-15)
