@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certificates import DEFAULT_TOL, Certificate, certify, lagrange_operator
-from .certificates import _gamma, _herm_residual, _witness_scan
+from .certificates import _check_tolerance, _gamma, _herm_residual, _witness_scan
 from .ensembles import PRIOR_TOL, DensityMatrix, Ensemble
 from .matrices import (
     NumericFailure,
@@ -222,8 +222,9 @@ def find_negative_mode(
 
     Ties across outcomes break toward the smallest outcome index; within one
     witness operator the deterministic eigenvector convention of
-    ``spectral_decompose`` applies.
+    ``spectral_decompose`` applies.  ``tol`` must be finite and positive.
     """
+    _check_tolerance(tol)
     _, values, j, vectors = _witness_scan(lagrange_operator(ens, povm), ens.weighted_states)
     lowest = float(values[j, 0])
     if lowest >= -tol:

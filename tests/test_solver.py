@@ -761,3 +761,12 @@ def test_solve_runs_one_start(monkeypatch):
     trace = md.solve(ens)
     assert trace.iterations_used == len(trace.iterations)
     assert trace.final_certificate.p_corr >= md.p_correct(ens, md.uniform_povm(4, 6))
+
+
+@pytest.mark.parametrize("tol", [np.nan, -1.0, 0.0, np.inf])
+def test_find_negative_mode_rejects_bad_tolerance(trine_ensemble, trine_srm, tol):
+    # at the trine's SRM the lowest witness eigenvalue may be a rounding-level
+    # negative number, which a tolerance that is not positive reports as a mode
+    with pytest.raises(ValueError, match="tolerance must be finite and positive"):
+        md.find_negative_mode(trine_ensemble, trine_srm, tol)
+    assert md.find_negative_mode(trine_ensemble, trine_srm, 1e-12) is None
