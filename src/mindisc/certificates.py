@@ -29,7 +29,7 @@ import numpy as np
 
 from .ensembles import Ensemble
 from .matrices import as_matrix, checked_eigh, fix_phase, hermitize, ordered_sum, readonly
-from .povm import Povm, _success_probability, check_match
+from .povm import Povm, _success_probability, check_match, check_outcome
 
 DEFAULT_TOL = 1e-7
 
@@ -139,8 +139,7 @@ def lagrange_operator(ens: Ensemble, povm: Povm) -> np.ndarray:
 def witness_operator(ens: Ensemble, povm: Povm, j: int) -> np.ndarray:
     """G_j = (1/2) sum_i p_i (rho_i pi_i + pi_i rho_i) - p_j rho_j."""
     check_match(ens, povm)
-    if not 0 <= j < len(ens):
-        raise IndexError(f"outcome {j} out of range for {len(ens)} outcomes")
+    check_outcome(povm, j)
     return hermitize(lagrange_operator(ens, povm)) - ens.weighted(j)
 
 

@@ -11,10 +11,10 @@ row-major order:
 
 A file may instead carry a generator spec under "spec"
 ({"kind": "pair" | "trine" | "random", ...}).  Exit codes: 0 optimal,
-10 not optimal, 11 validation failure, 12 parse failure, 13 file not
-found, 14 numeric failure (2 is argparse usage).  All report numbers are
-printed with 17 significant digits so doubles round-trip exactly (-0.0 is
-printed as -0, which reads back as 0).
+10 not optimal, 11 validation failure, 12 parse failure, 13 unreadable or
+unwritable file, 14 numeric failure (2 is argparse usage).  All report
+numbers are printed with 17 significant digits so doubles round-trip
+exactly (-0.0 is printed as -0, which reads back as 0).
 
 Numbers cross between JSON and arrays a whole matrix at a time.  A matrix
 is decoded by flattening its [re, im] pairs into one list, type-checking
@@ -408,39 +408,41 @@ def _build_report(
     }
 
 
-def _print_report(report: dict, out=None) -> None:
-    out = out or sys.stdout
+def _finish(report: dict, report_path: str | None, optimal: bool) -> int:
+    """Print ``report`` as text and canonical JSON, write the JSON to
+    ``report_path`` if one is given, and return the verdict's exit code."""
+    canonical = dumps_canonical(report)
     cert = report["certificate"]
-    print(f"P_corr = {_format_float(report['p_corr'])}", file=out)
-    print(f"P_err  = {_format_float(report['p_err'])}", file=out)
+    print(f"P_corr = {_format_float(report['p_corr'])}")
+    print(f"P_err  = {_format_float(report['p_err'])}")
     verdict = cert["verdict"].upper()
-    print(f"verdict: {verdict} (tolerance {_format_float(report['tolerance'])})", file=out)
+    print(f"verdict: {verdict} (tolerance {_format_float(report['tolerance'])})")
     minima = ", ".join(_format_float(v) for v in cert["witness_min_eigenvalues"])
-    print(f"witness min eigenvalues: [{minima}]", file=out)
-    print(f"optimality gap bound: P_opt - P_corr <= {_format_float(cert['gap_bound'])}", file=out)
+    print(f"witness min eigenvalues: [{minima}]")
+    print(f"optimality gap bound: P_opt - P_corr <= {_format_float(cert['gap_bound'])}")
     print(
         "residuals: hermiticity "
         f"{_format_float(cert['lagrange_hermiticity_residual'])}, "
         f"pairwise equality {_format_float(cert['pairwise_equality_residual'])}, "
-        f"zero product {_format_float(cert['zero_product_residual'])}",
-        file=out,
+        f"zero product {_format_float(cert['zero_product_residual'])}"
     )
     if cert["witness"] is not None:
         print(
             f"witness: outcome {cert['witness']['outcome']}, "
-            f"eigenvalue {_format_float(cert['witness']['eigenvalue'])}",
-            file=out,
+            f"eigenvalue {_format_float(cert['witness']['eigenvalue'])}"
         )
     if report["solver"] is not None:
         s = report["solver"]
         eps = "none" if s["final_epsilon"] is None else _format_float(s["final_epsilon"])
         print(
             f"solver: converged={s['converged']} iterations={s['iterations']}, "
-            f"final epsilon {eps}, seed {s['seed']}",
-            file=out,
+            f"final epsilon {eps}, seed {s['seed']}"
         )
-    print("--- report ---", file=out)
-    out.write(dumps_canonical(report))
+    print("--- report ---")
+    sys.stdout.write(canonical)
+    if report_path:
+        Path(report_path).write_text(canonical)
+    return EXIT_OPTIMAL if optimal else EXIT_NOT_OPTIMAL
 
 
 def _warn_zero_priors(ensemble: Ensemble) -> None:
@@ -462,10 +464,7 @@ def _cmd_certify(args) -> int:
         raise ProblemFormatError(f"{args.input}: certify requires a 'povm' section")
     cert = certify(problem.ensemble, problem.povm, tol=args.tol)
     report = _build_report("certify", problem.digest, cert, None)
-    _print_report(report)
-    if args.report:
-        Path(args.report).write_text(dumps_canonical(report))
-    return EXIT_OPTIMAL if cert.is_optimal else EXIT_NOT_OPTIMAL
+    return _finish(report, args.report, cert.is_optimal)
 
 
 def _solver_summary(trace: SolveTrace, seed: int, start: str) -> dict:
@@ -504,10 +503,7 @@ def _cmd_solve(args) -> int:
         trace.final_certificate,
         _solver_summary(trace, args.seed, args.start),
     )
-    _print_report(report)
-    if args.report:
-        Path(args.report).write_text(dumps_canonical(report))
-    return EXIT_OPTIMAL if trace.final_certificate.is_optimal else EXIT_NOT_OPTIMAL
+    return _finish(report, args.report, trace.final_certificate.is_optimal)
 
 
 def _parse_priors(text: str) -> tuple[float, float]:
@@ -538,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Minimum-error quantum state discrimination: solve and certify.",
         epilog=(
             "exit codes: 0 optimal, 10 not optimal, 11 validation failure, "
-            "12 parse failure, 13 file not found, 14 numeric failure"
+            "12 parse failure, 13 file cannot be read or written, 14 numeric failure"
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -552,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
     slv = sub.add_parser("solve", help="find an optimal measurement for an ensemble")
     slv.add_argument("input", help="problem file with states (povm optional as start)")
     slv.add_argument("--tol", type=float, default=DEFAULT_TOL, help="certificate tolerance (default %(default)g)")
-    slv.add_argument("--max-iter", type=int, default=10000, help="iteration cap (default %(default)s)")
+    slv.add_argument("--max-iter", type=int, default=SolverConfig.max_iter, help="iteration cap (default %(default)s)")
     slv.add_argument(
         "--seed", type=int, default=0,
         help="recorded in the report; the solver draws no random numbers (default %(default)s)",
@@ -590,6 +586,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename}", file=sys.stderr)
+        return EXIT_NOT_FOUND
+    except OSError as exc:  # a directory, a denied permission, a full disk
+        print(f"error: cannot read or write a file: {exc}", file=sys.stderr)
         return EXIT_NOT_FOUND
     except ProblemFormatError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

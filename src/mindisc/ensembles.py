@@ -6,17 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matrices import (
-    HERM_TOL,
-    PSD_TOL,
-    NotHermitianError,
-    NotPositiveError,
-    as_matrix,
-    herm_deviation,
-    hermitize,
-    ordered_sum,
-    readonly,
-)
+from .matrices import as_matrix, checked_psd, ordered_sum, readonly
 
 TRACE_TOL = 1e-9
 PRIOR_TOL = 1e-9
@@ -35,16 +25,7 @@ class DensityMatrix:
     mat: np.ndarray
 
     def __post_init__(self):
-        arr = as_matrix(self.mat)
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("state has non-finite entries")
-        deviation = herm_deviation(arr)
-        if deviation > HERM_TOL:
-            raise NotHermitianError(deviation)
-        arr = hermitize(arr)
-        lowest = float(np.linalg.eigvalsh(arr)[0])
-        if lowest < -PSD_TOL:
-            raise NotPositiveError(lowest)
+        arr = checked_psd(as_matrix(self.mat))
         trace = arr.trace()
         if abs(trace - 1.0) > TRACE_TOL:
             raise TraceNotOneError(trace)
@@ -57,7 +38,7 @@ class DensityMatrix:
 
 def validate_density(m) -> DensityMatrix:
     """Wrap a Hermitian matrix as a DensityMatrix, enforcing its invariants."""
-    return DensityMatrix(as_matrix(m))
+    return DensityMatrix(m)
 
 
 def pure_state(v) -> DensityMatrix:
@@ -79,7 +60,10 @@ class Ensemble:
     weighted_states: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        priors = np.asarray(self.priors, dtype=float).reshape(-1)
+        priors = np.asarray(self.priors)
+        if priors.dtype.kind not in "iuf":
+            raise TypeError(f"priors must be real numbers, got dtype {priors.dtype}")
+        priors = np.asarray(priors, dtype=float).reshape(-1)
         states = tuple(self.states)
         if not states:
             raise ValueError("ensemble needs at least one state")
@@ -90,7 +74,7 @@ class Ensemble:
         if not np.all(np.isfinite(priors)):
             raise ValueError("priors have non-finite entries")
         if np.any(priors < 0):
-            raise ValueError(f"negative prior {priors.min():.6g}")
+            raise ValueError(f"priors must be nonnegative, got {priors.min():.6g}")
         total = float(priors.sum())
         if abs(total - 1.0) > PRIOR_TOL:
             raise ValueError(f"priors sum to {total:.12g}, expected 1")

@@ -13,7 +13,6 @@ import numpy as np
 
 HERM_TOL = 1e-10
 PSD_TOL = 1e-9
-EIG_RESIDUAL_TOL = 1e-8
 
 # relative cutoff below which a vector component is treated as zero when
 # fixing eigenvector phases
@@ -78,6 +77,13 @@ def is_hermitian(m, tol: float = HERM_TOL) -> bool:
     return herm_deviation(m) <= tol
 
 
+def _square_or_stack(m) -> np.ndarray:
+    arr = np.asarray(m, dtype=complex)
+    if arr.ndim not in (2, 3) or arr.shape[-1] != arr.shape[-2] or arr.shape[-1] == 0:
+        raise MatrixShapeError(f"expected a square matrix or stack, got shape {arr.shape}")
+    return arr
+
+
 def hermitize(m) -> np.ndarray:
     """Hermitian part (m + m^dagger)/2 of a square matrix, or of each matrix in a stack.
 
@@ -85,10 +91,36 @@ def hermitize(m) -> np.ndarray:
     returns it bit for bit.  Inputs already Hermitian within HERM_TOL move
     by at most HERM_TOL/2.
     """
-    arr = np.asarray(m, dtype=complex)
-    if arr.ndim not in (2, 3) or arr.shape[-1] != arr.shape[-2] or arr.shape[-1] == 0:
-        raise MatrixShapeError(f"expected a square matrix or stack, got shape {arr.shape}")
+    arr = _square_or_stack(m)
     return (arr + arr.conj().swapaxes(-1, -2)) / 2
+
+
+def checked_psd(m) -> np.ndarray:
+    """Hermitian part of a square matrix, or of each matrix in a stack, after
+    checking, in this order, that its entries are finite (else ValueError),
+    that it is Hermitian within HERM_TOL (else NotHermitianError) and
+    positive semidefinite within PSD_TOL (else NotPositiveError).  In a
+    stack the first offending element is named, and ``index`` holds its
+    position; for a single matrix ``index`` is None."""
+    arr = _square_or_stack(m)
+
+    def first(bad: np.ndarray) -> int | None:
+        return None if arr.ndim == 2 else int(np.argmax(bad))
+
+    finite = np.isfinite(arr).all(axis=(-2, -1))
+    if not finite.all():
+        i = first(~finite)
+        raise ValueError(f"{'matrix' if i is None else f'element {i}'} has non-finite entries")
+    deviations = np.abs(arr - arr.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    if deviations.max() > HERM_TOL:
+        i = first(deviations > HERM_TOL)
+        raise NotHermitianError(deviations.flat[i or 0], index=i)
+    hermitian = hermitize(arr)
+    lowest = np.linalg.eigvalsh(hermitian)[..., 0]
+    if lowest.min() < -PSD_TOL:
+        i = first(lowest < -PSD_TOL)
+        raise NotPositiveError(lowest.flat[i or 0], index=i)
+    return hermitian
 
 
 @dataclass(frozen=True, eq=False)

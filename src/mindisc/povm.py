@@ -14,12 +14,9 @@ import numpy as np
 
 from .ensembles import Ensemble, _gaussian_grams
 from .matrices import (
-    HERM_TOL,
-    PSD_TOL,
-    NotHermitianError,
-    NotPositiveError,
     NumericFailure,
     as_matrix,
+    checked_psd,
     hermitize,
     ordered_sum,
     readonly,
@@ -76,19 +73,7 @@ class Povm:
                 raise DimensionMismatchError(
                     f"element {i} has dimension {arr.shape[0]}, expected {dim}"
                 )
-        stack = np.array(mats)
-        finite = np.isfinite(stack).all(axis=(1, 2))
-        if not finite.all():
-            raise ValueError(f"element {int(np.argmin(finite))} has non-finite entries")
-        deviations = np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2))
-        bad = np.flatnonzero(deviations > HERM_TOL)
-        if bad.size:
-            raise NotHermitianError(deviations[bad[0]], index=int(bad[0]))
-        stack = hermitize(stack)
-        lowest = np.linalg.eigvalsh(stack)[:, 0]
-        bad = np.flatnonzero(lowest < -PSD_TOL)
-        if bad.size:
-            raise NotPositiveError(lowest[bad[0]], index=int(bad[0]))
+        stack = checked_psd(np.array(mats))
         deviation = _completeness_deviation(stack)
         if deviation > COMPLETENESS_TOL:
             raise IncompleteSumError(deviation)
@@ -139,10 +124,15 @@ def check_match(ens: Ensemble, povm: Povm) -> None:
         )
 
 
-def outcome_probability(rho, povm: Povm, j: int) -> float:
-    """Probability tr(rho pi_j) of outcome ``j`` on state ``rho``."""
+def check_outcome(povm: Povm, j: int) -> None:
+    """Reject an outcome index ``j`` outside 0 .. len(povm) - 1 with IndexError."""
     if not 0 <= j < len(povm):
         raise IndexError(f"outcome {j} out of range for {len(povm)} outcomes")
+
+
+def outcome_probability(rho, povm: Povm, j: int) -> float:
+    """Probability tr(rho pi_j) of outcome ``j`` on state ``rho``."""
+    check_outcome(povm, j)
     if rho.dim != povm.dim:
         raise DimensionMismatchError(
             f"state dimension {rho.dim} does not match POVM dimension {povm.dim}"
@@ -160,10 +150,14 @@ def p_error(ens: Ensemble, povm: Povm) -> float:
     return 1.0 - p_correct(ens, povm)
 
 
-def uniform_povm(n: int, dim: int) -> Povm:
-    """``n`` copies of identity/n; the always-valid default solver start."""
+def _check_shape(n: int, dim: int) -> None:
     if n < 1 or dim < 1:
         raise ValueError(f"need n >= 1 and dim >= 1, got n={n}, dim={dim}")
+
+
+def uniform_povm(n: int, dim: int) -> Povm:
+    """``n`` copies of identity/n; the always-valid default solver start."""
+    _check_shape(n, dim)
     element = np.eye(dim, dtype=complex) / n
     return Povm(tuple(element.copy() for _ in range(n)))
 
@@ -233,7 +227,6 @@ def random_povm(n: int, dim: int, rng) -> Povm:
     returns pi_i = S^{-1/2} B_i S^{-1/2} with S = sum_i B_i.  ``rng`` is a
     numpy Generator or a seed.
     """
-    if n < 1 or dim < 1:
-        raise ValueError(f"need n >= 1 and dim >= 1, got n={n}, dim={dim}")
+    _check_shape(n, dim)
     blocks = _gaussian_grams(np.random.default_rng(rng), n, dim)
     return validate_povm(_completed_povm(blocks, *_phase_fixed_support(ordered_sum(blocks))))

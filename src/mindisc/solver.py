@@ -54,7 +54,7 @@ import numpy as np
 
 from .certificates import DEFAULT_TOL, Certificate, certify, lagrange_operator
 from .certificates import _check_tolerance, _gamma, _herm_residual, _witness_scan
-from .ensembles import PRIOR_TOL, DensityMatrix, Ensemble
+from .ensembles import DensityMatrix, Ensemble
 from .matrices import (
     NumericFailure,
     checked_eigh,
@@ -73,6 +73,7 @@ from .povm import (
     _inv_sqrt_on_support,
     _success_probability,
     check_match,
+    check_outcome,
     p_correct,
     random_povm,
     square_root_measurement,
@@ -148,8 +149,7 @@ class SolverConfig:
     restarts: int = 5
 
     def __post_init__(self):
-        if not 0.0 < self.tol < math.inf:
-            raise ValueError(f"tol must be finite and positive, got {self.tol}")
+        _check_tolerance(self.tol)
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
         if self.restarts < 0:
@@ -233,10 +233,7 @@ def find_negative_mode(
 
 
 def _check_mode(povm: Povm, mode: NegativeMode) -> np.ndarray:
-    if not 0 <= mode.outcome < len(povm):
-        raise IndexError(
-            f"mode outcome {mode.outcome} out of range for {len(povm)} outcomes"
-        )
+    check_outcome(povm, mode.outcome)
     vector = np.asarray(mode.vector, dtype=complex).reshape(-1)
     if vector.shape[0] != povm.dim:
         raise ValueError(
@@ -606,22 +603,15 @@ def helstrom_binary(
     p1 rho1 - p2 rho2 (zero eigenvalues included, which settles ties), so
     P_corr = p2 + tr(Delta pi_1) = (1 + sum |eig(Delta)|) / 2.
     """
-    if not (math.isfinite(p1) and math.isfinite(p2)):
-        raise ValueError(f"priors must be finite, got {p1!r} and {p2!r}")
-    if p1 < 0.0 or p2 < 0.0:
-        raise ValueError(f"priors must be nonnegative, got {p1!r} and {p2!r}")
-    if abs(p1 + p2 - 1.0) > PRIOR_TOL:
-        raise ValueError(f"priors sum to {p1 + p2:.12g}, expected 1")
-    if rho1.dim != rho2.dim:
-        raise ValueError(f"state dimensions differ: {rho1.dim} vs {rho2.dim}")
-    delta = p1 * rho1.mat - p2 * rho2.mat
+    ens = Ensemble((p1, p2), (rho1, rho2))
+    delta = ens.weighted(0) - ens.weighted(1)
     spectrum = spectral_decompose(delta)
     keep = spectrum.eigenvalues >= 0.0
     vs = spectrum.eigenvectors[:, keep]
     first = hermitize(vs @ vs.conj().T)
-    second = hermitize(np.eye(rho1.dim) - first)
+    second = hermitize(np.eye(ens.dim) - first)
     povm = validate_povm([first, second])
-    success = p2 + float(np.trace(delta @ first).real)
+    success = float(ens.priors[1]) + float(np.trace(delta @ first).real)
     return povm, success
 
 

@@ -598,3 +598,33 @@ def test_matrices_round_trip_bit_for_bit(drawn):
 def test_non_finite_value_in_report_is_numeric_failure(value):
     with pytest.raises(md.NumericFailure, match="non-finite value"):
         cli.dumps_canonical(value)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["certify", "{dir}"], ["solve", "{dir}"], ["generate", "--kind", "trine", "--output", "{dir}"]],
+    ids=["certify", "solve", "generate"],
+)
+def test_directory_in_place_of_a_file_exits_13(tmp_path, capsys, argv):
+    code, captured = run([a.format(dir=tmp_path) for a in argv], capsys)
+    assert code == cli.EXIT_NOT_FOUND
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert str(tmp_path) in captured.err
+
+
+def test_max_iter_default_is_the_solver_default():
+    args = cli.build_parser().parse_args(["solve", "p.json"])
+    assert args.max_iter == md.SolverConfig().max_iter
+
+
+def test_report_file_is_the_printed_report_block(tmp_path, capsys):
+    path = make_problem(tmp_path / "p.json", md.trine(), md.uniform_povm(3, 2))
+    report = tmp_path / "r.json"
+    for argv, expected in (
+        (["certify", path], cli.EXIT_NOT_OPTIMAL),
+        (["solve", path, "--output", tmp_path / "s.json"], cli.EXIT_OPTIMAL),
+    ):
+        code, captured = run([*argv, "--report", report], capsys)
+        assert code == expected
+        assert captured.out.split("--- report ---\n", 1)[1] == report.read_text()

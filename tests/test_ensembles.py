@@ -169,3 +169,12 @@ def test_ensemble_rejects_non_finite_priors(priors):
     states = (md.pure_state([1, 0]), md.pure_state([0, 1]))
     with pytest.raises(ValueError, match="non-finite"):
         md.Ensemble(priors, states)
+
+
+@pytest.mark.parametrize("priors", [["0.5", "0.5"], [True, False], [0.5 + 0j, 0.5]])
+def test_ensemble_rejects_priors_that_are_not_real_numbers(priors):
+    states = (md.pure_state([1, 0]), md.pure_state([0, 1]))
+    with pytest.raises(TypeError, match="real numbers"):
+        md.Ensemble(priors, states)
+    with pytest.raises(TypeError, match="real numbers"):
+        md.helstrom_binary(priors[0], states[0], priors[1], states[1])

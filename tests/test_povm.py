@@ -208,3 +208,26 @@ def test_array_holding_values_compare_and_hash(make):
     assert value == value
     assert isinstance(value == copy, bool)
     hash(value)
+
+
+@pytest.mark.parametrize(
+    "mat, error",
+    [
+        ([[np.nan, 0.0], [0.0, 1.0]], ValueError),
+        ([[0.5, 0.1], [0.0, 0.5]], md.NotHermitianError),
+        ([[1.5, 0.0], [0.0, -0.5]], md.NotPositiveError),
+    ],
+    ids=["non-finite", "not-hermitian", "negative-eigenvalue"],
+)
+def test_states_and_measurement_elements_share_one_matrix_check(mat, error):
+    with pytest.raises(error) as state:
+        md.validate_density(mat)
+    with pytest.raises(error) as element:
+        md.validate_povm([mat])
+    assert type(state.value) is type(element.value) is error
+    if error is ValueError:
+        assert "non-finite" in str(state.value)
+        assert "element 0 has non-finite" in str(element.value)
+    else:
+        assert state.value.index is None
+        assert element.value.index == 0

@@ -313,6 +313,36 @@ def test_helstrom_rejects_bad_priors():
         md.helstrom_binary(0.6, rho, 0.6, rho)
 
 
+def test_helstrom_rejects_states_of_different_dimensions():
+    with pytest.raises(ValueError, match="dimensions"):
+        md.helstrom_binary(0.5, md.pure_state([1, 0]), 0.5, md.pure_state([1, 0, 0]))
+
+
+def _helstrom_reference(p1, rho1, p2, rho2):
+    """Reference: the closed form on the raw priors and states, with no Ensemble."""
+    delta = p1 * rho1.mat - p2 * rho2.mat
+    spectrum = md.spectral_decompose(delta)
+    vs = spectrum.eigenvectors[:, spectrum.eigenvalues >= 0.0]
+    first = md.hermitize(vs @ vs.conj().T)
+    second = md.hermitize(np.eye(rho1.dim) - first)
+    return md.validate_povm([first, second]), p2 + float(np.trace(delta @ first).real)
+
+
+@pytest.mark.parametrize("seed", [1, 3, 7919])
+def test_helstrom_is_bit_identical_to_the_reference_on_benchmark_pairs(seed):
+    # the binary ensembles of the quick-certify benchmark workload
+    pairs = [md.pure_pair(c, p) for c in (0.0, 0.25, 0.5, 0.75, 0.9)
+             for p in ((0.5, 0.5), (0.3, 0.7))]
+    seeds = np.random.default_rng(seed).integers(2**31, size=5)
+    pairs += [md.random_mixed(d, 2, int(s)) for d, s in zip((2, 4, 8, 16, 32), seeds)]
+    for ens in pairs:
+        args = (ens.priors[0], ens.states[0], ens.priors[1], ens.states[1])
+        povm, value = md.helstrom_binary(*args)
+        ref_povm, ref_value = _helstrom_reference(*args)
+        assert povm.elements.tobytes() == ref_povm.elements.tobytes()
+        assert value == ref_value
+
+
 def test_brute_force_orthogonal_pair(orthogonal_pair):
     _, value = md.brute_force(orthogonal_pair, budget=4, seed=0)
     assert value == pytest.approx(1.0, abs=1e-9)
@@ -770,3 +800,18 @@ def test_find_negative_mode_rejects_bad_tolerance(trine_ensemble, trine_srm, tol
     with pytest.raises(ValueError, match="tolerance must be finite and positive"):
         md.find_negative_mode(trine_ensemble, trine_srm, tol)
     assert md.find_negative_mode(trine_ensemble, trine_srm, 1e-12) is None
+
+
+@pytest.mark.parametrize("outcome", [-1, 3])
+@pytest.mark.parametrize("operation", ["perturb", "gain", "best_epsilon"])
+def test_mode_outcome_out_of_range_is_an_index_error(trine_ensemble, operation, outcome):
+    povm = md.uniform_povm(3, 2)
+    mode = md.find_negative_mode(trine_ensemble, povm)
+    bad = md.NegativeMode(outcome=outcome, lam=mode.lam, vector=mode.vector)
+    calls = {
+        "perturb": lambda: md.perturb(povm, bad, 0.5),
+        "gain": lambda: md.gain(trine_ensemble, povm, bad, 0.5),
+        "best_epsilon": lambda: md.best_epsilon(trine_ensemble, povm, bad),
+    }
+    with pytest.raises(IndexError, match="out of range"):
+        calls[operation]()
