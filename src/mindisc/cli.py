@@ -548,7 +548,10 @@ def build_parser() -> argparse.ArgumentParser:
     slv = sub.add_parser("solve", help="find an optimal measurement for an ensemble")
     slv.add_argument("input", help="problem file with states (povm optional as start)")
     slv.add_argument("--tol", type=float, default=DEFAULT_TOL, help="certificate tolerance (default %(default)g)")
-    slv.add_argument("--max-iter", type=int, default=SolverConfig.max_iter, help="iteration cap (default %(default)s)")
+    slv.add_argument(
+        "--max-iter", type=int, default=SolverConfig.max_iter,
+        help=f"a solve takes at most {SolverConfig.restarts + 1} times this many steps (default %(default)s)",
+    )
     slv.add_argument(
         "--seed", type=int, default=0,
         help="recorded in the report; the solver draws no random numbers (default %(default)s)",

@@ -1,4 +1,4 @@
-"""Ascent solver for minimum-error discrimination, plus independent oracles.
+"""Solver for minimum-error discrimination, with the binary closed form.
 
 Whenever some witness operator G_j has negative eigenvalues, let V hold
 their unit eigenvectors in its columns and P = V V* be the projector onto
@@ -31,7 +31,9 @@ whose fixed points satisfy the equality conditions and which converges
 linearly on those optima.  It cannot grow an element's support, so when it
 stops short of the verdict the ascent runs a short rescue burst and hands
 back.  A binary problem starts in the ascent instead, which is exact there
-(Helstrom) and certifies from the uniform measurement in two steps.
+(Helstrom) and certifies from the uniform measurement in two steps.  The
+engines share one step budget, ``max_iter * (restarts + 1)`` steps of a
+``SolverConfig``, and the result is certified once, when the solve stops.
 
 The iteration runs on factors A_j with pi_j = A_j A_j^*, through the map
 g(A)_j = S^{-1/2} W_j A_j, S = sum_j (W_j A_j)(W_j A_j)^*: the same step,
@@ -48,6 +50,7 @@ and is otherwise dropped, with the history, for the plain step.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,7 +77,6 @@ from .povm import (
     _success_probability,
     check_match,
     check_outcome,
-    p_correct,
     random_povm,
     square_root_measurement,
     uniform_povm,
@@ -93,7 +95,7 @@ ASCENT_STEPS_PER_DIM = 2
 # last ANDERSON_DEPTH + 1 (input, output) pairs
 ANDERSON_DEPTH = 3
 
-# why an engine run, or an attempt, stopped
+# why an engine run stopped
 CERTIFIED, STALL, FLOOR, CAP = "certified", "stall", "floor", "cap"
 
 
@@ -137,10 +139,10 @@ class SolverConfig:
     """Settings of one ``solve`` call.
 
     ``tol`` is the certificate tolerance, a finite positive number.
-    ``max_iter`` caps the steps of one run, and ``restarts`` is how many
-    times a run stopped by that cap, uncertified, continues from where it
-    stopped.  ``seed`` is kept for callers and reports; ``solve`` draws no
-    random numbers and does not read it.
+    A solve takes at most ``max_iter * (restarts + 1)`` steps: ``max_iter``
+    is an integer of at least 1 and ``restarts`` a nonnegative integer.
+    ``seed`` is kept for callers and reports; ``solve`` draws no random
+    numbers and does not read it.
     """
 
     tol: float = DEFAULT_TOL
@@ -150,6 +152,10 @@ class SolverConfig:
 
     def __post_init__(self):
         _check_tolerance(self.tol)
+        for name in ("max_iter", "restarts"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
         if self.restarts < 0:
@@ -515,76 +521,55 @@ def _run_fixed_point(
     return elements, current_p, CAP
 
 
-def _ascend(
-    ens: Ensemble, povm: Povm, config: SolverConfig, ascent_tol: float, engine: str
-) -> tuple[Povm, list[IterationRecord], str, str]:
-    """One attempt from ``povm``, starting in ``engine``.
-
-    The fixed-point engine runs until the verdict holds or it stops on the
-    floor.  The ascent then runs as a rescue, a burst of at most
-    ``ASCENT_STEPS_PER_DIM * d`` steps, and hands back; a binary problem
-    starts with such a burst, which certifies it.  Every step counts
-    against ``config.max_iter``.  The attempt ends when the verdict holds,
-    when the budget is spent (reason CAP), or when neither engine can take
-    a step.  Returns the validated POVM, the records, the stop reason and
-    the engine that ran last.
-    """
-    weighted, elements = ens.weighted_states, povm.elements
-
-    records: list[IterationRecord] = []
-    current_p = _success_probability(weighted, elements)
-    burst = ASCENT_STEPS_PER_DIM * ens.dim
-    idle = False
-    while True:
-        before = len(records)
-        budget = config.max_iter - before
-        if engine == "ascent":
-            elements, current_p, reason = _run_ascent(
-                weighted, elements, current_p, records,
-                min(budget, burst), config.tol, ascent_tol,
-            )
-        else:
-            elements, current_p, reason = _run_fixed_point(
-                weighted, elements, current_p, records, budget, config.tol
-            )
-        taken = len(records) - before
-        if reason == CERTIFIED or len(records) == config.max_iter or (idle and not taken):
-            break
-        idle = not taken
-        engine = "fixed_point" if engine == "ascent" else "ascent"
-    return validate_povm(elements), records, reason, engine
-
-
 def solve(
     ens: Ensemble, start: Povm | None = None, config: SolverConfig | None = None
 ) -> SolveTrace:
     """Run the fixed-point engine and the ascent to a certified optimum.
 
-    Runs one start, ``start`` (default: the uniform POVM), through the
-    schedule of ``_ascend``, and certifies the result at ``config.tol``.
-    A problem with three or more states opens in the fixed-point engine,
-    and a binary one in the ascent.  If the certificate is not optimal and
-    the run ended on the ``config.max_iter`` cap while still improving, it
-    continues from where it stopped, up to ``config.restarts`` times.  The
-    optimality conditions are sufficient as well as necessary, so a run
-    that stops short has no local maximum that another start would escape;
-    and every accepted step raises P_corr, so the last run is the best one.
-    ``converged`` is True exactly when the returned certificate is optimal;
-    ``iterations`` holds every step from the start, and ``iterations_used``
-    counts them.  No random numbers are drawn: ``config.seed`` is not read.
+    Runs one start, ``start`` (default: the uniform POVM), for at most
+    ``config.max_iter * (config.restarts + 1)`` steps.  A problem with three
+    or more states opens in the fixed-point engine, which runs until the
+    verdict holds or it stops on the floor; the ascent then runs as a
+    rescue, a burst of at most ``ASCENT_STEPS_PER_DIM * d`` steps, and hands
+    back.  A binary problem opens with such a burst, which certifies it.
+    The solve stops when the verdict holds, when the budget is spent, or
+    when neither engine can take a step; the result is then validated and
+    certified at ``config.tol``.  The optimality conditions are sufficient
+    as well as necessary, so a run that stops short has no local maximum
+    to escape: there is nothing to restart.  ``converged`` is True
+    exactly when the returned certificate is optimal; ``iterations`` holds
+    every step from the start, and ``iterations_used`` counts them.  No
+    random numbers are drawn: ``config.seed`` is not read.
     """
     config = config or SolverConfig()
     povm = start if start is not None else uniform_povm(len(ens), ens.dim)
     check_match(ens, povm)
+    weighted, elements = ens.weighted_states, povm.elements
     ascent_tol = min(config.tol, ASCENT_TOL)
+    budget = config.max_iter * (config.restarts + 1)
+    burst = ASCENT_STEPS_PER_DIM * ens.dim
     engine = "ascent" if len(ens) <= 2 else "fixed_point"
     records: list[IterationRecord] = []
-    for _ in range(config.restarts + 1):
-        povm, run, reason, engine = _ascend(ens, povm, config, ascent_tol, engine)
-        records += run
-        cert = certify(ens, povm, config.tol)
-        if reason != CAP or cert.is_optimal:
+    current_p = _success_probability(weighted, elements)
+    idle = False
+    while True:
+        before = len(records)
+        if engine == "ascent":
+            elements, current_p, reason = _run_ascent(
+                weighted, elements, current_p, records,
+                min(budget - before, burst), config.tol, ascent_tol,
+            )
+        else:
+            elements, current_p, reason = _run_fixed_point(
+                weighted, elements, current_p, records, budget - before, config.tol
+            )
+        taken = len(records) - before
+        if reason == CERTIFIED or len(records) == budget or (idle and not taken):
             break
+        idle = not taken
+        engine = "fixed_point" if engine == "ascent" else "ascent"
+    povm = validate_povm(elements)
+    cert = certify(ens, povm, config.tol)
     return SolveTrace(
         iterations=tuple(records),
         final_povm=povm,
@@ -615,20 +600,14 @@ def helstrom_binary(
     return povm, success
 
 
-def _bloch_projective_povm(theta: float, phi: float) -> Povm:
-    spinor = np.array([np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)])
-    first = np.outer(spinor, spinor.conj())
-    return validate_povm([first, np.eye(2) - first])
-
-
 def brute_force(ens: Ensemble, budget: int = 16, seed: int = 0) -> tuple[Povm, float]:
-    """Independent desk-scale search for the best measurement.
+    """Desk-scale multi-start run of ``solve``.
 
-    Runs the ascent from the uniform POVM, the square-root measurement,
-    ``budget`` random POVMs, and (for two-state qubit problems) the best
-    few points of a Bloch-sphere grid of projective measurements, and
-    returns the best POVM found with its success probability.  Guard
-    rails: dimension <= 4 and at most 4 states.
+    Runs ``solve`` from the uniform POVM, the square-root measurement and
+    ``budget`` random POVMs, and returns the best POVM found with its
+    success probability.  It shares ``solve``'s engines, so it is a check
+    of the schedule, not an independent oracle.  Guard rails: dimension
+    <= 4 and at most 4 states.
     """
     if ens.dim > 4 or len(ens) > 4:
         raise ValueError(
@@ -645,14 +624,6 @@ def brute_force(ens: Ensemble, budget: int = 16, seed: int = 0) -> tuple[Povm, f
         pass
     for _ in range(budget):
         starts.append(random_povm(len(ens), ens.dim, rng))
-    if len(ens) == 2 and ens.dim == 2:
-        grid = [
-            _bloch_projective_povm(theta, phi)
-            for theta in np.linspace(0.0, np.pi, 13)
-            for phi in np.linspace(0.0, 2.0 * np.pi, 24, endpoint=False)
-        ]
-        grid.sort(key=lambda candidate: p_correct(ens, candidate), reverse=True)
-        starts.extend(grid[:5])
 
     # modest iteration cap: the multi-start sweep, not ascent depth, does
     # the work here, and stalled-but-high starts still rank correctly

@@ -248,6 +248,16 @@ def test_solver_config_validation():
         md.SolverConfig(restarts=-1)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("max_iter", 2.5), ("max_iter", "10"), ("max_iter", True),
+     ("restarts", 0.5), ("restarts", "1"), ("restarts", False)],
+)
+def test_solver_config_rejects_a_budget_that_is_not_an_integer(field, value):
+    with pytest.raises(TypeError, match=f"{field} must be an integer"):
+        md.SolverConfig(**{field: value})
+
+
 @pytest.mark.parametrize("tol", [np.nan, np.inf])
 def test_solver_config_rejects_non_finite_tol(tol):
     with pytest.raises(ValueError, match="finite"):
@@ -458,6 +468,33 @@ def test_capped_attempt_continues_from_its_endpoint():
     assert len(trace.iterations) == trace.iterations_used
     values = [record.p_corr for record in trace.iterations]
     assert all(b > a for a, b in zip(values, values[1:]))
+
+
+@pytest.mark.parametrize(
+    "dim, n, seed, srm_start, max_iter, restarts",
+    [(8, 8, 1, False, 10, 5), (8, 2, 801, True, 5, 5), (32, 16, 1, False, 3, 2)],
+)
+def test_restarts_multiply_one_step_budget(dim, n, seed, srm_start, max_iter, restarts):
+    ens = md.random_mixed(dim, n, seed=seed)
+    start = md.square_root_measurement(ens) if srm_start else None
+    split = md.solve(ens, start, md.SolverConfig(max_iter=max_iter, restarts=restarts))
+    whole = md.solve(ens, start, md.SolverConfig(max_iter=max_iter * (restarts + 1), restarts=0))
+    assert split.iterations == whole.iterations
+    assert split.final_povm.elements.tobytes() == whole.final_povm.elements.tobytes()
+
+
+def test_capped_solve_spends_its_budget_and_certifies_once(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return md.certify(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "certify", counted)
+    trace = md.solve(md.random_mixed(32, 16, seed=1), config=md.SolverConfig(max_iter=3, restarts=2))
+    assert not trace.converged
+    assert trace.iterations_used == len(trace.iterations) == 9
+    assert len(calls) == 1
 
 
 def _zero_prior(ens: md.Ensemble, k: int) -> md.Ensemble:
