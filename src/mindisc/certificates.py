@@ -28,7 +28,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensembles import Ensemble
-from .matrices import as_matrix, checked_eigh, fix_phase, hermitize, ordered_sum, readonly
+from .matrices import (
+    as_matrix,
+    checked_eigh,
+    checked_eigvalsh,
+    fix_phase,
+    hermitize,
+    ordered_sum,
+    readonly,
+)
 from .povm import Povm, _success_probability, check_match, check_outcome
 
 DEFAULT_TOL = 1e-7
@@ -50,10 +58,11 @@ class Certificate:
     ``is_optimal`` is True iff every witness minimum eigenvalue is at least
     ``-tolerance`` and the Lagrange-operator Hermiticity residual is at most
     ``tolerance``.  When False, ``witness`` carries the globally most
-    negative eigenpair across outcomes.  ``gap_bound`` = min(d max(0,
-    -min_j lambda_min(G_j)), sum_j tr neg(G_j)), where tr neg(G) sums the
-    magnitudes of G's negative eigenvalues, bounds P_opt - P_corr whatever
-    the verdict.
+    negative eigenvalue across outcomes, as listed in
+    ``witness_min_eigenvalues``, with a unit eigenvector of it.
+    ``gap_bound`` = min(d max(0, -min_j lambda_min(G_j)), sum_j tr neg(G_j)),
+    where tr neg(G) sums the magnitudes of G's negative eigenvalues, bounds
+    P_opt - P_corr whatever the verdict.
     """
 
     p_corr: float
@@ -82,14 +91,20 @@ def _gamma(weighted: np.ndarray, elements: np.ndarray) -> np.ndarray:
 
 
 def _witness_scan(gamma: np.ndarray, weighted: np.ndarray):
-    """One batched ``eigh`` of every witness G_j = sym(Gamma) - W_j: returns the
-    witnesses, their eigenvalues (row j ascending for G_j), the most negative
-    outcome j (ties: smallest index) and G_j's eigenvectors as ``eigh`` gives
-    them, in the columns, in the order of row j."""
+    """Eigenvalues of every witness G_j = sym(Gamma) - W_j from one batched
+    ``eigvalsh``: returns the witnesses, their eigenvalues (row j ascending
+    for G_j) and the most negative outcome j (ties: smallest index).  No
+    eigenvector is formed here; ``_witness_vector`` forms one for a single
+    witness when a caller needs it."""
     witnesses = hermitize(gamma) - weighted
-    values, vectors = checked_eigh(witnesses)
-    j = int(np.argmin(values[:, 0]))
-    return witnesses, values, j, vectors[j]
+    values = checked_eigvalsh(witnesses)
+    return witnesses, values, int(np.argmin(values[:, 0]))
+
+
+def _witness_vector(witness: np.ndarray) -> np.ndarray:
+    """Unit eigenvector of the smallest eigenvalue of one witness, from an
+    ``eigh`` of that witness alone, under ``fix_phase``'s convention."""
+    return readonly(fix_phase(checked_eigh(witness)[1][:, 0]))
 
 
 def _herm_residual(m: np.ndarray) -> float:
@@ -168,6 +183,8 @@ def certify(
     With ``strict=True`` the verdict additionally requires both equality
     residuals to sit below ``tol``; by default they are reported but not
     gated on, since positivity of the witnesses already implies them.
+    The verdict reads the witnesses' eigenvalues alone; an eigenvector is
+    computed only on a not-optimal verdict, for the witness it reports.
     """
     _check_tolerance(tol)
     check_match(ens, povm)
@@ -177,7 +194,7 @@ def certify(
     herm_residual = _herm_residual(gamma)
     eq_residual = _pairwise_residual(products, elements)
     del products  # freed before the witness scan allocates its own stacks
-    witnesses, values, j, vectors = _witness_scan(gamma, weighted)
+    witnesses, values, j = _witness_scan(gamma, weighted)
     zp_residual = _zero_product_residual(witnesses, elements)
     minima = values[:, 0]
     lowest = float(minima[j])
@@ -195,5 +212,5 @@ def certify(
         gap_bound=min(ens.dim * max(0.0, -lowest), negative_trace),
         tolerance=float(tol),
         is_optimal=optimal,
-        witness=None if optimal else Witness(j, lowest, readonly(fix_phase(vectors[:, 0]))),
+        witness=None if optimal else Witness(j, lowest, _witness_vector(witnesses[j])),
     )

@@ -101,7 +101,8 @@ def checked_psd(m) -> np.ndarray:
     that it is Hermitian within HERM_TOL (else NotHermitianError) and
     positive semidefinite within PSD_TOL (else NotPositiveError).  In a
     stack the first offending element is named, and ``index`` holds its
-    position; for a single matrix ``index`` is None."""
+    position; for a single matrix ``index`` is None.  An eigensolver
+    failure raises EigendecompositionError, not a validation error."""
     arr = _square_or_stack(m)
 
     def first(bad: np.ndarray) -> int | None:
@@ -116,7 +117,7 @@ def checked_psd(m) -> np.ndarray:
         i = first(deviations > HERM_TOL)
         raise NotHermitianError(deviations.flat[i or 0], index=i)
     hermitian = hermitize(arr)
-    lowest = np.linalg.eigvalsh(hermitian)[..., 0]
+    lowest = checked_eigvalsh(hermitian)[..., 0]
     if lowest.min() < -PSD_TOL:
         i = first(lowest < -PSD_TOL)
         raise NotPositiveError(lowest.flat[i or 0], index=i)
@@ -155,12 +156,13 @@ def ordered_sum(stack: np.ndarray) -> np.ndarray:
     return sum(stack)
 
 
-def fix_phase(vector: np.ndarray) -> np.ndarray:
-    """Scale ``vector`` so its first significant component is real positive."""
-    mags = np.abs(vector)
-    lead = int(np.argmax(mags > _PHASE_CUTOFF * mags.max()))
-    pivot = vector[lead]
-    return vector * (pivot.conjugate() / abs(pivot))
+def fix_phase(vectors: np.ndarray) -> np.ndarray:
+    """Scale a vector, or each column of a matrix at once, so that its first
+    significant component is real positive."""
+    mags = np.abs(vectors)
+    lead = np.argmax(mags > _PHASE_CUTOFF * mags.max(axis=0), axis=0)
+    pivot = np.take_along_axis(vectors, lead[None], axis=0)
+    return vectors * (pivot.conj() / np.abs(pivot))
 
 
 def checked_eigh(m) -> tuple[np.ndarray, np.ndarray]:
@@ -174,6 +176,18 @@ def checked_eigh(m) -> tuple[np.ndarray, np.ndarray]:
     return eigenvalues, eigenvectors
 
 
+def checked_eigvalsh(m) -> np.ndarray:
+    """``eigvalsh`` of a Hermitian matrix or stack, the eigenvalues alone;
+    raises EigendecompositionError as ``checked_eigh`` does."""
+    try:
+        eigenvalues = np.linalg.eigvalsh(m)
+    except np.linalg.LinAlgError as exc:
+        raise EigendecompositionError(f"eigvalsh did not converge: {exc}") from exc
+    if not np.isfinite(eigenvalues).all():
+        raise EigendecompositionError("eigensolver returned non-finite values")
+    return eigenvalues
+
+
 def spectral_decompose(m, tol: float = HERM_TOL) -> Spectrum:
     """Eigendecompose a Hermitian matrix into a deterministic Spectrum.
 
@@ -185,8 +199,7 @@ def spectral_decompose(m, tol: float = HERM_TOL) -> Spectrum:
     if deviation > tol:
         raise NotHermitianError(deviation)
     eigenvalues, eigenvectors = checked_eigh(hermitize(arr))
-    fixed = np.column_stack([fix_phase(v) for v in eigenvectors.T])
-    return Spectrum(readonly(eigenvalues.astype(float)), readonly(fixed))
+    return Spectrum(readonly(eigenvalues.astype(float)), readonly(fix_phase(eigenvectors)))
 
 
 def min_eigenvalue(m, tol: float = HERM_TOL) -> tuple[float, np.ndarray]:

@@ -16,6 +16,8 @@ takes the argmax of that quadratic instead of an infinitesimal step.  The
 ascent steps toward the witness with the most negative eigenvalue, along
 every eigenvector whose eigenvalue lies below the ascent tolerance; an
 ascent record's ``lam`` is the magnitude of that most negative eigenvalue.
+The witness scan computes the eigenvalues of every G_j in one batch and no
+eigenvectors; a step then eigendecomposes the one witness it moves toward.
 For two states from the uniform measurement, two such steps give Helstrom's
 measurement.  A point with no negative mode satisfies the sufficient
 optimality conditions, so a certified fixed point is a global optimum.
@@ -56,15 +58,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certificates import DEFAULT_TOL, Certificate, certify, lagrange_operator
-from .certificates import _check_tolerance, _gamma, _herm_residual, _witness_scan
+from .certificates import _check_tolerance, _gamma, _herm_residual, _witness_scan, _witness_vector
 from .ensembles import DensityMatrix, Ensemble
 from .matrices import (
     NumericFailure,
     checked_eigh,
-    fix_phase,
     hermitize,
     ordered_sum,
-    readonly,
     spectral_decompose,
 )
 from .povm import (
@@ -228,14 +228,16 @@ def find_negative_mode(
 
     Ties across outcomes break toward the smallest outcome index; within one
     witness operator the deterministic eigenvector convention of
-    ``spectral_decompose`` applies.  ``tol`` must be finite and positive.
+    ``spectral_decompose`` applies.  The decision reads eigenvalues only;
+    eigenvectors are computed, for the returned outcome's witness alone,
+    only when a mode is returned.  ``tol`` must be finite and positive.
     """
     _check_tolerance(tol)
-    _, values, j, vectors = _witness_scan(lagrange_operator(ens, povm), ens.weighted_states)
+    witnesses, values, j = _witness_scan(lagrange_operator(ens, povm), ens.weighted_states)
     lowest = float(values[j, 0])
     if lowest >= -tol:
         return None
-    return NegativeMode(outcome=j, lam=-lowest, vector=readonly(fix_phase(vectors[:, 0])))
+    return NegativeMode(outcome=j, lam=-lowest, vector=_witness_vector(witnesses[j]))
 
 
 def _check_mode(povm: Povm, mode: NegativeMode) -> np.ndarray:
@@ -304,17 +306,21 @@ def _run_ascent(
 
     Each step moves toward the witness G_j0 with the most negative
     eigenvalue, along the eigenvectors of G_j0 whose eigenvalues lie below
-    ``-ascent_tol``.  Clearing ``ascent_tol`` certifies only if Gamma is
-    also Hermitian within ``tol``; otherwise the ascent stops on the floor
-    and hands over.
+    ``-ascent_tol``.  The eigenvalue scan of every witness picks G_j0, and
+    one ``eigh`` of G_j0 alone gives the basis, cut by its own eigenvalues;
+    should that ``eigh`` find none below ``-ascent_tol``, the empty basis
+    predicts no gain and the run stalls.
+    Clearing ``ascent_tol`` certifies only if Gamma is also Hermitian within
+    ``tol``; otherwise the ascent stops on the floor and hands over.
     """
     for _ in range(steps):
         gamma = _gamma(weighted, elements)
-        _, values, j0, vectors = _witness_scan(gamma, weighted)
+        witnesses, values, j0 = _witness_scan(gamma, weighted)
         value = float(values[j0, 0])
         if value >= -ascent_tol:
             return elements, current_p, CERTIFIED if _herm_residual(gamma) <= tol else FLOOR
-        basis = vectors[:, : int(np.searchsorted(values[j0], -ascent_tol))]
+        own_values, vectors = checked_eigh(witnesses[j0])
+        basis = vectors[:, : int(np.searchsorted(own_values, -ascent_tol))]
         a, b = _block_coefficients(weighted, elements, j0, basis)
         epsilon = _argmax_quadratic(a, b)
         predicted = (a * epsilon + b) * epsilon
@@ -467,8 +473,9 @@ def _run_fixed_point(
     """At most ``steps`` fixed-point steps; returns (elements, P_corr, stop reason).
 
     Before each step Gamma comes from ``_gamma``, as in ``certify``, and the
-    witness scan runs only once Gamma is Hermitian within ``tol``, so the
-    loop stops exactly when ``certify`` would return optimal.
+    witness scan, eigenvalues only as in ``certify``, runs only once Gamma
+    is Hermitian within ``tol``, so the loop stops exactly when ``certify``
+    would return optimal.
 
     A step maps factors through ``_factor_map``.  Its input is the Anderson
     mix of the last ``ANDERSON_DEPTH + 1`` (input, output) pairs; a mix that

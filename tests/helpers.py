@@ -36,3 +36,16 @@ def suboptimal_mode_instance(seed: int, dim: int = 2, n: int = 3, min_lam: float
         if mode is not None and mode.lam >= min_lam:
             return ens, povm, mode
         probe += 1_000_003
+
+
+def count_eigh_calls(monkeypatch, module) -> list:
+    """Shapes of the matrices passed to ``module.checked_eigh`` from now on."""
+    calls = []
+    real = module.checked_eigh
+
+    def counted(m):
+        calls.append(np.shape(m))
+        return real(m)
+
+    monkeypatch.setattr(module, "checked_eigh", counted)
+    return calls

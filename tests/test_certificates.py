@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import mindisc as md
-from helpers import random_instance
+import mindisc.certificates as certificates
+from helpers import count_eigh_calls, random_instance
 from mindisc.matrices import min_eigenvalue
 
 
@@ -224,8 +225,9 @@ def test_certify_agrees_with_public_functions(case):
     ens, povm = list(_consistency_instances())[case]
     tol = 1e-7
     cert = md.certify(ens, povm, tol=tol)
-    per_outcome = [min_eigenvalue(md.witness_operator(ens, povm, j)) for j in range(len(ens))]
-    assert cert.witness_min_eigenvalues == tuple(value for value, _ in per_outcome)
+    witnesses = [md.witness_operator(ens, povm, j) for j in range(len(ens))]
+    # certify reads eigenvalues from eigvalsh, whose rounding differs from eigh's
+    assert cert.witness_min_eigenvalues == tuple(np.linalg.eigvalsh(g)[0] for g in witnesses)
     assert cert.pairwise_equality_residual == md.pairwise_equality_residual(ens, povm)
     assert cert.zero_product_residual == md.zero_product_residual(ens, povm)
     assert cert.lagrange_herm_residual == md.hermiticity_residual(md.lagrange_operator(ens, povm))
@@ -239,7 +241,37 @@ def test_certify_agrees_with_public_functions(case):
         assert cert.witness.outcome == mode.outcome
         assert cert.witness.eigenvalue == -mode.lam
         assert np.array_equal(cert.witness.vector, mode.vector)
-        assert np.array_equal(cert.witness.vector, per_outcome[mode.outcome][1])
+        assert np.array_equal(cert.witness.vector, min_eigenvalue(witnesses[mode.outcome])[1])
+
+
+def test_negative_mode_is_the_certificate_witness():
+    tol = 1e-7
+    negative = 0
+    for ens, povm in _consistency_instances():
+        cert = md.certify(ens, povm, tol=tol)
+        if cert.is_optimal:
+            continue
+        assert cert.witness.eigenvalue == min(cert.witness_min_eigenvalues)
+        mode = md.find_negative_mode(ens, povm, tol)
+        if mode is None:
+            continue
+        negative += 1
+        assert (mode.outcome, -mode.lam) == (cert.witness.outcome, cert.witness.eigenvalue)
+        assert mode.vector.tobytes() == cert.witness.vector.tobytes()
+    assert negative == 4
+
+
+def test_certify_computes_one_eigenvector_set_only_on_a_not_optimal_verdict(
+    monkeypatch, trine_ensemble, trine_srm
+):
+    ensembles = [md.random_mixed(8, 8, seed) for seed in range(3)]
+    povms = [md.random_povm(8, 8, np.random.default_rng(seed)) for seed in range(3)]
+    calls = count_eigh_calls(monkeypatch, certificates)
+    assert md.certify(trine_ensemble, trine_srm).is_optimal
+    assert calls == []
+    for ens, povm in zip(ensembles, povms):
+        assert not md.certify(ens, povm).is_optimal
+    assert calls == [(8, 8)] * 3
 
 
 def _expected_gap_bound(ens, povm) -> float:

@@ -628,3 +628,19 @@ def test_report_file_is_the_printed_report_block(tmp_path, capsys):
         code, captured = run([*argv, "--report", report], capsys)
         assert code == expected
         assert captured.out.split("--- report ---\n", 1)[1] == report.read_text()
+
+
+def test_eigensolver_failure_in_validation_is_a_numeric_failure(tmp_path, capsys, monkeypatch):
+    # LinAlgError is a ValueError; unwrapped, it would pass for a validation error
+    path = make_problem(tmp_path / "p.json", md.trine(), md.uniform_povm(3, 2))
+    elements = md.uniform_povm(3, 2).elements
+
+    def no_convergence(_):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+    with pytest.raises(md.EigendecompositionError):
+        md.validate_povm(elements)
+    code, captured = run(["certify", path], capsys)
+    assert code == cli.EXIT_NUMERIC
+    assert captured.err.startswith("numeric failure: ") and captured.err.count("\n") == 1

@@ -3,9 +3,12 @@ import pytest
 
 from helpers import random_complex, random_hermitian
 from mindisc.matrices import (
+    EigendecompositionError,
     MatrixShapeError,
     NotHermitianError,
     Spectrum,
+    checked_eigvalsh,
+    fix_phase,
     hermitize,
     is_hermitian,
     min_eigenvalue,
@@ -149,3 +152,44 @@ def test_spectrum_type_shape():
     assert spectrum.dim == 2
     assert spectrum.eigenvalues.flags.writeable is False
     assert spectrum.eigenvectors.flags.writeable is False
+
+
+def _phase_fixed_per_column(vectors: np.ndarray) -> np.ndarray:
+    """Each column scaled so that its first component above 1e-12 of its
+    largest is real positive, one column at a time."""
+    columns = []
+    for v in vectors.T:
+        mags = np.abs(v)
+        pivot = v[int(np.argmax(mags > 1e-12 * mags.max()))]
+        columns.append(v * (pivot.conjugate() / abs(pivot)))
+    return np.column_stack(columns)
+
+
+def test_phase_fix_of_whole_matrix_is_bit_identical_to_per_column_fix():
+    rng = np.random.default_rng(31)
+    for trial in range(300):
+        dim = (1, 2, 3, 4, 8, 16, 32)[trial % 7]
+        if trial % 5 == 0:
+            # degenerate diagonal spectra: eigenvectors with exact zeros
+            m = np.diag(rng.integers(0, 3, dim).astype(float))
+        else:
+            m = random_hermitian(rng, dim)
+        _, vectors = np.linalg.eigh(hermitize(m))
+        expected = _phase_fixed_per_column(vectors)
+        assert spectral_decompose(m).eigenvectors.tobytes() == expected.tobytes()
+        assert fix_phase(vectors[:, 0]).tobytes() == expected[:, 0].tobytes()
+
+
+def test_checked_eigvalsh_maps_solver_failures(monkeypatch):
+    m = np.stack([random_hermitian(np.random.default_rng(k), 3) for k in range(2)])
+    assert np.array_equal(checked_eigvalsh(m), np.linalg.eigvalsh(m))
+
+    def no_convergence(_):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+    with pytest.raises(EigendecompositionError, match="did not converge"):
+        checked_eigvalsh(m)
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.full(a.shape[:-1], np.nan))
+    with pytest.raises(EigendecompositionError, match="non-finite"):
+        checked_eigvalsh(m)

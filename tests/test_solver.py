@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mindisc as md
+import mindisc.certificates as certificates
 import mindisc.solver as solver
-from helpers import random_instance, suboptimal_mode_instance
+from helpers import count_eigh_calls, random_instance, suboptimal_mode_instance
 from mindisc.povm import SUPPORT_FLOOR, _inv_sqrt_on_support
 from mindisc.solver import (
     ANDERSON_DEPTH,
@@ -495,6 +496,52 @@ def test_capped_solve_spends_its_budget_and_certifies_once(monkeypatch):
     assert not trace.converged
     assert trace.iterations_used == len(trace.iterations) == 9
     assert len(calls) == 1
+
+
+def test_fixed_point_stop_check_reads_eigenvalues_only(monkeypatch, trine_ensemble, trine_srm):
+    ens = md.random_mixed(4, 4, seed=1)
+    engine_calls = count_eigh_calls(monkeypatch, solver)
+    scan_calls = count_eigh_calls(monkeypatch, certificates)
+    p = md.p_correct(trine_ensemble, trine_srm)
+    elements, _, reason = solver._run_fixed_point(
+        trine_ensemble.weighted_states, trine_srm.elements, p, [], 5, 1e-7
+    )
+    assert reason == solver.CERTIFIED and elements is trine_srm.elements
+    assert engine_calls == scan_calls == []
+    # a whole fixed-point solve: every eigh is the engine's own (S and the
+    # square roots), none comes from a stop check or from the final certify
+    trace = md.solve(ens)
+    assert trace.converged and {r.engine for r in trace.iterations} == {"fixed_point"}
+    assert scan_calls == []
+
+
+def test_ascent_computes_one_witness_eigh_per_step(monkeypatch):
+    ens = md.random_mixed(8, 2, seed=3)
+    calls = count_eigh_calls(monkeypatch, solver)
+    trace = md.solve(ens)
+    assert trace.converged and trace.iterations_used == 2
+    assert calls == [(8, 8)] * 2
+
+
+def test_ascent_stalls_when_the_witness_eigh_finds_no_negative_eigenvalue(monkeypatch):
+    # the batched eigenvalue scan sees a negative mode, but G_j0's own eigh
+    # puts it above -ascent_tol: the run stops on a stall without a step
+    ens = md.random_mixed(4, 2, seed=3)
+    start = md.uniform_povm(2, 4)
+    real = solver.checked_eigh
+
+    def nonnegative(m):
+        values, vectors = real(m)
+        return np.maximum(values, 0.0), vectors
+
+    monkeypatch.setattr(solver, "checked_eigh", nonnegative)
+    p = md.p_correct(ens, start)
+    records = []
+    elements, new_p, reason = solver._run_ascent(
+        ens.weighted_states, start.elements, p, records, 8, 1e-7, solver.ASCENT_TOL
+    )
+    assert reason == solver.STALL
+    assert elements is start.elements and new_p == p and records == []
 
 
 def _zero_prior(ens: md.Ensemble, k: int) -> md.Ensemble:
