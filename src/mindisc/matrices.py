@@ -84,6 +84,11 @@ def _square_or_stack(m) -> np.ndarray:
     return arr
 
 
+def _hermitian_part(a: np.ndarray) -> np.ndarray:
+    """(a + a^dagger)/2 of a complex square array or stack, unchecked."""
+    return (a + a.conj().swapaxes(-1, -2)) / 2
+
+
 def hermitize(m) -> np.ndarray:
     """Hermitian part (m + m^dagger)/2 of a square matrix, or of each matrix in a stack.
 
@@ -91,8 +96,7 @@ def hermitize(m) -> np.ndarray:
     returns it bit for bit.  Inputs already Hermitian within HERM_TOL move
     by at most HERM_TOL/2.
     """
-    arr = _square_or_stack(m)
-    return (arr + arr.conj().swapaxes(-1, -2)) / 2
+    return _hermitian_part(_square_or_stack(m))
 
 
 def checked_psd(m) -> np.ndarray:
@@ -116,7 +120,7 @@ def checked_psd(m) -> np.ndarray:
     if deviations.max() > HERM_TOL:
         i = first(deviations > HERM_TOL)
         raise NotHermitianError(deviations.flat[i or 0], index=i)
-    hermitian = hermitize(arr)
+    hermitian = _hermitian_part(arr)
     lowest = checked_eigvalsh(hermitian)[..., 0]
     if lowest.min() < -PSD_TOL:
         i = first(lowest < -PSD_TOL)
@@ -171,7 +175,7 @@ def checked_eigh(m) -> tuple[np.ndarray, np.ndarray]:
         eigenvalues, eigenvectors = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise EigendecompositionError(f"eigh did not converge: {exc}") from exc
-    if not (np.all(np.isfinite(eigenvalues)) and np.all(np.isfinite(eigenvectors))):
+    if not (np.isfinite(eigenvalues).all() and np.isfinite(eigenvectors).all()):
         raise EigendecompositionError("eigensolver returned non-finite values")
     return eigenvalues, eigenvectors
 
@@ -198,7 +202,7 @@ def spectral_decompose(m, tol: float = HERM_TOL) -> Spectrum:
     deviation = herm_deviation(arr)
     if deviation > tol:
         raise NotHermitianError(deviation)
-    eigenvalues, eigenvectors = checked_eigh(hermitize(arr))
+    eigenvalues, eigenvectors = checked_eigh(_hermitian_part(arr))
     return Spectrum(readonly(eigenvalues.astype(float)), readonly(fix_phase(eigenvectors)))
 
 

@@ -15,9 +15,9 @@ import numpy as np
 from .ensembles import Ensemble, _gaussian_grams
 from .matrices import (
     NumericFailure,
+    _hermitian_part,
     as_matrix,
     checked_psd,
-    hermitize,
     ordered_sum,
     readonly,
     spectral_decompose,
@@ -170,14 +170,16 @@ def _inv_sqrt_on_support(
 
     Eigenvalues at or below SUPPORT_FLOOR are treated as kernel.  The kernel
     projector is None when there is no kernel, that is when the matrix is
-    full rank.
+    full rank; eigenvalues ascend, so the smallest one decides that, and a
+    full-rank matrix takes its eigenvectors without copying them.
     """
+    if eigenvalues[0] > SUPPORT_FLOOR:
+        inv_sqrt = (eigenvectors / np.sqrt(eigenvalues)) @ eigenvectors.conj().T
+        return _hermitian_part(inv_sqrt), None
     keep = eigenvalues > SUPPORT_FLOOR
     vs = eigenvectors[:, keep]
-    inv_sqrt = hermitize((vs / np.sqrt(eigenvalues[keep])) @ vs.conj().T)
-    if keep.all():
-        return inv_sqrt, None
-    return inv_sqrt, hermitize(np.eye(eigenvectors.shape[0]) - vs @ vs.conj().T)
+    inv_sqrt = _hermitian_part((vs / np.sqrt(eigenvalues[keep])) @ vs.conj().T)
+    return inv_sqrt, _hermitian_part(np.eye(eigenvectors.shape[0]) - vs @ vs.conj().T)
 
 
 def _completed_povm(
@@ -188,7 +190,7 @@ def _completed_povm(
 
     Unvalidated, but exactly Hermitian: both terms are.
     """
-    elements = hermitize(inv_sqrt @ blocks @ inv_sqrt)
+    elements = _hermitian_part(inv_sqrt @ blocks @ inv_sqrt)
     if kernel is not None:
         elements[0] += kernel
     return elements

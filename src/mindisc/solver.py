@@ -45,12 +45,15 @@ and a full-rank S, the usual case, costs no kernel projector.  Anderson
 acceleration (Walker and Ni, SIAM J. Numer. Anal. 49, 1715 (2011)) feeds
 the map a mix of its last few inputs and outputs in place of the last
 output, from a rolling history that adds one row of inner products per
-step.  The mix is only a proposal: it is kept when its image raises P_corr
-and is otherwise dropped, with the history, for the plain step.
+step; its coefficients come from an ``eigh`` of that history's k x k Gram
+matrix, with the relative cutoff of ``lstsq``.  The mix is only a
+proposal: it is kept when its image raises P_corr and is otherwise
+dropped, with the history, for the plain step.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import numbers
 from dataclasses import dataclass
@@ -62,6 +65,7 @@ from .certificates import _check_tolerance, _gamma, _herm_residual, _witness_sca
 from .ensembles import DensityMatrix, Ensemble
 from .matrices import (
     NumericFailure,
+    _hermitian_part,
     checked_eigh,
     hermitize,
     ordered_sum,
@@ -94,6 +98,8 @@ ASCENT_STEPS_PER_DIM = 2
 # the fixed-point engine's Anderson mix spans this many differences of its
 # last ANDERSON_DEPTH + 1 (input, output) pairs
 ANDERSON_DEPTH = 3
+# machine epsilon of a double, for the Anderson coefficients' cutoff
+_EPS = float(np.finfo(float).eps)
 
 # why an engine run stopped
 CERTIFIED, STALL, FLOOR, CAP = "certified", "stall", "floor", "cap"
@@ -215,7 +221,7 @@ def _block_step(
     damp = np.eye(elements.shape[1]) - epsilon * projector
     updated = damp @ elements @ damp
     updated[j0] += epsilon * (2.0 - epsilon) * projector
-    return hermitize(updated)
+    return _hermitian_part(updated)
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +253,8 @@ def _check_mode(povm: Povm, mode: NegativeMode) -> np.ndarray:
         raise ValueError(
             f"mode vector has dimension {vector.shape[0]}, POVM has {povm.dim}"
         )
+    if not np.isfinite(vector).all():
+        raise ValueError("mode vector has non-finite entries")
     norm = float(np.linalg.norm(vector))
     if norm == 0.0:
         raise ValueError("mode vector is zero")
@@ -346,7 +354,7 @@ def _run_ascent(
 def _normalizer(s: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """S^{-1/2} on the support of S, and S's kernel projector (None if S is
     full rank)."""
-    return _inv_sqrt_on_support(*checked_eigh(hermitize(s)))
+    return _inv_sqrt_on_support(*checked_eigh(_hermitian_part(s)))
 
 
 def _fixed_point_step(weighted: np.ndarray, products: np.ndarray) -> np.ndarray:
@@ -376,7 +384,7 @@ def _factor_map(
     side = products.transpose(1, 0, 2).reshape(d, n * d)
     inv_sqrt, kernel = _normalizer(side @ side.conj().T)
     outputs = inv_sqrt @ products
-    elements = hermitize(outputs @ outputs.conj().swapaxes(1, 2))
+    elements = _hermitian_part(outputs @ outputs.conj().swapaxes(1, 2))
     if kernel is not None:
         elements[0] += kernel
     return outputs, elements, kernel
@@ -416,10 +424,12 @@ class _AndersonHistory:
     rows of ``df`` and ``dg``, with the real Gram matrix of the residual
     differences.
     A push adds one row of inner products and drops the oldest.  The map is
-    not complex-analytic, so the mix coefficients are real: they solve the
-    least-squares problem dF gamma ~ f_k over the real space of factor
-    entries, through its normal equations, whose ``rcond`` cutoff drops
-    directions the history no longer resolves.
+    not complex-analytic, so the mix coefficients are real: they are the
+    minimum-norm least-squares solution of dF gamma ~ f_k over the real
+    space of factor entries, from an ``eigh`` of the k x k Gram matrix.
+    Eigenvalues at or below eps k lam_max, the cutoff of numpy's
+    ``lstsq(rcond=None)``, drop directions the history no longer resolves;
+    an all-zero Gram matrix gives no coefficients, and the mix is g_k.
     """
 
     def __init__(self, shape: tuple[int, ...]):
@@ -458,7 +468,13 @@ class _AndersonHistory:
         needs ``count >= 1``."""
         k = self.count
         f, g = self.last
-        gamma = np.linalg.lstsq(self.gram[:k, :k], self.df[:k] @ f, rcond=None)[0]
+        values, vectors = np.linalg.eigh(self.gram[:k, :k])
+        lams = values.tolist()
+        # eigenvalues ascend; those at or below eps k lam_max are dropped, as
+        # lstsq(rcond=None) drops singular values of this PSD matrix
+        kept = bisect.bisect_right(lams, _EPS * k * lams[-1])
+        basis = vectors[:, kept:]
+        gamma = basis @ ((self.df[:k] @ f) @ basis / values[kept:])
         return (g - gamma @ self.dg[:k]).view(complex).reshape(self.shape)
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -645,6 +647,29 @@ def test_inv_sqrt_on_support_gives_a_kernel_only_when_singular(rank):
     assert np.max(np.abs(inv_sqrt @ s @ inv_sqrt - (np.eye(5) - kernel))) <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "lowest", [SUPPORT_FLOOR, np.nextafter(SUPPORT_FLOOR, 1.0), 2 * SUPPORT_FLOOR]
+)
+def test_inv_sqrt_on_support_at_the_floor(lowest):
+    # an eigenvalue equal to SUPPORT_FLOOR is kernel; the next double up is support
+    rng = np.random.default_rng(8)
+    q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    eigenvalues = np.array([lowest, 0.25, 1.0, 3.0])
+    inv_sqrt, kernel = _inv_sqrt_on_support(eigenvalues, q)
+    ref_inv_sqrt, ref_kernel = _support_reference(eigenvalues, q)
+    assert np.array_equal(inv_sqrt, inv_sqrt.conj().T)
+    assert np.max(np.abs(inv_sqrt - ref_inv_sqrt)) <= 1e-12 * np.abs(ref_inv_sqrt).max()
+    if lowest == SUPPORT_FLOOR:
+        assert kernel is not None
+        assert np.max(np.abs(kernel - ref_kernel)) <= 1e-12
+        assert np.trace(kernel).real == pytest.approx(1.0, abs=1e-12)
+    else:
+        assert kernel is None
+        # the inverse square root reaches the smallest eigenvalue's direction
+        scale = 1.0 / np.sqrt(lowest)
+        assert np.abs(inv_sqrt @ q[:, 0] - scale * q[:, 0]).max() <= 1e-12 * scale
+
+
 def test_anderson_mix_solves_a_real_affine_map():
     # z -> a z + b conj(z) + c is affine over the reals but not over the
     # complex numbers; two differences span its two real dimensions
@@ -712,6 +737,49 @@ def test_anderson_history_rolls_its_gram_matrix_and_mix():
     assert history.count == 0
     history.push(x, g(x))
     assert history.count == 0
+
+
+def _anderson_pairs(rng, shape, count):
+    return [
+        (rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+         rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        for _ in range(count)
+    ]
+
+
+def test_anderson_mix_on_a_singular_gram_matrix_matches_lstsq():
+    # a repeated (x, g) pair makes a zero difference row, so the Gram matrix
+    # is singular and the coefficients rest on numpy's lstsq cutoff
+    rng = np.random.default_rng(12)
+    shape = (3, 2, 2)
+    p1, p2, p3 = _anderson_pairs(rng, shape, 3)
+    for pushes in ([p1, p2, p2], [p1, p2, p2, p3], [p1, p2, p1, p2]):
+        history = _AndersonHistory(shape)
+        for pair in pushes:
+            history.push(*pair)
+        k = history.count
+        gram = history.gram[:k, :k]
+        assert np.linalg.matrix_rank(gram) < k
+        f, g = history.last
+        gamma = np.linalg.lstsq(gram, history.df[:k] @ f, rcond=None)[0]
+        expected = (g - gamma @ history.dg[:k]).view(complex).reshape(shape)
+        got = history.mix()
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.abs(expected).max()
+
+
+def test_anderson_mix_without_differences_is_the_last_output():
+    rng = np.random.default_rng(13)
+    shape = (2, 2, 2)
+    (x, g), = _anderson_pairs(rng, shape, 1)
+    history = _AndersonHistory(shape)
+    for _ in range(ANDERSON_DEPTH + 1):
+        history.push(x, g)
+    assert history.count == ANDERSON_DEPTH
+    assert not history.gram.any()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mixed = history.mix()
+    assert np.array_equal(mixed, g)
 
 
 def test_singular_s_is_flagged_and_the_solve_certifies():
@@ -899,3 +967,20 @@ def test_mode_outcome_out_of_range_is_an_index_error(trine_ensemble, operation, 
     }
     with pytest.raises(IndexError, match="out of range"):
         calls[operation]()
+
+
+@pytest.mark.parametrize(
+    "vector", [[np.nan, 1.0], [np.inf, 1.0], [1.0, -np.inf], [1.0, complex(0.0, np.nan)]]
+)
+@pytest.mark.parametrize("operation", ["perturb", "gain", "best_epsilon"])
+def test_mode_with_non_finite_vector_is_rejected(trine_ensemble, trine_srm, operation, vector):
+    bad = md.NegativeMode(outcome=0, lam=0.1, vector=np.array(vector, dtype=complex))
+    calls = {
+        "perturb": lambda: md.perturb(trine_srm, bad, 0.5),
+        "gain": lambda: md.gain(trine_ensemble, trine_srm, bad, 0.5),
+        "best_epsilon": lambda: md.best_epsilon(trine_ensemble, trine_srm, bad),
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="mode vector has non-finite entries"):
+            calls[operation]()
