@@ -29,6 +29,7 @@ import numpy as np
 
 from .ensembles import Ensemble
 from .matrices import (
+    _hermitian_part,
     as_matrix,
     checked_eigh,
     checked_eigvalsh,
@@ -96,7 +97,7 @@ def _witness_scan(gamma: np.ndarray, weighted: np.ndarray):
     for G_j) and the most negative outcome j (ties: smallest index).  No
     eigenvector is formed here; ``_witness_vector`` forms one for a single
     witness when a caller needs it."""
-    witnesses = hermitize(gamma) - weighted
+    witnesses = _hermitian_part(gamma) - weighted
     values = checked_eigvalsh(witnesses)
     return witnesses, values, int(np.argmin(values[:, 0]))
 
@@ -107,8 +108,17 @@ def _witness_vector(witness: np.ndarray) -> np.ndarray:
     return readonly(fix_phase(checked_eigh(witness)[1][:, 0]))
 
 
+def _frobenius(m: np.ndarray) -> float:
+    """``np.linalg.norm(m)`` of a complex array, by numpy's own formula (the
+    entries in memory order, real and imaginary parts dotted apart) without
+    the wrapper's dispatch."""
+    flat = m.ravel(order="K")
+    re, im = flat.real, flat.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
 def _herm_residual(m: np.ndarray) -> float:
-    return float(np.linalg.norm(m - m.conj().T) / max(1.0, np.linalg.norm(m)))
+    return _frobenius(m - m.conj().T) / max(1.0, _frobenius(m))
 
 
 def _max_norm(stack: np.ndarray) -> float:

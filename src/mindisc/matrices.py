@@ -7,6 +7,7 @@ an override.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,9 +85,24 @@ def _square_or_stack(m) -> np.ndarray:
     return arr
 
 
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of ``a`` is finite, from one sum in the usual case:
+    a non-finite entry makes the sum non-finite, and only a sum that
+    overflows needs the entrywise test."""
+    return cmath.isfinite(a.sum()) or bool(np.isfinite(a).all())
+
+
 def _hermitian_part(a: np.ndarray) -> np.ndarray:
-    """(a + a^dagger)/2 of a complex square array or stack, unchecked."""
-    return (a + a.conj().swapaxes(-1, -2)) / 2
+    """(a + a^dagger)/2 of a complex square array or stack, unchecked.
+
+    The sum is halved in place by dividing by 2.  numpy divides a complex
+    array by 2 as by the complex number 2 + 0j, which signs some zeros
+    differently from a multiplication by 0.5, so only the division keeps
+    the bits of (a + a^dagger)/2.
+    """
+    out = a + a.conj().swapaxes(-1, -2)
+    out /= 2
+    return out
 
 
 def hermitize(m) -> np.ndarray:
@@ -112,9 +128,8 @@ def checked_psd(m) -> np.ndarray:
     def first(bad: np.ndarray) -> int | None:
         return None if arr.ndim == 2 else int(np.argmax(bad))
 
-    finite = np.isfinite(arr).all(axis=(-2, -1))
-    if not finite.all():
-        i = first(~finite)
+    if not _all_finite(arr):
+        i = first(~np.isfinite(arr).all(axis=(-2, -1)))
         raise ValueError(f"{'matrix' if i is None else f'element {i}'} has non-finite entries")
     deviations = np.abs(arr - arr.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
     if deviations.max() > HERM_TOL:
@@ -155,9 +170,25 @@ class Spectrum:
         return (v * self.eigenvalues) @ v.conj().T
 
 
-def ordered_sum(stack: np.ndarray) -> np.ndarray:
-    """Sum over the first axis in index order (numpy's pairwise sum rounds otherwise)."""
-    return sum(stack)
+def ordered_sum(stack: np.ndarray) -> np.ndarray | float:
+    """Sum over the first axis in index order, bit for bit as the builtin
+    ``sum`` adds the rows of an array (numpy's pairwise summation rounds
+    otherwise).
+
+    A stack accumulates in place in a copy of its first element, where
+    ``+ 0.0`` turns -0.0 into 0.0 as ``sum``'s start value 0 does.  A 1-D
+    array adds its entries as Python numbers in a plain loop: from Python
+    3.12 the builtin ``sum`` compensates the rounding of Python floats.
+    """
+    if stack.ndim == 1:
+        total = 0.0
+        for term in stack.tolist():
+            total += term
+        return total
+    total = stack[0] + 0.0
+    for i in range(1, len(stack)):
+        total += stack[i]
+    return total
 
 
 def fix_phase(vectors: np.ndarray) -> np.ndarray:
@@ -175,7 +206,7 @@ def checked_eigh(m) -> tuple[np.ndarray, np.ndarray]:
         eigenvalues, eigenvectors = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise EigendecompositionError(f"eigh did not converge: {exc}") from exc
-    if not (np.isfinite(eigenvalues).all() and np.isfinite(eigenvectors).all()):
+    if not (_all_finite(eigenvalues) and _all_finite(eigenvectors)):
         raise EigendecompositionError("eigensolver returned non-finite values")
     return eigenvalues, eigenvectors
 
@@ -187,7 +218,7 @@ def checked_eigvalsh(m) -> np.ndarray:
         eigenvalues = np.linalg.eigvalsh(m)
     except np.linalg.LinAlgError as exc:
         raise EigendecompositionError(f"eigvalsh did not converge: {exc}") from exc
-    if not np.isfinite(eigenvalues).all():
+    if not _all_finite(eigenvalues):
         raise EigendecompositionError("eigensolver returned non-finite values")
     return eigenvalues
 

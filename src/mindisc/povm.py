@@ -34,7 +34,8 @@ SUPPORT_LEAK_TOL = 1e-9
 def _completeness_deviation(stack: np.ndarray) -> float:
     """Largest entry of |sum_i E_i - I| over an (n, d, d) stack."""
     total = ordered_sum(stack)
-    total.flat[:: stack.shape[1] + 1] -= 1.0
+    diagonal = total.reshape(-1)[:: stack.shape[1] + 1]
+    diagonal -= 1.0
     return float(np.abs(total).max())
 
 
@@ -59,21 +60,21 @@ class SupportError(ValueError):
 @dataclass(frozen=True, eq=False)
 class Povm:
     """Ordered probability operators: Hermitian, PSD, summing to identity,
-    held as one readonly (n, d, d) array."""
+    held as one readonly (n, d, d) array.
+
+    An (n, d, d) ndarray of n >= 1 square elements is checked as one stack;
+    any other input is walked element by element, which names the first
+    element of the wrong shape.  Both give the same elements and errors.
+    """
 
     elements: np.ndarray
 
     def __post_init__(self):
-        mats = [as_matrix(raw) for raw in self.elements]
-        if not mats:
-            raise ValueError("POVM needs at least one element")
-        dim = mats[0].shape[0]
-        for i, arr in enumerate(mats):
-            if arr.shape[0] != dim:
-                raise DimensionMismatchError(
-                    f"element {i} has dimension {arr.shape[0]}, expected {dim}"
-                )
-        stack = checked_psd(np.array(mats))
+        stack = self.elements
+        if not (isinstance(stack, np.ndarray) and stack.ndim == 3
+                and len(stack) and 0 < stack.shape[1] == stack.shape[2]):
+            stack = _element_stack(stack)
+        stack = checked_psd(stack)
         deviation = _completeness_deviation(stack)
         if deviation > COMPLETENESS_TOL:
             raise IncompleteSumError(deviation)
@@ -91,6 +92,20 @@ class Povm:
     @property
     def dim(self) -> int:
         return self.elements.shape[1]
+
+
+def _element_stack(elements) -> np.ndarray:
+    """The square matrices of ``elements``, checked one by one and stacked."""
+    mats = [as_matrix(raw) for raw in elements]
+    if not mats:
+        raise ValueError("POVM needs at least one element")
+    dim = mats[0].shape[0]
+    for i, arr in enumerate(mats):
+        if arr.shape[0] != dim:
+            raise DimensionMismatchError(
+                f"element {i} has dimension {arr.shape[0]}, expected {dim}"
+            )
+    return np.array(mats)
 
 
 def validate_povm(elements) -> Povm:
@@ -155,11 +170,18 @@ def _check_shape(n: int, dim: int) -> None:
         raise ValueError(f"need n >= 1 and dim >= 1, got n={n}, dim={dim}")
 
 
+def _uniform_elements(n: int, dim: int) -> np.ndarray:
+    """A fresh (n, dim, dim) stack of identity/n, bit for bit the elements of
+    ``uniform_povm(n, dim)``, unvalidated."""
+    elements = np.zeros((n, dim, dim), dtype=complex)
+    elements.reshape(n, -1)[:, :: dim + 1] = 1 / n
+    return elements
+
+
 def uniform_povm(n: int, dim: int) -> Povm:
     """``n`` copies of identity/n; the always-valid default solver start."""
     _check_shape(n, dim)
-    element = np.eye(dim, dtype=complex) / n
-    return Povm(tuple(element.copy() for _ in range(n)))
+    return Povm(_uniform_elements(n, dim))
 
 
 def _inv_sqrt_on_support(

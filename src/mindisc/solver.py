@@ -49,6 +49,14 @@ step; its coefficients come from an ``eigh`` of that history's k x k Gram
 matrix, with the relative cutoff of ``lstsq``.  The mix is only a
 proposal: it is kept when its image raises P_corr and is otherwise
 dropped, with the history, for the plain step.
+
+At the benchmark's sizes (d <= 16, n <= 8) a step is bound by the dispatch
+of its few dozen numpy calls, not by arithmetic on its small matrices, so
+the loop's kernels keep their calls and temporaries few and their bits
+those of the plain formulas: sums run in index order, norms follow
+numpy's own formula without its wrapper, and finiteness tests take one
+sum.  The default start, the uniform measurement, is built directly as an
+(n, d, d) stack of identity/n, valid by construction, with no validation.
 """
 
 from __future__ import annotations
@@ -65,6 +73,7 @@ from .certificates import _check_tolerance, _gamma, _herm_residual, _witness_sca
 from .ensembles import DensityMatrix, Ensemble
 from .matrices import (
     NumericFailure,
+    _all_finite,
     _hermitian_part,
     checked_eigh,
     hermitize,
@@ -79,6 +88,7 @@ from .povm import (
     _completeness_deviation,
     _inv_sqrt_on_support,
     _success_probability,
+    _uniform_elements,
     check_match,
     check_outcome,
     random_povm,
@@ -411,9 +421,9 @@ def _hermitian_sqrt(elements: np.ndarray) -> np.ndarray:
 
 
 def _real_view(a: np.ndarray) -> np.ndarray:
-    """The entries of a complex array as one real vector (re, im interleaved),
-    without a copy when ``a`` is contiguous."""
-    return np.ascontiguousarray(a, dtype=complex).reshape(-1).view(float)
+    """The entries of a complex128 array as one real vector (re, im
+    interleaved), without a copy when ``a`` is contiguous."""
+    return a.reshape(-1).view(float)
 
 
 class _AndersonHistory:
@@ -517,7 +527,7 @@ def _run_fixed_point(
         step = None
         if history.count:
             mixed = history.mix()
-            if np.isfinite(mixed).all():
+            if _all_finite(mixed):
                 output, candidate, kernel = _factor_map(weighted, mixed)
                 new_p = _success_probability(weighted, candidate)
                 if _accepts(candidate, new_p, current_p):
@@ -549,7 +559,8 @@ def solve(
 ) -> SolveTrace:
     """Run the fixed-point engine and the ascent to a certified optimum.
 
-    Runs one start, ``start`` (default: the uniform POVM), for at most
+    Runs one start, ``start`` (default: the uniform POVM, built as a new
+    stack for each call and bit for bit ``uniform_povm``'s), for at most
     ``config.max_iter * (config.restarts + 1)`` steps.  A problem with three
     or more states opens in the fixed-point engine, which runs until the
     verdict holds or it stops on the floor; the ascent then runs as a
@@ -565,9 +576,13 @@ def solve(
     random numbers are drawn: ``config.seed`` is not read.
     """
     config = config or SolverConfig()
-    povm = start if start is not None else uniform_povm(len(ens), ens.dim)
-    check_match(ens, povm)
-    weighted, elements = ens.weighted_states, povm.elements
+    weighted = ens.weighted_states
+    if start is None:
+        # the uniform POVM's stack, valid by construction and new to this call
+        elements = _uniform_elements(len(ens), ens.dim)
+    else:
+        check_match(ens, start)
+        elements = start.elements
     ascent_tol = min(config.tol, ASCENT_TOL)
     budget = config.max_iter * (config.restarts + 1)
     burst = ASCENT_STEPS_PER_DIM * ens.dim

@@ -30,6 +30,16 @@ def test_lagrange_trace_equals_p_correct_on_random_pairs():
         assert abs(np.trace(gamma).real - md.p_correct(ens, povm)) <= 1e-10
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_hermiticity_residual_is_bit_identical_to_the_norm_formula(seed):
+    # non-contiguous inputs: the norm sums their entries in memory order
+    rng = np.random.default_rng(seed)
+    big = (rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))) * 10.0 ** (seed - 2)
+    for m in (big, big.T, big[1:5, 2:6], big[::2, ::2], big.T[::-2, 1::2][:3, :3], big[::-1, ::-1]):
+        expected = float(np.linalg.norm(m - m.conj().T) / max(1.0, np.linalg.norm(m)))
+        assert md.hermiticity_residual(m).hex() == expected.hex()
+
+
 def test_lagrange_generally_not_hermitian():
     ens, povm = random_instance(1, dim=3, n=3)
     assert md.hermiticity_residual(md.lagrange_operator(ens, povm)) > 1e-6

@@ -7,11 +7,13 @@ from mindisc.matrices import (
     MatrixShapeError,
     NotHermitianError,
     Spectrum,
+    _hermitian_part,
     checked_eigvalsh,
     fix_phase,
     hermitize,
     is_hermitian,
     min_eigenvalue,
+    ordered_sum,
     spectral_decompose,
 )
 
@@ -193,3 +195,46 @@ def test_checked_eigvalsh_maps_solver_failures(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.full(a.shape[:-1], np.nan))
     with pytest.raises(EigendecompositionError, match="non-finite"):
         checked_eigvalsh(m)
+
+
+# entries whose sums depend on the order of addition, and signed zeros
+_SUM_ENTRIES = np.array([0.0, -0.0, 1.0, -1.0, 0.1, 3e-17, 1e16])
+
+
+def _signed_zero_stack(rng: np.random.Generator, shape) -> np.ndarray:
+    stack = np.empty(shape, dtype=complex)
+    stack.real = rng.choice(_SUM_ENTRIES, size=shape)
+    stack.imag = rng.choice(_SUM_ENTRIES, size=shape)
+    return stack
+
+
+@pytest.mark.parametrize(
+    "shape", [(1, 2, 2), (3, 2, 2), (8, 1, 1), (16, 1, 1), (9, 3, 3), (4, 16, 16), (5,), (12,)]
+)
+def test_ordered_sum_is_bit_identical_to_builtin_sum(shape):
+    # numpy's add.reduce sums a d=1 stack pairwise once n >= 8
+    rng = np.random.default_rng(sum(shape))
+    stacks = [
+        rng.standard_normal(shape),
+        rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+        np.full(shape, complex(-0.0, -0.0)),
+    ]
+    stacks += [_signed_zero_stack(rng, shape) for _ in range(20)]
+    for stack in stacks:
+        expected = np.asarray(sum(stack))
+        got = np.asarray(ordered_sum(stack))
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (5, 5), (3, 2, 2), (6, 4, 4)])
+def test_hermitian_part_is_bit_identical_to_its_formula(shape):
+    rng = np.random.default_rng(sum(shape))
+    arrays = [rng.standard_normal(shape) + 1j * rng.standard_normal(shape)]
+    arrays += [_signed_zero_stack(rng, shape) for _ in range(20)]
+    arrays.append(arrays[0].swapaxes(-1, -2))
+    for a in arrays:
+        before = a.copy()
+        expected = (a + a.conj().swapaxes(-1, -2)) / 2
+        assert _hermitian_part(a).tobytes() == expected.tobytes()
+        assert a.tobytes() == before.tobytes()

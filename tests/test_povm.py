@@ -231,3 +231,49 @@ def test_states_and_measurement_elements_share_one_matrix_check(mat, error):
     else:
         assert state.value.index is None
         assert element.value.index == 0
+
+
+def _valid_element_lists():
+    ens = md.random_mixed(3, 4, 5)
+    return [
+        list(md.square_root_measurement(md.trine()).elements),
+        list(md.random_povm(4, 3, 5).elements),
+        list(md.square_root_measurement(ens).elements),
+        [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])],
+    ]
+
+
+def test_povm_from_a_stack_holds_the_bytes_of_povm_from_a_list():
+    for mats in _valid_element_lists():
+        from_list = md.validate_povm(mats)
+        from_stack = md.validate_povm(np.array(mats))
+        assert from_stack.elements.dtype == from_list.elements.dtype == complex
+        assert from_stack.elements.tobytes() == from_list.elements.tobytes()
+
+
+def _rejection(elements):
+    with pytest.raises(ValueError) as err:
+        md.validate_povm(elements)
+    return type(err.value), str(err.value), getattr(err.value, "index", None)
+
+
+_HALF = np.eye(2) / 2
+_BAD_POVMS = {
+    "empty": (np.empty((0, 2, 2)), []),
+    "mixed-dimensions": (
+        np.array([_HALF, np.eye(3) / 2], dtype=object),
+        [_HALF, np.eye(3) / 2],
+    ),
+    "non-square": (np.zeros((2, 2, 3)), [np.zeros((2, 3))] * 2),
+    "non-finite": (np.array([_HALF, np.diag([0.5, np.nan])]), [_HALF, np.diag([0.5, np.nan])]),
+    "non-hermitian": (np.array([_HALF, _HALF + [[0, 0.1], [0, 0]]]), [_HALF, _HALF + [[0, 0.1], [0, 0]]]),
+    "non-psd": (np.array([np.diag([1.2, 0.5]), np.diag([-0.2, 0.5])]), [np.diag([1.2, 0.5]), np.diag([-0.2, 0.5])]),
+    "incomplete": (np.array([_HALF, 0.4 * np.eye(2)]), [_HALF, 0.4 * np.eye(2)]),
+}
+
+
+@pytest.mark.parametrize("name", list(_BAD_POVMS))
+def test_povm_from_a_stack_rejects_as_povm_from_a_list(name):
+    stack, mats = _BAD_POVMS[name]
+    assert isinstance(stack, np.ndarray)
+    assert _rejection(stack) == _rejection(mats)

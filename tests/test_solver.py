@@ -984,3 +984,94 @@ def test_mode_with_non_finite_vector_is_rejected(trine_ensemble, trine_srm, oper
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="mode vector has non-finite entries"):
             calls[operation]()
+
+
+def _record_bits(trace) -> list[tuple]:
+    def bits(value):
+        return value.hex() if isinstance(value, float) else value
+
+    return [
+        (bits(r.p_corr), r.outcome, bits(r.lam), bits(r.epsilon), r.engine)
+        for r in trace.iterations
+    ]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: md.pure_pair(0.5, (0.3, 0.7)),
+        lambda: md.random_mixed(4, 2, 3),
+        md.trine,
+        lambda: md.random_mixed(3, 4, 1),
+        lambda: _zero_prior_rank_two(3),
+    ],
+    ids=["pure-pair", "mixed-pair", "trine", "mixed-n4", "zero-prior"],
+)
+def test_default_start_is_the_uniform_povm_bit_for_bit(make):
+    ens = make()
+    config = md.SolverConfig(max_iter=300, restarts=0)
+    default = md.solve(ens, None, config)
+    explicit = md.solve(ens, md.uniform_povm(len(ens), ens.dim), config)
+    assert default.iterations
+    assert _record_bits(default) == _record_bits(explicit)
+    assert default.final_povm.elements.tobytes() == explicit.final_povm.elements.tobytes()
+    assert default.converged == explicit.converged
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_default_starts_are_never_shared(monkeypatch, n):
+    starts = []
+    engine = "_run_ascent" if n == 2 else "_run_fixed_point"
+    run = getattr(solver, engine)
+
+    def spy(weighted, elements, *args):
+        starts.append(elements)
+        return run(weighted, elements, *args)
+
+    monkeypatch.setattr(solver, engine, spy)
+    ens = md.random_mixed(3, n, 1)
+    config = md.SolverConfig(max_iter=1, restarts=0)
+    md.solve(ens, None, config)
+    first = len(starts)
+    md.solve(ens, None, config)
+    a, b = starts[0], starts[first]
+    assert np.array_equal(a, md.uniform_povm(n, 3).elements)
+    assert not np.shares_memory(a, b)
+
+
+def _assert_same_certificate(returned, fresh):
+    for name in (
+        "p_corr", "lagrange_herm_residual", "pairwise_equality_residual",
+        "zero_product_residual", "gap_bound", "tolerance",
+    ):
+        assert getattr(returned, name).hex() == getattr(fresh, name).hex(), name
+    assert [v.hex() for v in returned.witness_min_eigenvalues] == [
+        v.hex() for v in fresh.witness_min_eigenvalues
+    ]
+    assert returned.is_optimal == fresh.is_optimal
+    if fresh.witness is None:
+        assert returned.witness is None
+        return
+    assert returned.witness.outcome == fresh.witness.outcome
+    assert returned.witness.eigenvalue.hex() == fresh.witness.eigenvalue.hex()
+    assert returned.witness.vector.tobytes() == fresh.witness.vector.tobytes()
+
+
+@pytest.mark.parametrize(
+    "make, config, verdict",
+    [
+        (lambda: md.random_mixed(3, 4, 1), md.SolverConfig(), True),
+        (lambda: _zero_prior_rank_two(19), md.SolverConfig(), False),
+        (lambda: md.random_mixed(32, 16, 1), md.SolverConfig(max_iter=3, restarts=0), False),
+    ],
+    ids=["certified", "floor", "cap"],
+)
+def test_final_certificate_is_a_fresh_certify_of_the_final_povm(make, config, verdict):
+    ens = make()
+    trace = md.solve(ens, None, config)
+    assert trace.converged is verdict
+    budget = config.max_iter * (config.restarts + 1)
+    if not verdict:
+        # the floor run stops short of its budget, the capped one spends it
+        assert (len(trace.iterations) == budget) is (config.max_iter == 3)
+    _assert_same_certificate(trace.final_certificate, md.certify(ens, trace.final_povm, config.tol))
