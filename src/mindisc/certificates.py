@@ -23,6 +23,7 @@ row j come from one gemm; no temporary holds more than 2 n d^2 entries.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,10 +36,9 @@ from .matrices import (
     checked_eigvalsh,
     fix_phase,
     hermitize,
-    ordered_sum,
     readonly,
 )
-from .povm import Povm, _success_probability, check_match, check_outcome
+from .povm import Povm, _gamma, check_match, check_outcome
 
 DEFAULT_TOL = 1e-7
 
@@ -82,13 +82,11 @@ class Certificate:
 
 
 def _check_tolerance(tol: float) -> None:
+    # a plain float skips the slower abstract-base-class test
+    if type(tol) is not float and (isinstance(tol, bool) or not isinstance(tol, numbers.Real)):
+        raise TypeError(f"tolerance must be a real number, got {tol!r}")
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
-
-
-def _gamma(weighted: np.ndarray, elements: np.ndarray) -> np.ndarray:
-    """Gamma = sum_i W_i E_i from (n, d, d) stacks W = p rho and E = pi."""
-    return ordered_sum(weighted @ elements)
 
 
 def _witness_scan(gamma: np.ndarray, weighted: np.ndarray):
@@ -158,7 +156,7 @@ def lagrange_operator(ens: Ensemble, povm: Povm) -> np.ndarray:
     part must hermitize it themselves.
     """
     check_match(ens, povm)
-    return _gamma(ens.weighted_states, povm.elements)
+    return _gamma(ens.weighted_states @ povm.elements)[0]
 
 
 def witness_operator(ens: Ensemble, povm: Povm, j: int) -> np.ndarray:
@@ -195,12 +193,15 @@ def certify(
     gated on, since positivity of the witnesses already implies them.
     The verdict reads the witnesses' eigenvalues alone; an eigenvector is
     computed only on a not-optimal verdict, for the witness it reports.
+    Gamma comes from the products W_i pi_i that the pairwise residual reads,
+    summed by ``povm._gamma`` as in the solver's loop, and ``p_corr`` is
+    Re tr Gamma: bit for bit ``p_correct`` and a solve's last record.
     """
     _check_tolerance(tol)
     check_match(ens, povm)
     weighted, elements = ens.weighted_states, povm.elements
     products = weighted @ elements
-    gamma = ordered_sum(products)  # _gamma(weighted, elements), bit for bit
+    gamma, p_corr = _gamma(products)
     herm_residual = _herm_residual(gamma)
     eq_residual = _pairwise_residual(products, elements)
     del products  # freed before the witness scan allocates its own stacks
@@ -214,7 +215,7 @@ def certify(
         optimal = optimal and eq_residual <= tol and zp_residual <= tol
 
     return Certificate(
-        p_corr=_success_probability(weighted, elements),
+        p_corr=p_corr,
         lagrange_herm_residual=herm_residual,
         witness_min_eigenvalues=tuple(minima.tolist()),
         pairwise_equality_residual=eq_residual,

@@ -7,6 +7,7 @@ rejected rather than truncated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -32,8 +33,9 @@ SUPPORT_LEAK_TOL = 1e-9
 
 
 def _completeness_deviation(stack: np.ndarray) -> float:
-    """Largest entry of |sum_i E_i - I| over an (n, d, d) stack."""
-    total = ordered_sum(stack)
+    """Largest entry of |sum_i E_i - I| over an (n, d, d) stack, summed by
+    ``np.add.reduce``."""
+    total = np.add.reduce(stack, axis=0)
     diagonal = total.reshape(-1)[:: stack.shape[1] + 1]
     diagonal -= 1.0
     return float(np.abs(total).max())
@@ -113,22 +115,45 @@ def validate_povm(elements) -> Povm:
     return Povm(elements)
 
 
+def _check_imaginary(norm_sq: float) -> None:
+    """Raise NumericFailure when traces that should be real have an
+    imaginary part of squared norm ``norm_sq`` above IMAG_TOL**2."""
+    if norm_sq > IMAG_TOL**2:
+        raise NumericFailure(f"traces have imaginary norm {math.sqrt(norm_sq):.3e}, expected real")
+
+
 def _real_traces(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Re tr(a_k b_k) for two (n, d, d) stacks, or Re tr(a b) for two matrices."""
     values = np.einsum("...ij,...ji->...", a, b)
-    norm_sq = np.vdot(values.imag, values.imag)
-    if norm_sq > IMAG_TOL**2:
-        raise NumericFailure(f"traces have imaginary norm {np.sqrt(norm_sq):.3e}, expected real")
+    _check_imaginary(np.vdot(values.imag, values.imag))
     return values.real
 
 
+def _gamma(products: np.ndarray) -> tuple[np.ndarray, float]:
+    """The Lagrange operator Gamma = sum_i P_i of the products P_i = W_i pi_i,
+    summed by ``np.add.reduce``, and the success probability Re tr Gamma.
+
+    Every tr P_i is real for Hermitian W_i and pi_i; NumericFailure is raised
+    when their imaginary parts have a norm above IMAG_TOL.
+    """
+    imag = np.add.reduce(products.diagonal(0, 1, 2).imag, 1)  # Im tr P_i
+    _check_imaginary(imag.dot(imag))
+    gamma = np.add.reduce(products, 0)
+    # reducing the diagonal is what gamma.trace() does, minus its dispatch
+    return gamma, float(np.add.reduce(gamma.diagonal()).real)
+
+
 def _success_probability(weighted: np.ndarray, elements: np.ndarray) -> float:
-    """sum_i tr(W_i pi_i) in index order, for stacks W = p rho and pi."""
-    return float(ordered_sum(_real_traces(weighted, elements)))
+    """P_corr = Re tr Gamma, Gamma = sum_i W_i pi_i, for stacks W = p rho and pi:
+    the bits of the solver's records and of ``certify``."""
+    return _gamma(weighted @ elements)[1]
 
 
 def check_match(ens: Ensemble, povm: Povm) -> None:
-    """Reject outcome-count or dimension mismatches between ensemble and POVM."""
+    """Reject a ``povm`` that is not a Povm (TypeError) and outcome-count or
+    dimension mismatches between ensemble and POVM."""
+    if not isinstance(povm, Povm):
+        raise TypeError(f"expected a Povm, got {type(povm).__name__}")
     if len(povm) != len(ens):
         raise DimensionMismatchError(
             f"{len(povm)} POVM outcomes for {len(ens)} states"
@@ -156,7 +181,8 @@ def outcome_probability(rho, povm: Povm, j: int) -> float:
 
 
 def p_correct(ens: Ensemble, povm: Povm) -> float:
-    """Success probability sum_i p_i tr(rho_i pi_i)."""
+    """Success probability sum_i p_i tr(rho_i pi_i), computed as Re tr Gamma of
+    the Lagrange operator Gamma = sum_i p_i rho_i pi_i."""
     check_match(ens, povm)
     return _success_probability(ens.weighted_states, povm.elements)
 

@@ -52,11 +52,22 @@ dropped, with the history, for the plain step.
 
 At the benchmark's sizes (d <= 16, n <= 8) a step is bound by the dispatch
 of its few dozen numpy calls, not by arithmetic on its small matrices, so
-the loop's kernels keep their calls and temporaries few and their bits
-those of the plain formulas: sums run in index order, norms follow
-numpy's own formula without its wrapper, and finiteness tests take one
-sum.  The default start, the uniform measurement, is built directly as an
-(n, d, d) stack of identity/n, valid by construction, with no validation.
+the loop's kernels keep their calls and temporaries few.  Both engines form
+the Lagrange operator Gamma = sum_j W_j pi_j once per candidate, with
+``povm._gamma``: Re tr Gamma is the candidate's P_corr, which the accept
+test reads, and an accepted candidate's Gamma is what the next stop check
+reads.  ``p_correct`` and ``certify`` form Gamma and P_corr the same way,
+so a solve's last record, ``p_correct`` of the returned POVM and its
+certificate agree bit for bit.  Stacks of matrices, Gamma and the element
+sum of the completeness test, are summed by ``np.add.reduce``, which adds
+an (n, d, d) stack in index order when d >= 2 (a d = 1 stack it sums
+pairwise).  Sums that must keep index order on any shape use
+``ordered_sum``: the 1-D sums of the step coefficients, the average state,
+the element sum of ``random_povm`` and S in ``_fixed_point_step``.  Norms
+follow numpy's own formula without its wrapper, and finiteness tests take
+one sum.  The default start, the uniform measurement, is built directly as
+an (n, d, d) stack of identity/n, valid by construction, with no
+validation.
 """
 
 from __future__ import annotations
@@ -69,7 +80,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certificates import DEFAULT_TOL, Certificate, certify, lagrange_operator
-from .certificates import _check_tolerance, _gamma, _herm_residual, _witness_scan, _witness_vector
+from .certificates import _check_tolerance, _herm_residual, _witness_scan, _witness_vector
 from .ensembles import DensityMatrix, Ensemble
 from .matrices import (
     NumericFailure,
@@ -86,8 +97,8 @@ from .povm import (
     Povm,
     _completed_povm,
     _completeness_deviation,
+    _gamma,
     _inv_sqrt_on_support,
-    _success_probability,
     _uniform_elements,
     check_match,
     check_outcome,
@@ -314,7 +325,7 @@ def best_epsilon(ens: Ensemble, povm: Povm, mode: NegativeMode) -> float:
 def _run_ascent(
     weighted: np.ndarray,
     elements: np.ndarray,
-    current_p: float,
+    current_p: float | None,
     records: list[IterationRecord],
     steps: int,
     tol: float,
@@ -330,9 +341,14 @@ def _run_ascent(
     predicts no gain and the run stalls.
     Clearing ``ascent_tol`` certifies only if Gamma is also Hermitian within
     ``tol``; otherwise the ascent stops on the floor and hands over.
+    Gamma is formed once per candidate: the candidate's P_corr is Re tr Gamma,
+    and an accepted candidate's Gamma is the one the next step scans.
+    ``current_p`` is the P_corr of ``elements``, or None to take it from the
+    Gamma that the first step scans.
     """
+    gamma, p = _gamma(weighted @ elements)
+    current_p = p if current_p is None else current_p
     for _ in range(steps):
-        gamma = _gamma(weighted, elements)
         witnesses, values, j0 = _witness_scan(gamma, weighted)
         value = float(values[j0, 0])
         if value >= -ascent_tol:
@@ -347,13 +363,13 @@ def _run_ascent(
         if predicted < STALL_THRESHOLD:
             return elements, current_p, STALL
         candidate = _block_step(elements, j0, basis, epsilon)
-        new_p = _success_probability(weighted, candidate)
+        candidate_gamma, new_p = _gamma(weighted @ candidate)
         if not math.isfinite(new_p):
             raise NumericFailure("success probability is not finite")
         if new_p <= current_p:
             # rounding floor: the predicted gain no longer materializes
             return elements, current_p, FLOOR
-        elements = candidate
+        elements, gamma = candidate, candidate_gamma
         records.append(
             IterationRecord(p_corr=new_p, outcome=j0, lam=-value, epsilon=epsilon)
         )
@@ -491,17 +507,20 @@ class _AndersonHistory:
 def _run_fixed_point(
     weighted: np.ndarray,
     elements: np.ndarray,
-    current_p: float,
+    current_p: float | None,
     records: list[IterationRecord],
     steps: int,
     tol: float,
 ) -> tuple[np.ndarray, float, str]:
     """At most ``steps`` fixed-point steps; returns (elements, P_corr, stop reason).
 
-    Before each step Gamma comes from ``_gamma``, as in ``certify``, and the
-    witness scan, eigenvalues only as in ``certify``, runs only once Gamma
-    is Hermitian within ``tol``, so the loop stops exactly when ``certify``
-    would return optimal.
+    Gamma is formed once per candidate by ``_gamma``, as in ``certify``:
+    the candidate's P_corr is Re tr Gamma, and an accepted candidate's Gamma
+    is what the next stop check reads.  That check runs the witness scan,
+    eigenvalues only as in ``certify``, only once Gamma is Hermitian within
+    ``tol``, so the loop stops exactly when ``certify`` would return optimal.
+    ``current_p`` is the P_corr of ``elements``, or None to take it from the
+    Gamma that the first stop check reads.
 
     A step maps factors through ``_factor_map``.  Its input is the Anderson
     mix of the last ``ANDERSON_DEPTH + 1`` (input, output) pairs; a mix that
@@ -518,8 +537,9 @@ def _run_fixed_point(
     """
     factors = None
     history = _AndersonHistory(elements.shape)
+    gamma, p = _gamma(weighted @ elements)
+    current_p = p if current_p is None else current_p
     for _ in range(steps):
-        gamma = _gamma(weighted, elements)
         if _herm_residual(gamma) <= tol and _witness_scan(gamma, weighted)[1].min() >= -tol:
             return elements, current_p, CERTIFIED
         if factors is None:
@@ -529,7 +549,7 @@ def _run_fixed_point(
             mixed = history.mix()
             if _all_finite(mixed):
                 output, candidate, kernel = _factor_map(weighted, mixed)
-                new_p = _success_probability(weighted, candidate)
+                candidate_gamma, new_p = _gamma(weighted @ candidate)
                 if _accepts(candidate, new_p, current_p):
                     step = mixed
             if step is None:
@@ -537,7 +557,7 @@ def _run_fixed_point(
         if step is None:
             step = factors
             output, candidate, kernel = _factor_map(weighted, step)
-            new_p = _success_probability(weighted, candidate)
+            candidate_gamma, new_p = _gamma(weighted @ candidate)
             if not math.isfinite(new_p):
                 raise NumericFailure("success probability is not finite")
             if not _accepts(candidate, new_p, current_p):
@@ -548,7 +568,7 @@ def _run_fixed_point(
         else:
             factors = None
             history.clear()
-        elements = candidate
+        elements, gamma = candidate, candidate_gamma
         records.append(IterationRecord(new_p, None, None, None, engine="fixed_point"))
         current_p = new_p
     return elements, current_p, CAP
@@ -573,9 +593,14 @@ def solve(
     to escape: there is nothing to restart.  ``converged`` is True
     exactly when the returned certificate is optimal; ``iterations`` holds
     every step from the start, and ``iterations_used`` counts them.  No
-    random numbers are drawn: ``config.seed`` is not read.
+    random numbers are drawn: ``config.seed`` is not read.  A ``start``
+    that is not a Povm, or a ``config`` that is not a SolverConfig, raises
+    TypeError.
     """
-    config = config or SolverConfig()
+    if config is None:
+        config = SolverConfig()
+    elif not isinstance(config, SolverConfig):
+        raise TypeError(f"expected a SolverConfig, got {type(config).__name__}")
     weighted = ens.weighted_states
     if start is None:
         # the uniform POVM's stack, valid by construction and new to this call
@@ -588,7 +613,7 @@ def solve(
     burst = ASCENT_STEPS_PER_DIM * ens.dim
     engine = "ascent" if len(ens) <= 2 else "fixed_point"
     records: list[IterationRecord] = []
-    current_p = _success_probability(weighted, elements)
+    current_p = None  # the first engine run reads it from the start's Gamma
     idle = False
     while True:
         before = len(records)

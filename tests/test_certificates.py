@@ -363,3 +363,18 @@ def test_pairwise_residual_is_invariant_under_relabelling(dim, n):
         )
         assert value > 0.0
         assert permuted == pytest.approx(value, rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("dim, n", [(1, 8), (2, 3), (4, 8), (16, 4), (32, 16)])
+def test_p_correct_is_the_real_trace_of_the_lagrange_operator_bit_for_bit(dim, n):
+    ens = md.random_mixed(dim, n, seed=1)
+    for povm in (md.square_root_measurement(ens), md.random_povm(n, dim, rng=2)):
+        p = md.p_correct(ens, povm)
+        assert p.hex() == float(md.lagrange_operator(ens, povm).trace().real).hex()
+        assert p.hex() == md.certify(ens, povm).p_corr.hex()
+
+
+@pytest.mark.parametrize("tol", ["1e-7", True, 1e-7 + 0j, None])
+def test_certify_rejects_a_tolerance_that_is_not_a_real_number(trine_ensemble, trine_srm, tol):
+    with pytest.raises(TypeError, match="tolerance must be a real number"):
+        md.certify(trine_ensemble, trine_srm, tol=tol)

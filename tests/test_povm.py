@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mindisc as md
-from mindisc.povm import check_match
+from mindisc.matrices import ordered_sum
+from mindisc.povm import _completeness_deviation, _success_probability, check_match
 
 
 def test_projective_pair_is_valid():
@@ -277,3 +278,41 @@ def test_povm_from_a_stack_rejects_as_povm_from_a_list(name):
     stack, mats = _BAD_POVMS[name]
     assert isinstance(stack, np.ndarray)
     assert _rejection(stack) == _rejection(mats)
+
+
+def test_success_probability_rejects_traces_that_are_not_real():
+    weighted = np.array([np.eye(2) / 2, np.eye(2) / 2], dtype=complex)
+    elements = np.array([np.diag([1j, 0.0]), np.diag([0.0, 1.0])])
+    with pytest.raises(md.NumericFailure, match="imaginary norm"):
+        _success_probability(weighted, elements)
+    # the imaginary parts cancel in tr Gamma, yet each outcome's trace is checked
+    elements[1] = np.diag([0.0, 1.0 - 1j])
+    assert np.add.reduce(weighted @ elements, axis=0).trace().imag == 0.0
+    with pytest.raises(md.NumericFailure, match="imaginary norm"):
+        _success_probability(weighted, elements)
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_completeness_deviation_on_d1_stacks_matches_the_index_order_sum(n):
+    # numpy sums a d=1 stack pairwise once n >= 4, not in index order
+    rng = np.random.default_rng(n)
+    for _ in range(50):
+        weights = rng.random(n) * 10.0 ** rng.integers(-6, 1, size=n)
+        stack = (weights / weights.sum() + 1e-12j * rng.standard_normal(n)).reshape(n, 1, 1)
+        reference = float(np.abs(ordered_sum(stack) - 1.0).max())
+        assert abs(_completeness_deviation(stack) - reference) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda ens, elements: md.solve(ens, start=elements),
+        lambda ens, elements: md.certify(ens, elements),
+        lambda ens, elements: md.p_correct(ens, elements),
+        lambda ens, elements: md.lagrange_operator(ens, elements),
+    ],
+    ids=["solve", "certify", "p_correct", "lagrange_operator"],
+)
+def test_a_list_in_place_of_a_povm_is_a_type_error(trine_ensemble, trine_srm, call):
+    with pytest.raises(TypeError, match="expected a Povm, got list"):
+        call(trine_ensemble, list(trine_srm))

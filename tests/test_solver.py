@@ -267,6 +267,18 @@ def test_solver_config_rejects_non_finite_tol(tol):
         md.SolverConfig(tol=tol)
 
 
+@pytest.mark.parametrize("tol", ["1e-7", True, 1e-7 + 0j, None])
+def test_solver_config_rejects_a_tol_that_is_not_a_real_number(tol):
+    with pytest.raises(TypeError, match="tolerance must be a real number"):
+        md.SolverConfig(tol=tol)
+
+
+@pytest.mark.parametrize("config", [{"tol": 1e-7}, 1e-7, "default"])
+def test_solve_rejects_a_config_that_is_not_a_solver_config(trine_ensemble, config):
+    with pytest.raises(TypeError, match="expected a SolverConfig, got"):
+        md.solve(trine_ensemble, None, config)
+
+
 def test_helstrom_identical_states_tie():
     rho = md.validate_density(np.eye(2) / 2)
     povm, value = md.helstrom_binary(0.5, rho, 0.5, rho)
@@ -1075,3 +1087,21 @@ def test_final_certificate_is_a_fresh_certify_of_the_final_povm(make, config, ve
         # the floor run stops short of its budget, the capped one spends it
         assert (len(trace.iterations) == budget) is (config.max_iter == 3)
     _assert_same_certificate(trace.final_certificate, md.certify(ens, trace.final_povm, config.tol))
+
+
+def test_random_mixed_shapes_certify_within_the_step_budget():
+    # every shape certifies from the uniform start; the steps they take in
+    # all guard against a change that slows the fixed-point engine down
+    config = md.SolverConfig(max_iter=3000, restarts=0)
+    steps = 0
+    for dim in (2, 3, 4, 6, 8, 16):
+        for n in (3, 4, 8, 16):
+            ens = md.random_mixed(dim, n, 1)
+            trace = md.solve(ens, None, config)
+            assert trace.converged, (dim, n)
+            # one Lagrange operator per candidate: the last record, p_correct
+            # and the certificate read the same bits
+            p = trace.iterations[-1].p_corr
+            assert p == md.p_correct(ens, trace.final_povm) == trace.final_certificate.p_corr
+            steps += trace.iterations_used
+    assert steps <= 900
