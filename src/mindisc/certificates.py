@@ -38,7 +38,7 @@ from .matrices import (
     hermitize,
     readonly,
 )
-from .povm import Povm, _gamma, check_match, check_outcome
+from .povm import Povm, _checked_gamma, check_match, check_outcome
 
 DEFAULT_TOL = 1e-7
 
@@ -156,7 +156,7 @@ def lagrange_operator(ens: Ensemble, povm: Povm) -> np.ndarray:
     part must hermitize it themselves.
     """
     check_match(ens, povm)
-    return _gamma(ens.weighted_states @ povm.elements)[0]
+    return _checked_gamma(ens.weighted_states @ povm.elements)[0]
 
 
 def witness_operator(ens: Ensemble, povm: Povm, j: int) -> np.ndarray:
@@ -194,14 +194,15 @@ def certify(
     The verdict reads the witnesses' eigenvalues alone; an eigenvector is
     computed only on a not-optimal verdict, for the witness it reports.
     Gamma comes from the products W_i pi_i that the pairwise residual reads,
-    summed by ``povm._gamma`` as in the solver's loop, and ``p_corr`` is
-    Re tr Gamma: bit for bit ``p_correct`` and a solve's last record.
+    summed by ``povm._gamma`` as in the solver's loop but behind the
+    imaginary-trace guard, and ``p_corr`` is Re tr Gamma: bit for bit
+    ``p_correct`` and a solve's last record.
     """
     _check_tolerance(tol)
     check_match(ens, povm)
     weighted, elements = ens.weighted_states, povm.elements
     products = weighted @ elements
-    gamma, p_corr = _gamma(products)
+    gamma, p_corr = _checked_gamma(products)
     herm_residual = _herm_residual(gamma)
     eq_residual = _pairwise_residual(products, elements)
     del products  # freed before the witness scan allocates its own stacks

@@ -20,9 +20,11 @@ Numbers cross between JSON and arrays a whole matrix at a time.  A matrix
 is decoded by flattening its [re, im] pairs into one list, type-checking
 that list at once (JSON integers and floats only, not booleans, strings or
 null) and viewing its doubles as complex entries; a number too large for
-a double is a parse error.  A list of floats, or of equal-length float
-rows such as a matrix row of [re, im] pairs, is emitted through one %.17g
-template; any other list is emitted scalar by scalar.
+a double is a parse error.  A matrix is emitted as its (d, d, 2) float64
+array of [re, im] pairs, and a POVM as one (n, d, d, 2) array: one
+finiteness test per array, then one %.17g template per matrix row of
+pairs, formatted from that row's doubles.  The bytes are those of the
+array's nested lists, which the emitter formats scalar by scalar.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import itertools
 import json
 import math
 import sys
@@ -107,9 +108,6 @@ def _inline_list(items) -> bool:
     )
 
 
-_ROW_TYPES = {list, tuple}
-
-
 @functools.lru_cache(maxsize=None)
 def _float_template(count: int, width: int) -> str:
     """%-template of an inline list of `count` floats (width 0) or of
@@ -118,50 +116,50 @@ def _float_template(count: int, width: int) -> str:
     return "[" + ", ".join([item] * count) + "]"
 
 
-def _inline_floats(items: list) -> str | None:
-    """Emit a list of floats, or of equal-length float rows, with one
-    template over the flattened values; None when the list holds anything
-    else (ints, bools, None, ragged or nested rows), which takes the
-    per-scalar path."""
-    first = items[0]
-    if type(first) in _ROW_TYPES:
-        width = len(first)
-        if (
-            set(map(type, first)) != {float}
-            or not set(map(type, items)) <= _ROW_TYPES
-            or set(map(len, items)) != {width}
-        ):
-            return None
-        flat = list(itertools.chain.from_iterable(items))
-    else:
-        width = 0
-        flat = items
-    if set(map(type, flat)) != {float}:
-        return None
-    if not all(map(math.isfinite, flat)):
-        # raises NumericFailure naming the first non-finite value
-        _format_float(next(u for u in flat if not math.isfinite(u)))
-    return _float_template(len(items), width) % tuple(flat)
+def _block(texts: list, indent: int, brackets: str = "[]") -> str:
+    """Emitted items one per line, one level deeper than ``indent``."""
+    inner = "\n" + "  " * (indent + 1)
+    return brackets[0] + inner + ("," + inner).join(texts) + "\n" + "  " * indent + brackets[1]
+
+
+def _emit_floats(a: np.ndarray, indent: int) -> str:
+    """The text of ``a.tolist()`` for a finite float64 array with no
+    zero-length axis: 1-D and 2-D arrays inline through one template,
+    deeper arrays one element per line."""
+    if a.ndim > 2:
+        return _block([_emit_floats(sub, indent + 1) for sub in a], indent)
+    width = a.shape[1] if a.ndim == 2 else 0
+    return _float_template(len(a), width) % tuple(a.ravel().tolist())
+
+
+def _emit_array(a: np.ndarray, indent: int) -> str:
+    """``_emit(a.tolist(), indent)``, byte for byte; a float64 array with
+    no zero-length axis skips the nested lists and their type checks."""
+    if a.dtype != np.float64 or not a.size or not a.ndim:
+        return _emit(a.tolist(), indent)
+    finite = np.isfinite(a)
+    if not finite.all():
+        # raises NumericFailure naming the first non-finite value in row-major order
+        _format_float(a.flat[finite.argmin()])
+    return _emit_floats(a, indent)
 
 
 def _emit(value, indent: int) -> str:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
     if isinstance(value, dict):
         if not value:
             return "{}"
-        rows = [
-            f"{inner}{json.dumps(str(key))}: {_emit(value[key], indent + 1)}"
-            for key in sorted(value)
-        ]
-        return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
+        rows = [f"{json.dumps(str(key))}: {_emit(value[key], indent + 1)}" for key in sorted(value)]
+        return _block(rows, indent, "{}")
+    if isinstance(value, np.ndarray):
+        return _emit_array(value, indent)
     if isinstance(value, (list, tuple)):
-        items = list(value)
+        # an array that would inline in this list as its nested lists enters as them
+        items = [
+            v.tolist() if isinstance(v, np.ndarray) and (v.ndim < 2 or not v.size) else v
+            for v in value
+        ]
         if not items:
             return "[]"
-        text = _inline_floats(items)
-        if text is not None:
-            return text
         if _inline_list(items):
             flat = [
                 "[" + ", ".join(_scalar(u) for u in v) + "]"
@@ -170,8 +168,7 @@ def _emit(value, indent: int) -> str:
                 for v in items
             ]
             return "[" + ", ".join(flat) + "]"
-        rows = [f"{inner}{_emit(v, indent + 1)}" for v in items]
-        return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
+        return _block([_emit(v, indent + 1) for v in items], indent)
     return _scalar(value)
 
 
@@ -182,8 +179,10 @@ def dumps_canonical(value) -> str:
 # ---------------------------------------------------------------------------
 # problem files
 
-def _encode_matrix(mat: np.ndarray) -> list:
-    return np.stack((mat.real, mat.imag), axis=-1).tolist()
+def _encode_matrix(mat: np.ndarray) -> np.ndarray:
+    """The [re, im] pairs of a complex matrix, or of a stack of them, as one
+    float64 array with a trailing axis of 2."""
+    return np.stack((mat.real, mat.imag), axis=-1)
 
 
 # json.loads yields these two types for numbers; bool is not among them
@@ -255,7 +254,8 @@ def problem_to_json(ens: Ensemble, povm: Povm | None = None) -> str:
         ],
     }
     if povm is not None:
-        doc["povm"] = [_encode_matrix(element) for element in povm]
+        # one (n, d, d, 2) array lays out as the list of its n matrices
+        doc["povm"] = _encode_matrix(povm.elements)
     return dumps_canonical(doc)
 
 
@@ -378,11 +378,11 @@ def _certificate_dict(cert: Certificate) -> dict:
         witness = {
             "outcome": cert.witness.outcome,
             "eigenvalue": cert.witness.eigenvalue,
-            "vector": [[float(u.real), float(u.imag)] for u in cert.witness.vector],
+            "vector": _encode_matrix(cert.witness.vector),
         }
     return {
         "verdict": "optimal" if cert.is_optimal else "not_optimal",
-        "witness_min_eigenvalues": list(cert.witness_min_eigenvalues),
+        "witness_min_eigenvalues": np.array(cert.witness_min_eigenvalues),
         "lagrange_hermiticity_residual": cert.lagrange_herm_residual,
         "pairwise_equality_residual": cert.pairwise_equality_residual,
         "zero_product_residual": cert.zero_product_residual,

@@ -116,9 +116,10 @@ def validate_povm(elements) -> Povm:
 
 
 def _check_imaginary(norm_sq: float) -> None:
-    """Raise NumericFailure when traces that should be real have an
-    imaginary part of squared norm ``norm_sq`` above IMAG_TOL**2."""
-    if norm_sq > IMAG_TOL**2:
+    """Raise NumericFailure unless traces that should be real have an
+    imaginary part of squared norm ``norm_sq`` at most IMAG_TOL**2, so a
+    NaN norm raises too."""
+    if not norm_sq <= IMAG_TOL**2:
         raise NumericFailure(f"traces have imaginary norm {math.sqrt(norm_sq):.3e}, expected real")
 
 
@@ -133,20 +134,27 @@ def _gamma(products: np.ndarray) -> tuple[np.ndarray, float]:
     """The Lagrange operator Gamma = sum_i P_i of the products P_i = W_i pi_i,
     summed by ``np.add.reduce``, and the success probability Re tr Gamma.
 
-    Every tr P_i is real for Hermitian W_i and pi_i; NumericFailure is raised
-    when their imaginary parts have a norm above IMAG_TOL.
+    Unguarded: the solver's engines call it on W and pi that are Hermitian
+    by construction.  ``_checked_gamma`` first checks the traces.
     """
-    imag = np.add.reduce(products.diagonal(0, 1, 2).imag, 1)  # Im tr P_i
-    _check_imaginary(imag.dot(imag))
     gamma = np.add.reduce(products, 0)
     # reducing the diagonal is what gamma.trace() does, minus its dispatch
     return gamma, float(np.add.reduce(gamma.diagonal()).real)
 
 
+def _checked_gamma(products: np.ndarray) -> tuple[np.ndarray, float]:
+    """``_gamma`` after the per-outcome guard: every tr P_i is real for
+    Hermitian W_i and pi_i, and NumericFailure is raised unless their
+    imaginary parts have a norm of at most IMAG_TOL (a NaN fails)."""
+    imag = np.add.reduce(products.diagonal(0, 1, 2).imag, 1)  # Im tr P_i
+    _check_imaginary(imag.dot(imag))
+    return _gamma(products)
+
+
 def _success_probability(weighted: np.ndarray, elements: np.ndarray) -> float:
-    """P_corr = Re tr Gamma, Gamma = sum_i W_i pi_i, for stacks W = p rho and pi:
-    the bits of the solver's records and of ``certify``."""
-    return _gamma(weighted @ elements)[1]
+    """P_corr = Re tr Gamma, Gamma = sum_i W_i pi_i, for stacks W = p rho and pi,
+    guarded: the bits of the solver's records and of ``certify``."""
+    return _checked_gamma(weighted @ elements)[1]
 
 
 def check_match(ens: Ensemble, povm: Povm) -> None:

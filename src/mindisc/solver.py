@@ -56,18 +56,20 @@ the loop's kernels keep their calls and temporaries few.  Both engines form
 the Lagrange operator Gamma = sum_j W_j pi_j once per candidate, with
 ``povm._gamma``: Re tr Gamma is the candidate's P_corr, which the accept
 test reads, and an accepted candidate's Gamma is what the next stop check
-reads.  ``p_correct`` and ``certify`` form Gamma and P_corr the same way,
-so a solve's last record, ``p_correct`` of the returned POVM and its
-certificate agree bit for bit.  Stacks of matrices, Gamma and the element
-sum of the completeness test, are summed by ``np.add.reduce``, which adds
-an (n, d, d) stack in index order when d >= 2 (a d = 1 stack it sums
-pairwise).  Sums that must keep index order on any shape use
-``ordered_sum``: the 1-D sums of the step coefficients, the average state,
-the element sum of ``random_povm`` and S in ``_fixed_point_step``.  Norms
-follow numpy's own formula without its wrapper, and finiteness tests take
-one sum.  The default start, the uniform measurement, is built directly as
-an (n, d, d) stack of identity/n, valid by construction, with no
-validation.
+reads.  The engines skip the imaginary-trace guard, since their W and pi
+are Hermitian by construction and a NaN P_corr already stops them;
+``p_correct`` and ``certify`` run the guard, then form Gamma and P_corr the
+same way, so a solve's last record, ``p_correct`` of the returned POVM and
+its certificate agree bit for bit, and every returned POVM is guarded once.
+Stacks of matrices, Gamma and the element sum of the completeness test,
+are summed by ``np.add.reduce``, which adds an (n, d, d) stack in index
+order when d >= 2 (a d = 1 stack it sums pairwise).  Sums that must keep
+index order on any shape use ``ordered_sum``: the 1-D sums of the step
+coefficients, the average state, the element sum of ``random_povm`` and S
+in ``_fixed_point_step``.  Norms follow numpy's own formula without its
+wrapper, and finiteness tests take one sum.  The default start, the uniform
+measurement, is built directly as an (n, d, d) stack of identity/n, valid
+by construction, with no validation.
 """
 
 from __future__ import annotations

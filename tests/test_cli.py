@@ -600,6 +600,116 @@ def test_non_finite_value_in_report_is_numeric_failure(value):
         cli.dumps_canonical(value)
 
 
+_EDGE_VALUES = np.array([-0.0, 5e-324, 1e308, 1.0, 0.1, 1 / 3])
+_ARRAY_SHAPES = [(0,), (5,), (3, 2), (1, 1, 2), (4, 4, 2), (2, 3, 3, 2), (3, 0), (0, 3)]
+
+
+def _edge_array(shape, seed=0):
+    return np.random.default_rng(seed).choice(_EDGE_VALUES, size=shape)
+
+
+def _wrappings(a):
+    """``a`` bare, and nested in dicts and lists."""
+    return [a, [a], (a, a), [1.0, a], [[a]], {"b": a, "a": [0.5, a], "c": {"d": a}}]
+
+
+def _failure(value):
+    with pytest.raises(md.NumericFailure) as info:
+        cli.dumps_canonical(value)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("shape", _ARRAY_SHAPES)
+def test_an_array_is_emitted_as_its_nested_lists(shape):
+    a = _edge_array(shape)
+    for arr, lists in zip(_wrappings(a), _wrappings(a.tolist())):
+        assert cli.dumps_canonical(arr) == cli.dumps_canonical(lists)
+    # a strided view and arrays the direct path does not take
+    small = np.minimum(a, 1.0)
+    for b in [a.T, small.astype(np.float32), np.arange(a.size).reshape(shape)]:
+        for arr, lists in zip(_wrappings(b), _wrappings(b.tolist())):
+            assert cli.dumps_canonical(arr) == cli.dumps_canonical(lists)
+
+
+def test_a_zero_dimensional_array_is_emitted_as_its_number():
+    a = np.full((), 0.1)
+    for value in [a, [a], [1.0, a], {"a": a}]:
+        assert cli.dumps_canonical(value) == cli.dumps_canonical(json.loads(json.dumps(value, default=float)))
+
+
+@pytest.mark.parametrize("shape", [(5,), (3, 2), (1, 1, 2), (4, 4, 2), (2, 3, 3, 2)])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_a_non_finite_array_entry_fails_as_in_its_nested_lists(shape, bad):
+    for index in [0, -1]:  # the first row and the last
+        a = _edge_array(shape)
+        a.flat[index] = bad
+        for arr, lists in zip(_wrappings(a), _wrappings(a.tolist())):
+            assert _failure(arr) == _failure(lists) == f"non-finite value {bad!r} in report"
+    # two non-finite entries: the first in row-major order is named
+    first = -bad if math.isinf(bad) else float("inf")
+    a = _edge_array(shape)
+    a.flat[-1], a.flat[a.size // 2 - 1] = bad, first
+    assert _failure(a) == _failure(a.tolist()) == f"non-finite value {first!r} in report"
+
+
+def _list_encoded_problem(ens, povm):
+    def pairs(mat):
+        return [[[z.real, z.imag] for z in row] for row in mat.tolist()]
+
+    states = [{"prior": float(p), "matrix": pairs(s.mat)} for p, s in zip(ens.priors, ens.states)]
+    return cli.dumps_canonical({"dim": ens.dim, "states": states, "povm": [pairs(e) for e in povm]})
+
+
+@pytest.mark.parametrize("build", [md.trine, lambda: md.random_mixed(3, 4, 5), lambda: md.random_mixed(8, 2, 9)])
+def test_problem_emission_matches_the_list_encoded_document(build):
+    ens = build()
+    povm = md.square_root_measurement(ens)
+    assert cli.problem_to_json(ens, povm) == _list_encoded_problem(ens, povm)
+
+
+_GOLDEN_PROBLEM = """\
+{
+  "dim": 2,
+  "povm": [
+    [
+      [[1, 0], [-0, 0]],
+      [[0, 0], [0.33333333333333331, 0]]
+    ],
+    [
+      [[0, 0], [0, 0]],
+      [[0, 0], [0.66666666666666674, 0]]
+    ]
+  ],
+  "states": [
+    {
+      "matrix": [
+        [[0.33333333333333331, 0], [0.10000000000000001, 0]],
+        [[0.10000000000000001, 0], [0.66666666666666674, 0]]
+      ],
+      "prior": 0.10000000000000001
+    },
+    {
+      "matrix": [
+        [[1, 0], [0, 1e-300]],
+        [[-0, -1e-300], [0, 0]]
+      ],
+      "prior": 0.90000000000000002
+    }
+  ]
+}
+"""
+
+
+def test_problem_emission_is_pinned_to_its_bytes():
+    third = 1 / 3
+    rho0 = np.array([[third, 0.1], [0.1, 1 - third]], dtype=complex)
+    rho1 = np.array([[1.0, complex(-0.0, 1e-300)], [complex(-0.0, -1e-300), 0.0]])
+    ens = md.Ensemble(np.array([0.1, 0.9]), (md.DensityMatrix(rho0), md.DensityMatrix(rho1)))
+    e0 = np.array([[1.0, complex(-0.0, -0.0)], [complex(-0.0, 0.0), third]])
+    e1 = np.array([[0.0, 0.0], [0.0, 1 - third]], dtype=complex)
+    assert cli.problem_to_json(ens, md.validate_povm([e0, e1])) == _GOLDEN_PROBLEM
+
+
 @pytest.mark.parametrize(
     "argv",
     [["certify", "{dir}"], ["solve", "{dir}"], ["generate", "--kind", "trine", "--output", "{dir}"]],

@@ -292,6 +292,15 @@ def test_success_probability_rejects_traces_that_are_not_real():
         _success_probability(weighted, elements)
 
 
+@pytest.mark.parametrize("part", [1.0, 1j])
+def test_success_probability_rejects_a_nan_entry(part):
+    weighted = np.array([np.eye(2) / 2, np.eye(2) / 2], dtype=complex)
+    elements = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], dtype=complex)
+    elements[1, 0, 1] = np.nan * part  # off the diagonal, in the real or imaginary part
+    with pytest.raises(md.NumericFailure, match="imaginary norm nan"):
+        _success_probability(weighted, elements)
+
+
 @pytest.mark.parametrize("n", [8, 16])
 def test_completeness_deviation_on_d1_stacks_matches_the_index_order_sum(n):
     # numpy sums a d=1 stack pairwise once n >= 4, not in index order
