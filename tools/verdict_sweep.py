@@ -21,12 +21,11 @@ change in the solver can move the crawling qubit instances either way.
 
 Run from the repository root:
 
-    PYTHONPATH=src python3 tools/verdict_sweep.py [GROUP ...]
+    PYTHONPATH=src python3 tools/verdict_sweep.py
 """
 
 from __future__ import annotations
 
-import argparse
 import itertools
 import sys
 import time
@@ -59,9 +58,9 @@ def _qubits():
         yield _perturbed_qubits(n, delta, theta, seed)
 
 
-def _random_ensembles(count: int = 300):
+def _random_ensembles():
     rng = np.random.default_rng(12345)
-    for k in range(count):
+    for k in range(300):
         d = int(rng.integers(2, 7))
         n = int(rng.integers(3, 8))
         priors = rng.random(n)
@@ -95,16 +94,10 @@ def sweep(name: str) -> tuple[int, int, int, float]:
     return certified, count, steps, time.perf_counter() - start
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("groups", nargs="*", help=f"any of {', '.join(GROUPS)} (default: all)")
-    names = parser.parse_args(argv).groups or list(GROUPS)
-    unknown = [name for name in names if name not in GROUPS]
-    if unknown:
-        parser.error(f"unknown group {unknown[0]!r}")
+def main() -> int:
     print(f"{'group':<12} {'certified':>11} {'steps':>8} {'time_s':>8}")
     totals = [0, 0, 0, 0.0]
-    for name in names:
+    for name in GROUPS:
         row = sweep(name)
         totals = [t + r for t, r in zip(totals, row)]
         certified, count, steps, seconds = row
