@@ -25,12 +25,17 @@ array of [re, im] pairs, and a POVM as one (n, d, d, 2) array: one
 finiteness test per array, then one %.17g template per matrix row of
 pairs, formatted from that row's doubles.  The bytes are those of the
 array's nested lists, which the emitter formats scalar by scalar.
+
+A problem file loads with the cyclic garbage collector paused, because
+the document json.loads decodes holds no reference cycles for it to
+reclaim; the caller's collector state is restored afterwards.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import hashlib
 import json
 import math
@@ -304,7 +309,23 @@ def load_problem(path: str | Path) -> LoadedProblem:
 
     Structural defects raise ProblemFormatError; physical-invariant
     violations propagate as the validation errors of the domain types.
+    The load runs with the cyclic garbage collector paused, since the
+    decoded document is a tree of lists, dicts and numbers with no cycles
+    to reclaim, and the caller's collector state is restored whether it
+    returns or raises.
     """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _load_problem(path)
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def _load_problem(path: str | Path) -> LoadedProblem:
+    # a separate frame, so the decoded document is freed before the
+    # collector resumes
     raw = Path(path).read_bytes()
     digest = hashlib.sha256(raw).hexdigest()
     try:

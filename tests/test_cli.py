@@ -1,3 +1,5 @@
+import contextlib
+import gc
 import json
 import math
 import tempfile
@@ -476,6 +478,118 @@ def test_deeply_nested_file_is_parse_error(tmp_path, capsys, text):
     code, captured = run(["certify", path], capsys)
     assert code == cli.EXIT_PARSE
     assert captured.err == f"parse error: {path}: JSON nested too deeply\n"
+
+
+NON_UTF8 = b'{"dim": 2\xff}'
+UTF8_BOM = b'\xef\xbb\xbf{"dim": 2}'
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        (NON_UTF8, "not valid UTF-8 ('utf-8' codec can't decode byte 0xff in position 9: "
+                   "invalid start byte)"),
+        (UTF8_BOM, "invalid JSON at line 1 column 1: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+    ],
+    ids=["non-utf8", "bom"],
+)
+def test_undecodable_file_is_parse_error_with_its_message(tmp_path, capsys, raw, message):
+    path = tmp_path / "bad.json"
+    path.write_bytes(raw)
+    code, captured = run(["certify", path], capsys)
+    assert code == cli.EXIT_PARSE
+    assert captured.err == f"parse error: {path}: {message}\n"
+    assert captured.out == ""
+
+
+@contextlib.contextmanager
+def _collector(enabled):
+    was_enabled = gc.isenabled()
+    _set_collector(enabled)
+    try:
+        yield
+    finally:
+        _set_collector(was_enabled)
+
+
+def _set_collector(enabled):
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+def _file(content):
+    def write(directory):
+        raw = content() if callable(content) else content
+        path = directory / "f.json"
+        path.write_bytes(raw if isinstance(raw, bytes) else raw.encode())
+        return path
+    return write
+
+
+def _non_number_slot():
+    doc = _diagonal_doc()
+    doc["states"][1]["matrix"][1][0] = ["0", 0]
+    return json.dumps(doc)
+
+
+LOAD_PATHS = {
+    "problem": (_file(lambda: cli.problem_to_json(md.trine())), None),
+    "solution": (
+        _file(lambda: cli.problem_to_json(md.trine(), md.square_root_measurement(md.trine()))),
+        None,
+    ),
+    "non-utf8": (_file(NON_UTF8), cli.ProblemFormatError),
+    "bom": (_file(UTF8_BOM), cli.ProblemFormatError),
+    "invalid-json": (_file("{not json"), cli.ProblemFormatError),
+    "deep": (_file("[" * 100_000), cli.ProblemFormatError),
+    "non-number-slot": (_file(_non_number_slot), cli.ProblemFormatError),
+    "non-hermitian": (
+        _file('{"dim": 2, "states": [{"prior": 1, "matrix": [[[1, 0], [0.5, 0]], [[0, 0], [0, 0]]]}]}'),
+        md.NotHermitianError,
+    ),
+    "directory": (lambda directory: directory, OSError),
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize("case", sorted(LOAD_PATHS))
+def test_load_leaves_the_collector_as_it_found_it(tmp_path, enabled, case):
+    write, error = LOAD_PATHS[case]
+    path = write(tmp_path)
+    with _collector(enabled):
+        if error is None:
+            cli.load_problem(path)
+        else:
+            with pytest.raises(error):
+                cli.load_problem(path)
+        assert gc.isenabled() is enabled
+
+
+def test_large_load_runs_no_collection_and_matches_a_load_with_the_collector_off(tmp_path):
+    ens = md.random_mixed(32, 16, 1)
+    path = make_problem(tmp_path / "big.json", ens, md.square_root_measurement(ens))
+    generations = []
+
+    def count(phase, info):
+        if phase == "start":
+            generations.append(info["generation"])
+
+    gc.callbacks.append(count)
+    try:
+        with _collector(True):
+            loaded = cli.load_problem(path)
+    finally:
+        gc.callbacks.remove(count)
+    assert generations == []
+    with _collector(False):
+        reference = cli.load_problem(path)
+    assert loaded.digest == reference.digest
+    assert loaded.ensemble.priors.tobytes() == reference.ensemble.priors.tobytes()
+    for state, expected in zip(loaded.ensemble.states, reference.ensemble.states, strict=True):
+        assert state.mat.tobytes() == expected.mat.tobytes()
+    assert loaded.povm.elements.tobytes() == reference.povm.elements.tobytes()
 
 
 def _report_block(stdout: str) -> dict:
