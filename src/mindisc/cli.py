@@ -512,7 +512,7 @@ def _cmd_solve(args) -> int:
                 f"{args.input}: --start file requires a 'povm' section"
             )
         start = problem.povm
-    config = SolverConfig(tol=args.tol, max_iter=args.max_iter, seed=args.seed)
+    config = SolverConfig(tol=args.tol, max_iter=args.max_iter)
     trace = solve(problem.ensemble, start, config)
 
     output = args.output or str(Path(args.input).with_suffix("")) + ".solution.json"
@@ -571,7 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
     slv.add_argument("--tol", type=float, default=DEFAULT_TOL, help="certificate tolerance (default %(default)g)")
     slv.add_argument(
         "--max-iter", type=int, default=SolverConfig.max_iter,
-        help=f"a solve takes at most {SolverConfig.restarts + 1} times this many steps (default %(default)s)",
+        help="a solve takes at most this many steps (default %(default)s)",
     )
     slv.add_argument(
         "--seed", type=int, default=0,

@@ -34,8 +34,8 @@ linearly on those optima.  It cannot grow an element's support, so when it
 stops short of the verdict the ascent runs a short rescue burst and hands
 back.  A binary problem starts in the ascent instead, which is exact there
 (Helstrom) and certifies from the uniform measurement in two steps.  The
-engines share one step budget, ``max_iter * (restarts + 1)`` steps of a
-``SolverConfig``, and the result is certified once, when the solve stops.
+engines share one step budget, the ``max_iter`` steps of a ``SolverConfig``,
+and the result is certified once, when the solve stops.
 
 The iteration runs on factors A_j with pi_j = A_j A_j^*, through the map
 g(A)_j = S^{-1/2} W_j A_j, S = sum_j (W_j A_j)(W_j A_j)^*: the same step,
@@ -163,32 +163,29 @@ class SolveTrace:
     iterations_used: int
 
 
+def _check_count(name: str, value) -> None:
+    """Reject a count that is not an integer (a bool is not one) or is below 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Settings of one ``solve`` call.
 
     ``tol`` is the certificate tolerance, a finite positive number.
-    A solve takes at most ``max_iter * (restarts + 1)`` steps: ``max_iter``
-    is an integer of at least 1 and ``restarts`` a nonnegative integer.
-    ``seed`` is kept for callers and reports; ``solve`` draws no random
-    numbers and does not read it.
+    ``max_iter``, an integer of at least 1, is the step budget: a solve
+    takes at most that many steps of both engines together.
     """
 
     tol: float = DEFAULT_TOL
-    max_iter: int = 10000
-    seed: int = 0
-    restarts: int = 5
+    max_iter: int = 60_000
 
     def __post_init__(self):
         _check_tolerance(self.tol)
-        for name in ("max_iter", "restarts"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
-        if self.restarts < 0:
-            raise ValueError(f"restarts must be nonnegative, got {self.restarts}")
+        _check_count("max_iter", self.max_iter)
 
 
 # ---------------------------------------------------------------------------
@@ -220,12 +217,6 @@ def _block_coefficients(
     a = ordered_sum(_real_dots(v_w_v, v_pi_v)) - expect_w
     b = 2.0 * expect_w - 2.0 * ordered_sum(_real_dots(w_v.reshape(n, -1), pi_v.reshape(n, -1)))
     return float(a), float(b)
-
-
-def _coefficients(priors, mats, elements, j0: int, vector: np.ndarray) -> tuple[float, float]:
-    """Rank-1 step coefficients (a, b) with priors and states given apart."""
-    weighted = np.asarray(priors)[:, None, None] * np.asarray(mats)
-    return _block_coefficients(weighted, np.asarray(elements), j0, vector[:, None])
 
 
 def _argmax_quadratic(a: float, b: float) -> float:
@@ -327,13 +318,12 @@ def best_epsilon(ens: Ensemble, povm: Povm, mode: NegativeMode) -> float:
 def _run_ascent(
     weighted: np.ndarray,
     elements: np.ndarray,
-    current_p: float | None,
     records: list[IterationRecord],
     steps: int,
     tol: float,
     ascent_tol: float,
-) -> tuple[np.ndarray, float, str]:
-    """At most ``steps`` ascent steps; returns (elements, P_corr, stop reason).
+) -> tuple[np.ndarray, str]:
+    """At most ``steps`` ascent steps; returns (elements, stop reason).
 
     Each step moves toward the witness G_j0 with the most negative
     eigenvalue, along the eigenvectors of G_j0 whose eigenvalues lie below
@@ -345,16 +335,13 @@ def _run_ascent(
     ``tol``; otherwise the ascent stops on the floor and hands over.
     Gamma is formed once per candidate: the candidate's P_corr is Re tr Gamma,
     and an accepted candidate's Gamma is the one the next step scans.
-    ``current_p`` is the P_corr of ``elements``, or None to take it from the
-    Gamma that the first step scans.
     """
-    gamma, p = _gamma(weighted @ elements)
-    current_p = p if current_p is None else current_p
+    gamma, current_p = _gamma(weighted @ elements)
     for _ in range(steps):
         witnesses, values, j0 = _witness_scan(gamma, weighted)
         value = float(values[j0, 0])
         if value >= -ascent_tol:
-            return elements, current_p, CERTIFIED if _herm_residual(gamma) <= tol else FLOOR
+            return elements, CERTIFIED if _herm_residual(gamma) <= tol else FLOOR
         own_values, vectors = checked_eigh(witnesses[j0])
         basis = vectors[:, : int(np.searchsorted(own_values, -ascent_tol))]
         a, b = _block_coefficients(weighted, elements, j0, basis)
@@ -363,20 +350,20 @@ def _run_ascent(
         if not math.isfinite(predicted):
             raise NumericFailure("predicted step gain is not finite")
         if predicted < STALL_THRESHOLD:
-            return elements, current_p, STALL
+            return elements, STALL
         candidate = _block_step(elements, j0, basis, epsilon)
         candidate_gamma, new_p = _gamma(weighted @ candidate)
         if not math.isfinite(new_p):
             raise NumericFailure("success probability is not finite")
         if new_p <= current_p:
             # rounding floor: the predicted gain no longer materializes
-            return elements, current_p, FLOOR
+            return elements, FLOOR
         elements, gamma = candidate, candidate_gamma
         records.append(
             IterationRecord(p_corr=new_p, outcome=j0, lam=-value, epsilon=epsilon)
         )
         current_p = new_p
-    return elements, current_p, CAP
+    return elements, CAP
 
 
 def _normalizer(s: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
@@ -509,20 +496,17 @@ class _AndersonHistory:
 def _run_fixed_point(
     weighted: np.ndarray,
     elements: np.ndarray,
-    current_p: float | None,
     records: list[IterationRecord],
     steps: int,
     tol: float,
-) -> tuple[np.ndarray, float, str]:
-    """At most ``steps`` fixed-point steps; returns (elements, P_corr, stop reason).
+) -> tuple[np.ndarray, str]:
+    """At most ``steps`` fixed-point steps; returns (elements, stop reason).
 
     Gamma is formed once per candidate by ``_gamma``, as in ``certify``:
     the candidate's P_corr is Re tr Gamma, and an accepted candidate's Gamma
     is what the next stop check reads.  That check runs the witness scan,
     eigenvalues only as in ``certify``, only once Gamma is Hermitian within
     ``tol``, so the loop stops exactly when ``certify`` would return optimal.
-    ``current_p`` is the P_corr of ``elements``, or None to take it from the
-    Gamma that the first stop check reads.
 
     A step maps factors through ``_factor_map``.  Its input is the Anderson
     mix of the last ``ANDERSON_DEPTH + 1`` (input, output) pairs; a mix that
@@ -539,11 +523,10 @@ def _run_fixed_point(
     """
     factors = None
     history = _AndersonHistory(elements.shape)
-    gamma, p = _gamma(weighted @ elements)
-    current_p = p if current_p is None else current_p
+    gamma, current_p = _gamma(weighted @ elements)
     for _ in range(steps):
         if _herm_residual(gamma) <= tol and _witness_scan(gamma, weighted)[1].min() >= -tol:
-            return elements, current_p, CERTIFIED
+            return elements, CERTIFIED
         if factors is None:
             factors = _hermitian_sqrt(elements)
         step = None
@@ -563,7 +546,7 @@ def _run_fixed_point(
             if not math.isfinite(new_p):
                 raise NumericFailure("success probability is not finite")
             if not _accepts(candidate, new_p, current_p):
-                return elements, current_p, FLOOR
+                return elements, FLOOR
         if kernel is None or _kernel_is_unseen(weighted, kernel):
             factors = output
             history.push(step, output)
@@ -573,7 +556,7 @@ def _run_fixed_point(
         elements, gamma = candidate, candidate_gamma
         records.append(IterationRecord(new_p, None, None, None, engine="fixed_point"))
         current_p = new_p
-    return elements, current_p, CAP
+    return elements, CAP
 
 
 def solve(
@@ -583,11 +566,10 @@ def solve(
 
     Runs one start, ``start`` (default: the uniform POVM, built as a new
     stack for each call and bit for bit ``uniform_povm``'s), for at most
-    ``config.max_iter * (config.restarts + 1)`` steps.  A problem with three
-    or more states opens in the fixed-point engine, which runs until the
-    verdict holds or it stops on the floor; the ascent then runs as a
-    rescue, a burst of at most ``ASCENT_STEPS_PER_DIM * d`` steps, and hands
-    back.  A binary problem opens with such a burst, which certifies it.
+    ``config.max_iter`` steps.  A problem with three or more states opens
+    in the fixed-point engine, which runs until the verdict holds or it
+    stops on the floor; the ascent then runs as a rescue, a burst of at
+    most ``ASCENT_STEPS_PER_DIM * d`` steps, and hands back.  A binary problem opens with such a burst, which certifies it.
     The solve stops when the verdict holds, when the budget is spent, or
     when neither engine can take a step; the result is then validated and
     certified at ``config.tol``.  The optimality conditions are sufficient
@@ -595,9 +577,8 @@ def solve(
     to escape: there is nothing to restart.  ``converged`` is True
     exactly when the returned certificate is optimal; ``iterations`` holds
     every step from the start, and ``iterations_used`` counts them.  No
-    random numbers are drawn: ``config.seed`` is not read.  A ``start``
-    that is not a Povm, or a ``config`` that is not a SolverConfig, raises
-    TypeError.
+    random numbers are drawn.  A ``start`` that is not a Povm, or a
+    ``config`` that is not a SolverConfig, raises TypeError.
     """
     if config is None:
         config = SolverConfig()
@@ -611,22 +592,20 @@ def solve(
         check_match(ens, start)
         elements = start.elements
     ascent_tol = min(config.tol, ASCENT_TOL)
-    budget = config.max_iter * (config.restarts + 1)
+    budget = config.max_iter
     burst = ASCENT_STEPS_PER_DIM * ens.dim
     engine = "ascent" if len(ens) <= 2 else "fixed_point"
     records: list[IterationRecord] = []
-    current_p = None  # the first engine run reads it from the start's Gamma
     idle = False
     while True:
         before = len(records)
         if engine == "ascent":
-            elements, current_p, reason = _run_ascent(
-                weighted, elements, current_p, records,
-                min(budget - before, burst), config.tol, ascent_tol,
+            elements, reason = _run_ascent(
+                weighted, elements, records, min(budget - before, burst), config.tol, ascent_tol
             )
         else:
-            elements, current_p, reason = _run_fixed_point(
-                weighted, elements, current_p, records, budget - before, config.tol
+            elements, reason = _run_fixed_point(
+                weighted, elements, records, budget - before, config.tol
             )
         taken = len(records) - before
         if reason == CERTIFIED or len(records) == budget or (idle and not taken):
@@ -672,14 +651,13 @@ def brute_force(ens: Ensemble, budget: int = 16, seed: int = 0) -> tuple[Povm, f
     ``budget`` random POVMs, and returns the best POVM found with its
     success probability.  It shares ``solve``'s engines, so it is a check
     of the schedule, not an independent oracle.  Guard rails: dimension
-    <= 4 and at most 4 states.
+    <= 4, at most 4 states, and ``budget`` an integer of at least 1.
     """
     if ens.dim > 4 or len(ens) > 4:
         raise ValueError(
             f"brute_force is limited to dim <= 4 and n <= 4, got dim={ens.dim}, n={len(ens)}"
         )
-    if budget < 1:
-        raise ValueError(f"budget must be at least 1, got {budget}")
+    _check_count("budget", budget)
     rng = np.random.default_rng(seed)
 
     starts: list[Povm] = [uniform_povm(len(ens), ens.dim)]
@@ -692,7 +670,7 @@ def brute_force(ens: Ensemble, budget: int = 16, seed: int = 0) -> tuple[Povm, f
 
     # modest iteration cap: the multi-start sweep, not ascent depth, does
     # the work here, and stalled-but-high starts still rank correctly
-    config = SolverConfig(max_iter=600, restarts=0)
+    config = SolverConfig(max_iter=600)
     best_povm: Povm | None = None
     best_p = -np.inf
     for povm0 in starts:

@@ -208,7 +208,7 @@ def test_criterion_11_cli_determinism(tmp_path):
         report = tmp_path / f"report-{tag}.json"
         solution = tmp_path / f"solution-{tag}.json"
         cli.main(
-            ["solve", str(problem), "--seed", "4", "--max-iter", "800",
+            ["solve", str(problem), "--seed", "4", "--max-iter", "4800",
              "--output", str(solution), "--report", str(report)]
         )
         outputs.append((report.read_bytes(), solution.read_bytes()))

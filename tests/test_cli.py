@@ -178,7 +178,7 @@ def test_solve_then_certify_consistent_verdict(tmp_path):
     run(["generate", "--kind", "trine", "--output", problem])
     solution = tmp_path / "solution.json"
     report = tmp_path / "report.json"
-    code = run(["solve", problem, "--max-iter", 400, "--output", solution,
+    code = run(["solve", problem, "--max-iter", 2400, "--output", solution,
                 "--report", report])[0]
     assert code == 0
     parsed = json.loads(report.read_text())

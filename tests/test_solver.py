@@ -14,7 +14,6 @@ from mindisc.solver import (
     ANDERSON_DEPTH,
     _AndersonHistory,
     _argmax_quadratic,
-    _coefficients,
     _factor_map,
     _fixed_point_step,
     _hermitian_sqrt,
@@ -108,8 +107,8 @@ def test_gain_first_order_law_scaling():
 
 def test_linear_coefficient_targets_witnessed_outcome():
     ens, povm, mode = suboptimal_mode_instance(seed=21)
-    _, b = _coefficients(
-        ens.priors, [s.mat for s in ens.states], list(povm), mode.outcome, mode.vector
+    _, b = solver._block_coefficients(
+        ens.weighted_states, povm.elements, mode.outcome, mode.vector[:, None]
     )
     assert b > 0
     assert b == pytest.approx(2 * mode.lam, rel=1e-8)
@@ -144,8 +143,8 @@ def test_best_epsilon_rejects_directions_that_do_not_ascend():
         mode = md.NegativeMode(
             outcome=int(rng.integers(3)), lam=1.0, vector=vector / np.linalg.norm(vector)
         )
-        _, b = _coefficients(
-            ens.priors, [s.mat for s in ens.states], list(povm), mode.outcome, mode.vector
+        _, b = solver._block_coefficients(
+            ens.weighted_states, povm.elements, mode.outcome, mode.vector[:, None]
         )
         if b <= 0:
             rejected += 1
@@ -186,13 +185,13 @@ def test_solve_pure_pair_matches_helstrom(overlap, q):
 
 
 def test_solve_trine(trine_ensemble):
-    trace = md.solve(trine_ensemble, config=md.SolverConfig(max_iter=400))
+    trace = md.solve(trine_ensemble, config=md.SolverConfig(max_iter=2400))
     assert trace.converged
     assert trace.final_certificate.p_corr == pytest.approx(2.0 / 3.0, abs=1e-6)
 
 
 def test_solve_trace_strictly_increases(trine_ensemble):
-    trace = md.solve(trine_ensemble, config=md.SolverConfig(max_iter=400))
+    trace = md.solve(trine_ensemble, config=md.SolverConfig(max_iter=2400))
     values = [record.p_corr for record in trace.iterations]
     assert all(b > a for a, b in zip(values, values[1:]))
 
@@ -212,7 +211,7 @@ def test_last_record_matches_final_certificate():
     for seed in range(40):
         rng = np.random.default_rng(seed)
         dim, n = (int(k) for k in rng.integers(2, 9, size=2))
-        config = md.SolverConfig(max_iter=100, restarts=0)
+        config = md.SolverConfig(max_iter=100)
         trace = md.solve(md.random_mixed(dim, n, seed), config=config)
         if trace.iterations:
             assert trace.iterations[-1].p_corr == trace.final_certificate.p_corr
@@ -234,7 +233,7 @@ def test_solve_accepts_explicit_start(trine_ensemble, trine_srm):
 
 def test_solve_is_deterministic():
     ens = md.random_mixed(2, 3, seed=17)
-    config = md.SolverConfig(max_iter=200, seed=5)
+    config = md.SolverConfig(max_iter=1200)
     first = md.solve(ens, config=config)
     second = md.solve(ens, config=config)
     assert first.final_certificate.p_corr == second.final_certificate.p_corr
@@ -245,20 +244,26 @@ def test_solve_is_deterministic():
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         md.SolverConfig(tol=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="max_iter must be at least 1"):
         md.SolverConfig(max_iter=0)
-    with pytest.raises(ValueError):
-        md.SolverConfig(restarts=-1)
 
 
 @pytest.mark.parametrize(
-    "field, value",
-    [("max_iter", 2.5), ("max_iter", "10"), ("max_iter", True),
-     ("restarts", 0.5), ("restarts", "1"), ("restarts", False)],
+    "field, value", [("max_iter", 2.5), ("max_iter", "10"), ("max_iter", True)]
 )
 def test_solver_config_rejects_a_budget_that_is_not_an_integer(field, value):
     with pytest.raises(TypeError, match=f"{field} must be an integer"):
         md.SolverConfig(**{field: value})
+
+
+def test_solver_config_default_budget_is_sixty_thousand_steps():
+    assert md.SolverConfig().max_iter == 60_000
+
+
+@pytest.mark.parametrize("field", ["restarts", "seed"])
+def test_solver_config_has_no_restarts_or_seed(field):
+    with pytest.raises(TypeError):
+        md.SolverConfig(**{field: 0})
 
 
 @pytest.mark.parametrize("tol", [np.nan, np.inf])
@@ -390,8 +395,16 @@ def test_brute_force_guard_rails():
         md.brute_force(md.random_mixed(5, 2, seed=0))
     with pytest.raises(ValueError):
         md.brute_force(md.random_mixed(2, 5, seed=0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="budget must be at least 1"):
         md.brute_force(md.trine(), budget=0)
+
+
+@pytest.mark.parametrize("budget", [True, 2.5, "3"])
+def test_brute_force_rejects_a_budget_that_is_not_an_integer(monkeypatch, budget):
+    # rejected before any start is built
+    monkeypatch.setattr(solver, "square_root_measurement", None)
+    with pytest.raises(TypeError, match="budget must be an integer"):
+        md.brute_force(md.trine(), budget=budget)
 
 
 def test_binary_oracle_agreement_small_batch():
@@ -476,26 +489,13 @@ def test_fixed_point_step_gives_a_valid_hermitian_povm():
 
 def test_capped_attempt_continues_from_its_endpoint():
     ens = md.random_mixed(8, 8, seed=1)
-    trace = md.solve(ens, config=md.SolverConfig(max_iter=40))
+    trace = md.solve(ens, config=md.SolverConfig(max_iter=240))
     assert trace.converged
     assert trace.iterations_used > 40
-    # one start, resumed: the returned run holds every step taken
+    # one start: the returned run holds every step taken
     assert len(trace.iterations) == trace.iterations_used
     values = [record.p_corr for record in trace.iterations]
     assert all(b > a for a, b in zip(values, values[1:]))
-
-
-@pytest.mark.parametrize(
-    "dim, n, seed, srm_start, max_iter, restarts",
-    [(8, 8, 1, False, 10, 5), (8, 2, 801, True, 5, 5), (32, 16, 1, False, 3, 2)],
-)
-def test_restarts_multiply_one_step_budget(dim, n, seed, srm_start, max_iter, restarts):
-    ens = md.random_mixed(dim, n, seed=seed)
-    start = md.square_root_measurement(ens) if srm_start else None
-    split = md.solve(ens, start, md.SolverConfig(max_iter=max_iter, restarts=restarts))
-    whole = md.solve(ens, start, md.SolverConfig(max_iter=max_iter * (restarts + 1), restarts=0))
-    assert split.iterations == whole.iterations
-    assert split.final_povm.elements.tobytes() == whole.final_povm.elements.tobytes()
 
 
 def test_capped_solve_spends_its_budget_and_certifies_once(monkeypatch):
@@ -506,7 +506,7 @@ def test_capped_solve_spends_its_budget_and_certifies_once(monkeypatch):
         return md.certify(*args, **kwargs)
 
     monkeypatch.setattr(solver, "certify", counted)
-    trace = md.solve(md.random_mixed(32, 16, seed=1), config=md.SolverConfig(max_iter=3, restarts=2))
+    trace = md.solve(md.random_mixed(32, 16, seed=1), config=md.SolverConfig(max_iter=9))
     assert not trace.converged
     assert trace.iterations_used == len(trace.iterations) == 9
     assert len(calls) == 1
@@ -516,9 +516,8 @@ def test_fixed_point_stop_check_reads_eigenvalues_only(monkeypatch, trine_ensemb
     ens = md.random_mixed(4, 4, seed=1)
     engine_calls = count_eigh_calls(monkeypatch, solver)
     scan_calls = count_eigh_calls(monkeypatch, certificates)
-    p = md.p_correct(trine_ensemble, trine_srm)
-    elements, _, reason = solver._run_fixed_point(
-        trine_ensemble.weighted_states, trine_srm.elements, p, [], 5, 1e-7
+    elements, reason = solver._run_fixed_point(
+        trine_ensemble.weighted_states, trine_srm.elements, [], 5, 1e-7
     )
     assert reason == solver.CERTIFIED and elements is trine_srm.elements
     assert engine_calls == scan_calls == []
@@ -549,13 +548,12 @@ def test_ascent_stalls_when_the_witness_eigh_finds_no_negative_eigenvalue(monkey
         return np.maximum(values, 0.0), vectors
 
     monkeypatch.setattr(solver, "checked_eigh", nonnegative)
-    p = md.p_correct(ens, start)
     records = []
-    elements, new_p, reason = solver._run_ascent(
-        ens.weighted_states, start.elements, p, records, 8, 1e-7, solver.ASCENT_TOL
+    elements, reason = solver._run_ascent(
+        ens.weighted_states, start.elements, records, 8, 1e-7, solver.ASCENT_TOL
     )
     assert reason == solver.STALL
-    assert elements is start.elements and new_p == p and records == []
+    assert elements is start.elements and records == []
 
 
 def _zero_prior(ens: md.Ensemble, k: int) -> md.Ensemble:
@@ -567,7 +565,7 @@ def _zero_prior(ens: md.Ensemble, k: int) -> md.Ensemble:
 @pytest.mark.parametrize(
     "ens, config",
     [
-        (_zero_prior(md.random_mixed(4, 7, seed=74), 2), md.SolverConfig(max_iter=300)),
+        (_zero_prior(md.random_mixed(4, 7, seed=74), 2), md.SolverConfig(max_iter=1800)),
         (md.random_mixed(6, 5, seed=237), md.SolverConfig()),
         (md.random_mixed(16, 16, seed=1), md.SolverConfig()),
     ],
@@ -849,7 +847,7 @@ def test_perturbed_symmetric_qubits_certify(n, delta, theta, seed):
     # an ascent step with epsilon = 1 can empty an element on these, and
     # the fixed-point map never regrows one, so they start fixed-point
     ens = _perturbed_qubits(n, delta, theta, seed)
-    trace = md.solve(ens, config=md.SolverConfig(max_iter=300, restarts=0))
+    trace = md.solve(ens, config=md.SolverConfig(max_iter=300))
     assert trace.converged
     assert trace.iterations[0].engine == "fixed_point"
 
@@ -872,7 +870,7 @@ def test_fixed_point_accepts_only_valid_measurements_when_s_is_ill_conditioned(s
     # sum lost its 1e-9 completeness, and the final validation raised
     ens = _zero_prior_rank_two(seed)
     start = md.uniform_povm(4, 6)
-    trace = md.solve(ens, start, md.SolverConfig(max_iter=200, restarts=0))
+    trace = md.solve(ens, start, md.SolverConfig(max_iter=200))
     assert trace.final_certificate.p_corr >= md.p_correct(ens, start)
     md.validate_povm(trace.final_povm.elements)
 
@@ -1021,7 +1019,7 @@ def _record_bits(trace) -> list[tuple]:
 )
 def test_default_start_is_the_uniform_povm_bit_for_bit(make):
     ens = make()
-    config = md.SolverConfig(max_iter=300, restarts=0)
+    config = md.SolverConfig(max_iter=300)
     default = md.solve(ens, None, config)
     explicit = md.solve(ens, md.uniform_povm(len(ens), ens.dim), config)
     assert default.iterations
@@ -1042,7 +1040,7 @@ def test_default_starts_are_never_shared(monkeypatch, n):
 
     monkeypatch.setattr(solver, engine, spy)
     ens = md.random_mixed(3, n, 1)
-    config = md.SolverConfig(max_iter=1, restarts=0)
+    config = md.SolverConfig(max_iter=1)
     md.solve(ens, None, config)
     first = len(starts)
     md.solve(ens, None, config)
@@ -1074,7 +1072,7 @@ def _assert_same_certificate(returned, fresh):
     [
         (lambda: md.random_mixed(3, 4, 1), md.SolverConfig(), True),
         (lambda: _zero_prior_rank_two(19), md.SolverConfig(), False),
-        (lambda: md.random_mixed(32, 16, 1), md.SolverConfig(max_iter=3, restarts=0), False),
+        (lambda: md.random_mixed(32, 16, 1), md.SolverConfig(max_iter=3), False),
     ],
     ids=["certified", "floor", "cap"],
 )
@@ -1082,7 +1080,7 @@ def test_final_certificate_is_a_fresh_certify_of_the_final_povm(make, config, ve
     ens = make()
     trace = md.solve(ens, None, config)
     assert trace.converged is verdict
-    budget = config.max_iter * (config.restarts + 1)
+    budget = config.max_iter
     if not verdict:
         # the floor run stops short of its budget, the capped one spends it
         assert (len(trace.iterations) == budget) is (config.max_iter == 3)
@@ -1092,7 +1090,7 @@ def test_final_certificate_is_a_fresh_certify_of_the_final_povm(make, config, ve
 def test_random_mixed_shapes_certify_within_the_step_budget():
     # every shape certifies from the uniform start; the steps they take in
     # all guard against a change that slows the fixed-point engine down
-    config = md.SolverConfig(max_iter=3000, restarts=0)
+    config = md.SolverConfig(max_iter=3000)
     steps = 0
     for dim in (2, 3, 4, 6, 8, 16):
         for n in (3, 4, 8, 16):

@@ -2,7 +2,7 @@
 and in how many steps.
 
 Every instance is solved from the uniform start with
-``SolverConfig(max_iter=3000, restarts=0)``:
+``SolverConfig(max_iter=3000)``, at most 3000 steps per solve:
 
 - ``shapes``: ``random_mixed(d, n, 1)`` for d in {2, 3, 4, 6, 8, 16} and
   n in {3, 4, 8, 16} (24 instances);
@@ -38,7 +38,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 import mindisc as md  # noqa: E402
 from test_solver import _perturbed_qubits, _zero_prior_rank_two  # noqa: E402
 
-CONFIG = md.SolverConfig(max_iter=3000, restarts=0)
+CONFIG = md.SolverConfig(max_iter=3000)
 
 
 def _shapes():
