@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matrices import as_matrix, checked_psd, ordered_sum, readonly
+from .matrices import as_matrix, checked_psd, readonly
 
 TRACE_TOL = 1e-9
 PRIOR_TOL = 1e-9
@@ -34,6 +34,12 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
+
+
+def check_density(state) -> None:
+    """Reject a ``state`` that is not a DensityMatrix with TypeError."""
+    if not isinstance(state, DensityMatrix):
+        raise TypeError(f"expected a DensityMatrix, got {type(state).__name__}")
 
 
 def validate_density(m) -> DensityMatrix:
@@ -71,6 +77,8 @@ class Ensemble:
             raise ValueError(
                 f"{priors.shape[0]} priors for {len(states)} states"
             )
+        for state in states:
+            check_density(state)
         if not np.all(np.isfinite(priors)):
             raise ValueError("priors have non-finite entries")
         if np.any(priors < 0):
@@ -103,7 +111,7 @@ class Ensemble:
 
     def average_state(self) -> np.ndarray:
         """Barycenter sum_i p_i rho_i."""
-        return ordered_sum(self.weighted_states)
+        return np.add.reduce(self.weighted_states, 0)
 
 
 @dataclass(frozen=True)
@@ -150,6 +158,11 @@ def trine() -> Ensemble:
     return Ensemble(np.full(3, 1.0 / 3.0), states)
 
 
+def _check_shape(n: int, dim: int) -> None:
+    if n < 1 or dim < 1:
+        raise ValueError(f"need n >= 1 and dim >= 1, got n={n}, dim={dim}")
+
+
 def _gaussian_grams(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
     """(n, d, d) stack of A A^dagger, each A drawn as Gaussian real, then imaginary, part."""
     draws = rng.standard_normal((n, 2, dim, dim))
@@ -163,10 +176,7 @@ def random_mixed(dim: int, n: int, seed: int) -> Ensemble:
     The construction is full rank almost surely, so downstream code sees
     genuinely mixed states.  Identical seeds reproduce identical ensembles.
     """
-    if n < 1:
-        raise ValueError(f"need at least one state, got n={n}")
-    if dim < 1:
-        raise ValueError(f"dimension must be positive, got {dim}")
+    _check_shape(n, dim)
     raws = _gaussian_grams(np.random.default_rng(seed), n, dim)
     states = tuple(DensityMatrix(raw / raw.trace().real) for raw in raws)
     return Ensemble(np.full(n, 1.0 / n), states)

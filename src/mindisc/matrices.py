@@ -170,24 +170,17 @@ class Spectrum:
         return (v * self.eigenvalues) @ v.conj().T
 
 
-def ordered_sum(stack: np.ndarray) -> np.ndarray | float:
-    """Sum over the first axis in index order, bit for bit as the builtin
-    ``sum`` adds the rows of an array (numpy's pairwise summation rounds
-    otherwise).
+def ordered_sum(values: np.ndarray) -> float | complex:
+    """Sum of a 1-D array in index order, bit for bit as the builtin ``sum``
+    adds its entries (numpy's pairwise summation rounds otherwise).
 
-    A stack accumulates in place in a copy of its first element, where
-    ``+ 0.0`` turns -0.0 into 0.0 as ``sum``'s start value 0 does.  A 1-D
-    array adds its entries as Python numbers in a plain loop: from Python
+    The entries are added as Python numbers in a plain loop, which at a
+    handful of terms beats the dispatch of ``np.add.reduce``; from Python
     3.12 the builtin ``sum`` compensates the rounding of Python floats.
     """
-    if stack.ndim == 1:
-        total = 0.0
-        for term in stack.tolist():
-            total += term
-        return total
-    total = stack[0] + 0.0
-    for i in range(1, len(stack)):
-        total += stack[i]
+    total = 0.0
+    for term in values.tolist():
+        total += term
     return total
 
 

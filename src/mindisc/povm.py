@@ -13,15 +13,14 @@ from typing import Iterator
 
 import numpy as np
 
-from .ensembles import Ensemble, _gaussian_grams
+from .ensembles import Ensemble, _check_shape, _gaussian_grams, check_density
 from .matrices import (
     NumericFailure,
     _hermitian_part,
     as_matrix,
+    checked_eigh,
     checked_psd,
-    ordered_sum,
     readonly,
-    spectral_decompose,
 )
 
 COMPLETENESS_TOL = 1e-9
@@ -179,7 +178,8 @@ def check_outcome(povm: Povm, j: int) -> None:
 
 
 def outcome_probability(rho, povm: Povm, j: int) -> float:
-    """Probability tr(rho pi_j) of outcome ``j`` on state ``rho``."""
+    """Probability tr(rho pi_j) of outcome ``j`` on the DensityMatrix ``rho``."""
+    check_density(rho)
     check_outcome(povm, j)
     if rho.dim != povm.dim:
         raise DimensionMismatchError(
@@ -197,11 +197,6 @@ def p_correct(ens: Ensemble, povm: Povm) -> float:
 
 def p_error(ens: Ensemble, povm: Povm) -> float:
     return 1.0 - p_correct(ens, povm)
-
-
-def _check_shape(n: int, dim: int) -> None:
-    if n < 1 or dim < 1:
-        raise ValueError(f"need n >= 1 and dim >= 1, got n={n}, dim={dim}")
 
 
 def _uniform_elements(n: int, dim: int) -> np.ndarray:
@@ -238,25 +233,25 @@ def _inv_sqrt_on_support(
     return inv_sqrt, _hermitian_part(np.eye(eigenvectors.shape[0]) - vs @ vs.conj().T)
 
 
-def _completed_povm(
-    blocks: np.ndarray, inv_sqrt: np.ndarray, kernel: np.ndarray | None
-) -> np.ndarray:
-    """pi_i = S^{-1/2} B_i S^{-1/2} over the stack B, plus S's kernel projector,
-    if it has one, on outcome 0.
+def _normalizer(s: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """S^{-1/2} on the support of S, and S's kernel projector (None if S is
+    full rank)."""
+    return _inv_sqrt_on_support(*checked_eigh(_hermitian_part(s)))
 
-    Unvalidated, but exactly Hermitian: both terms are.
+
+def _completed_povm(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """pi_i = S^{-1/2} B_i S^{-1/2} over the stack B, S = sum_i B_i, with S's
+    kernel projector, if it has one, added to outcome 0; returns the
+    elements and that projector (None if S is full rank).
+
+    The one completion of the square-root measurement, ``random_povm`` and
+    the fixed-point step.  Unvalidated, but exactly Hermitian: both terms are.
     """
+    inv_sqrt, kernel = _normalizer(np.add.reduce(blocks, 0))
     elements = _hermitian_part(inv_sqrt @ blocks @ inv_sqrt)
     if kernel is not None:
         elements[0] += kernel
-    return elements
-
-
-def _phase_fixed_support(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """``_inv_sqrt_on_support`` from the phase-fixed eigensystem, which pins
-    the bits of the constructed measurements."""
-    spectrum = spectral_decompose(mat)
-    return _inv_sqrt_on_support(spectrum.eigenvalues, spectrum.eigenvectors)
+    return elements, kernel
 
 
 def square_root_measurement(ens: Ensemble) -> Povm:
@@ -267,7 +262,7 @@ def square_root_measurement(ens: Ensemble) -> Povm:
     is not contained in the support of S.
     """
     weighted = ens.weighted_states
-    inv_sqrt, kernel = _phase_fixed_support(ens.average_state())
+    elements, kernel = _completed_povm(weighted)
     if kernel is not None:
         leaks = _real_traces(kernel @ weighted, kernel)
         bad = np.flatnonzero(leaks > SUPPORT_LEAK_TOL)
@@ -275,7 +270,7 @@ def square_root_measurement(ens: Ensemble) -> Povm:
             raise SupportError(
                 f"state {bad[0]} leaks {leaks[bad[0]]:.3e} outside the average-state support"
             )
-    return validate_povm(_completed_povm(weighted, inv_sqrt, kernel))
+    return validate_povm(elements)
 
 
 def random_povm(n: int, dim: int, rng) -> Povm:
@@ -287,4 +282,4 @@ def random_povm(n: int, dim: int, rng) -> Povm:
     """
     _check_shape(n, dim)
     blocks = _gaussian_grams(np.random.default_rng(rng), n, dim)
-    return validate_povm(_completed_povm(blocks, *_phase_fixed_support(ordered_sum(blocks))))
+    return validate_povm(_completed_povm(blocks)[0])

@@ -61,13 +61,16 @@ are Hermitian by construction and a NaN P_corr already stops them;
 ``p_correct`` and ``certify`` run the guard, then form Gamma and P_corr the
 same way, so a solve's last record, ``p_correct`` of the returned POVM and
 its certificate agree bit for bit, and every returned POVM is guarded once.
-Stacks of matrices, Gamma and the element sum of the completeness test,
-are summed by ``np.add.reduce``, which adds an (n, d, d) stack in index
-order when d >= 2 (a d = 1 stack it sums pairwise).  Sums that must keep
-index order on any shape use ``ordered_sum``: the 1-D sums of the step
-coefficients, the average state, the element sum of ``random_povm`` and S
-in ``_fixed_point_step``.  Norms follow numpy's own formula without its
-wrapper, and finiteness tests take one sum.  The default start, the uniform
+Every stack sum (Gamma, the average state, the element sum of the
+completeness test, the S of a completion) is ``np.add.reduce``, which adds
+an (n, d, d) stack in index order when d >= 2 (a d = 1 stack pairwise).
+Only the 1-D sums of the step coefficients keep ``ordered_sum``'s loop,
+which beats numpy's dispatch at a handful of terms.  The square-root
+measurement, ``random_povm`` and the fixed-point step share one completion
+kernel, ``povm._completed_povm``, and its normaliser is the factor map's:
+deterministic for a given numpy and BLAS build, with no eigenvector phase
+fixed.  Norms follow numpy's own formula without its wrapper, and
+finiteness tests take one sum.  The default start, the uniform
 measurement, is built directly as an (n, d, d) stack of identity/n, valid
 by construction, with no validation.
 """
@@ -82,7 +85,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certificates import DEFAULT_TOL, Certificate, certify, lagrange_operator
-from .certificates import _check_tolerance, _herm_residual, _witness_scan, _witness_vector
+from .certificates import _check_tolerance, _herm_residual, _max_norm, _witness_scan, _witness_vector
 from .ensembles import DensityMatrix, Ensemble
 from .matrices import (
     NumericFailure,
@@ -100,7 +103,7 @@ from .povm import (
     _completed_povm,
     _completeness_deviation,
     _gamma,
-    _inv_sqrt_on_support,
+    _normalizer,
     _uniform_elements,
     check_match,
     check_outcome,
@@ -366,18 +369,11 @@ def _run_ascent(
     return elements, CAP
 
 
-def _normalizer(s: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """S^{-1/2} on the support of S, and S's kernel projector (None if S is
-    full rank)."""
-    return _inv_sqrt_on_support(*checked_eigh(_hermitian_part(s)))
-
-
 def _fixed_point_step(weighted: np.ndarray, products: np.ndarray) -> np.ndarray:
     """pi_j <- S^{-1/2} B_j S^{-1/2} from the products W_j pi_j, where
     B_j = W_j pi_j W_j and S = sum_j B_j; S's kernel projector goes to outcome 0.
     The result is exactly Hermitian but not validated."""
-    blocks = products @ weighted
-    return _completed_povm(blocks, *_normalizer(ordered_sum(blocks)))
+    return _completed_povm(products @ weighted)[0]
 
 
 def _factor_map(
@@ -409,7 +405,7 @@ def _kernel_is_unseen(weighted: np.ndarray, kernel: np.ndarray) -> bool:
     """Whether every W_j annihilates the kernel projector K that
     ``_factor_map`` put on outcome 0.  Then the products W_j A_j, and so the
     map, are the same whether or not the factors hold K."""
-    return float(np.linalg.norm(weighted @ kernel, axis=(1, 2)).max()) <= SUPPORT_FLOOR
+    return _max_norm(weighted @ kernel) <= SUPPORT_FLOOR
 
 
 def _accepts(candidate: np.ndarray, new_p: float, current_p: float) -> bool:

@@ -38,6 +38,30 @@ def suboptimal_mode_instance(seed: int, dim: int = 2, n: int = 3, min_lam: float
         probe += 1_000_003
 
 
+def _perturbed_qubits(n: int, delta: float, theta: float, seed: int) -> md.Ensemble:
+    """n equiprior kets (cos theta, e^{2 pi i m / n} sin theta) + delta (g + i g'):
+    symmetric qubit ensembles nudged off their degenerate optima."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((n, 2))
+    g_imag = rng.standard_normal((n, 2))
+    phases = np.exp(2j * np.pi * np.arange(n) / n)
+    kets = np.stack([np.full(n, np.cos(theta)), phases * np.sin(theta)], axis=1)
+    kets = kets + delta * (g + 1j * g_imag)
+    return md.Ensemble(np.full(n, 1 / n), tuple(md.pure_state(k) for k in kets))
+
+
+def _zero_prior_rank_two(seed: int) -> md.Ensemble:
+    """Four random rank-2 states in d=6 under random priors, the first prior 0."""
+    rng = np.random.default_rng(seed)
+    priors = rng.random(4)
+    priors[0] = 0.0
+    states = []
+    for _ in range(4):
+        a = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
+        states.append(md.validate_density(a @ a.conj().T / np.linalg.norm(a) ** 2))
+    return md.Ensemble(priors / priors.sum(), tuple(states))
+
+
 def count_eigh_calls(monkeypatch, module) -> list:
     """Shapes of the matrices passed to ``module.checked_eigh`` from now on."""
     calls = []

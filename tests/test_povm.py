@@ -4,7 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mindisc as md
-from mindisc.matrices import ordered_sum
+import mindisc.matrices as matrices
+import mindisc.povm as povm_module
+from helpers import count_eigh_calls
+from mindisc.ensembles import _gaussian_grams
 from mindisc.povm import _completeness_deviation, _success_probability, check_match
 
 
@@ -181,6 +184,27 @@ def test_random_povm_is_seeded():
         assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("kind", ["srm", "random"])
+def test_constructions_take_one_eigh_of_s_and_no_spectral_decompose(monkeypatch, kind):
+    kets = np.random.default_rng(3).standard_normal((3, 4))
+    ens = md.Ensemble(np.full(3, 1 / 3), tuple(md.pure_state(k) for k in kets))
+    seen = []
+    real = povm_module.checked_eigh
+    monkeypatch.setattr(povm_module, "checked_eigh", lambda m: seen.append(m) or real(m))
+    # spectral_decompose looks its eigensolver up in the matrices module
+    spectral = count_eigh_calls(monkeypatch, matrices)
+    if kind == "srm":
+        povm = md.square_root_measurement(ens)
+        s = ens.average_state()
+    else:
+        povm = md.random_povm(4, 3, 5)
+        s = np.add.reduce(_gaussian_grams(np.random.default_rng(5), 4, 3), 0)
+    assert len(seen) == 1
+    np.testing.assert_allclose(seen[0], s, atol=1e-12)
+    assert spectral == []
+    assert povm.dim == len(s)
+
+
 def test_check_match_passes_on_consistent_pair(trine_ensemble, trine_srm):
     check_match(trine_ensemble, trine_srm)
 
@@ -308,7 +332,7 @@ def test_completeness_deviation_on_d1_stacks_matches_the_index_order_sum(n):
     for _ in range(50):
         weights = rng.random(n) * 10.0 ** rng.integers(-6, 1, size=n)
         stack = (weights / weights.sum() + 1e-12j * rng.standard_normal(n)).reshape(n, 1, 1)
-        reference = float(np.abs(ordered_sum(stack) - 1.0).max())
+        reference = float(np.abs(sum(stack) - 1.0).max())
         assert abs(_completeness_deviation(stack) - reference) <= 1e-15
 
 
@@ -325,3 +349,17 @@ def test_completeness_deviation_on_d1_stacks_matches_the_index_order_sum(n):
 def test_a_list_in_place_of_a_povm_is_a_type_error(trine_ensemble, trine_srm, call):
     with pytest.raises(TypeError, match="expected a Povm, got list"):
         call(trine_ensemble, list(trine_srm))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda rho: md.Ensemble([1.0], (rho,)),
+        lambda rho: md.outcome_probability(rho, md.uniform_povm(2, 2), 0),
+        lambda rho: md.helstrom_binary(0.5, rho, 0.5, rho),
+    ],
+    ids=["Ensemble", "outcome_probability", "helstrom_binary"],
+)
+def test_an_array_in_place_of_a_density_matrix_is_a_type_error(call):
+    with pytest.raises(TypeError, match="expected a DensityMatrix, got ndarray"):
+        call(np.eye(2) / 2)

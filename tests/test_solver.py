@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 import mindisc as md
 import mindisc.certificates as certificates
 import mindisc.solver as solver
-from helpers import count_eigh_calls, random_instance, suboptimal_mode_instance
+from helpers import (
+    _perturbed_qubits,
+    _zero_prior_rank_two,
+    count_eigh_calls,
+    random_instance,
+    suboptimal_mode_instance,
+)
 from mindisc.povm import SUPPORT_FLOOR, _inv_sqrt_on_support
 from mindisc.solver import (
     ANDERSON_DEPTH,
@@ -820,18 +826,6 @@ def test_fixed_point_keeps_its_factors_when_no_state_sees_the_kernel(monkeypatch
     assert len(calls) == 1
 
 
-def _perturbed_qubits(n: int, delta: float, theta: float, seed: int) -> md.Ensemble:
-    """n equiprior kets (cos theta, e^{2 pi i m / n} sin theta) + delta (g + i g'):
-    symmetric qubit ensembles nudged off their degenerate optima."""
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((n, 2))
-    g_imag = rng.standard_normal((n, 2))
-    phases = np.exp(2j * np.pi * np.arange(n) / n)
-    kets = np.stack([np.full(n, np.cos(theta)), phases * np.sin(theta)], axis=1)
-    kets = kets + delta * (g + 1j * g_imag)
-    return md.Ensemble(np.full(n, 1 / n), tuple(md.pure_state(k) for k in kets))
-
-
 @pytest.mark.parametrize(
     "n, delta, theta, seed",
     [
@@ -850,17 +844,6 @@ def test_perturbed_symmetric_qubits_certify(n, delta, theta, seed):
     trace = md.solve(ens, config=md.SolverConfig(max_iter=300))
     assert trace.converged
     assert trace.iterations[0].engine == "fixed_point"
-
-
-def _zero_prior_rank_two(seed: int) -> md.Ensemble:
-    rng = np.random.default_rng(seed)
-    priors = rng.random(4)
-    priors[0] = 0.0
-    states = []
-    for _ in range(4):
-        a = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
-        states.append(md.validate_density(a @ a.conj().T / np.linalg.norm(a) ** 2))
-    return md.Ensemble(priors / priors.sum(), tuple(states))
 
 
 @pytest.mark.parametrize("seed", [19, 25, 141])
