@@ -45,7 +45,13 @@ DEFAULT_TOL = 1e-7
 
 @dataclass(frozen=True, eq=False)
 class Witness:
-    """Improvable direction: an outcome whose witness operator dips negative."""
+    """Lowest witness eigenpair: the outcome j whose witness operator G_j has
+    the smallest eigenvalue across outcomes, that eigenvalue, and a unit
+    eigenvector of it.  Below zero it is a negative mode: a step of the
+    measurement along ``vector`` toward outcome j raises P_corr.
+    ``find_negative_mode`` returns one only below ``-tol``; ``certify``
+    reports one with every verdict that fails, and when the verdict fails on
+    Hermiticity alone its eigenvalue can lie above ``-tol``."""
 
     outcome: int
     eigenvalue: float
@@ -81,10 +87,15 @@ class Certificate:
         return 1.0 - self.p_corr
 
 
-def _check_tolerance(tol: float) -> None:
+def _check_real(name: str, value) -> None:
+    """Reject a value that is not a real number; a bool is not one."""
     # a plain float skips the slower abstract-base-class test
-    if type(tol) is not float and (isinstance(tol, bool) or not isinstance(tol, numbers.Real)):
-        raise TypeError(f"tolerance must be a real number, got {tol!r}")
+    if type(value) is not float and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
+        raise TypeError(f"{name} must be a real number, got {value!r}")
+
+
+def _check_tolerance(tol: float) -> None:
+    _check_real("tolerance", tol)
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
 
@@ -93,17 +104,19 @@ def _witness_scan(gamma: np.ndarray, weighted: np.ndarray):
     """Eigenvalues of every witness G_j = sym(Gamma) - W_j from one batched
     ``eigvalsh``: returns the witnesses, their eigenvalues (row j ascending
     for G_j) and the most negative outcome j (ties: smallest index).  No
-    eigenvector is formed here; ``_witness_vector`` forms one for a single
-    witness when a caller needs it."""
+    eigenvector is formed here; ``_witness`` forms one for a single witness
+    when a caller needs it."""
     witnesses = _hermitian_part(gamma) - weighted
     values = checked_eigvalsh(witnesses)
     return witnesses, values, int(np.argmin(values[:, 0]))
 
 
-def _witness_vector(witness: np.ndarray) -> np.ndarray:
-    """Unit eigenvector of the smallest eigenvalue of one witness, from an
-    ``eigh`` of that witness alone, under ``fix_phase``'s convention."""
-    return readonly(fix_phase(checked_eigh(witness)[1][:, 0]))
+def _witness(witnesses: np.ndarray, values: np.ndarray, j: int) -> Witness:
+    """The ``Witness`` of outcome j from a witness scan: the scan's lowest
+    eigenvalue of G_j and a unit eigenvector of it, from an ``eigh`` of G_j
+    alone, under ``fix_phase``'s convention."""
+    vector = readonly(fix_phase(checked_eigh(witnesses[j])[1][:, 0]))
+    return Witness(j, float(values[j, 0]), vector)
 
 
 def _frobenius(m: np.ndarray) -> float:
@@ -224,5 +237,22 @@ def certify(
         gap_bound=min(ens.dim * max(0.0, -lowest), negative_trace),
         tolerance=float(tol),
         is_optimal=optimal,
-        witness=None if optimal else Witness(j, lowest, _witness_vector(witnesses[j])),
+        witness=None if optimal else _witness(witnesses, values, j),
     )
+
+
+def find_negative_mode(ens: Ensemble, povm: Povm, tol: float = DEFAULT_TOL) -> Witness | None:
+    """The witness ``certify`` reports, when its eigenvalue lies below
+    ``-tol``; None when every witness eigenvalue is at least ``-tol``.
+
+    Ties across outcomes break toward the smallest outcome index; within one
+    witness operator the deterministic eigenvector convention of
+    ``spectral_decompose`` applies.  The decision reads eigenvalues only;
+    eigenvectors are computed, for the returned outcome's witness alone,
+    only when a mode is returned.  ``tol`` must be finite and positive.
+    """
+    _check_tolerance(tol)
+    witnesses, values, j = _witness_scan(lagrange_operator(ens, povm), ens.weighted_states)
+    if values[j, 0] >= -tol:
+        return None
+    return _witness(witnesses, values, j)

@@ -14,8 +14,9 @@ eigenvalues -|lam_k|.  The improvement is exactly quadratic in eps, and its
 two coefficients come from k x k blocks for a k-column V, so each iteration
 takes the argmax of that quadratic instead of an infinitesimal step.  The
 ascent steps toward the witness with the most negative eigenvalue, along
-every eigenvector whose eigenvalue lies below the ascent tolerance; an
-ascent record's ``lam`` is the magnitude of that most negative eigenvalue.
+every eigenvector with a negative eigenvalue, until ``certify``'s verdict
+holds: one stopping rule, at the certificate's tolerance.  An ascent
+record's ``lam`` is the magnitude of that most negative eigenvalue.
 The witness scan computes the eigenvalues of every G_j in one batch and no
 eigenvectors; a step then eigendecomposes the one witness it moves toward.
 For two states from the uniform measurement, two such steps give Helstrom's
@@ -84,8 +85,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certificates import DEFAULT_TOL, Certificate, certify, lagrange_operator
-from .certificates import _check_tolerance, _herm_residual, _max_norm, _witness_scan, _witness_vector
+from .certificates import DEFAULT_TOL, Certificate, Witness, certify
+from .certificates import _check_real, _check_tolerance, _herm_residual, _max_norm, _witness_scan
 from .ensembles import DensityMatrix, Ensemble
 from .matrices import (
     NumericFailure,
@@ -100,7 +101,6 @@ from .povm import (
     COMPLETENESS_TOL,
     SUPPORT_FLOOR,
     Povm,
-    _completed_povm,
     _completeness_deviation,
     _gamma,
     _normalizer,
@@ -113,9 +113,6 @@ from .povm import (
     validate_povm,
 )
 
-# ascent pushes negative modes well below the certificate tolerance so the
-# equality-condition residuals settle before the loop stops
-ASCENT_TOL = 1e-10
 # a step predicted to gain less than this ends the ascent as a stall
 STALL_THRESHOLD = 1e-14
 # an ascent run takes at most this many steps per dimension before the
@@ -129,15 +126,6 @@ _EPS = float(np.finfo(float).eps)
 
 # why an engine run stopped
 CERTIFIED, STALL, FLOOR, CAP = "certified", "stall", "floor", "cap"
-
-
-@dataclass(frozen=True, eq=False)
-class NegativeMode:
-    """Most negative witness eigenpair; ``lam`` stores the positive magnitude."""
-
-    outcome: int
-    lam: float
-    vector: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -244,26 +232,13 @@ def _block_step(
 # ---------------------------------------------------------------------------
 # public operations
 
-def find_negative_mode(
-    ens: Ensemble, povm: Povm, tol: float = DEFAULT_TOL
-) -> NegativeMode | None:
-    """Globally most negative witness eigenpair, or None if all clear ``-tol``.
-
-    Ties across outcomes break toward the smallest outcome index; within one
-    witness operator the deterministic eigenvector convention of
-    ``spectral_decompose`` applies.  The decision reads eigenvalues only;
-    eigenvectors are computed, for the returned outcome's witness alone,
-    only when a mode is returned.  ``tol`` must be finite and positive.
-    """
-    _check_tolerance(tol)
-    witnesses, values, j = _witness_scan(lagrange_operator(ens, povm), ens.weighted_states)
-    lowest = float(values[j, 0])
-    if lowest >= -tol:
-        return None
-    return NegativeMode(outcome=j, lam=-lowest, vector=_witness_vector(witnesses[j]))
+def _check_epsilon(epsilon: float) -> None:
+    _check_real("epsilon", epsilon)
+    if not 0.0 < epsilon <= 1.0:
+        raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
 
 
-def _check_mode(povm: Povm, mode: NegativeMode) -> np.ndarray:
+def _check_mode(povm: Povm, mode: Witness) -> np.ndarray:
     check_outcome(povm, mode.outcome)
     vector = np.asarray(mode.vector, dtype=complex).reshape(-1)
     if vector.shape[0] != povm.dim:
@@ -278,32 +253,30 @@ def _check_mode(povm: Povm, mode: NegativeMode) -> np.ndarray:
     return vector / norm
 
 
-def perturb(povm: Povm, mode: NegativeMode, epsilon: float) -> Povm:
+def perturb(povm: Povm, mode: Witness, epsilon: float) -> Povm:
     """Apply the rank-1 update toward ``mode`` with step size ``epsilon``.
 
     Valid for every epsilon in (0, 1]; the output is itself a checked Povm.
     """
-    if not 0.0 < epsilon <= 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
+    _check_epsilon(epsilon)
     vector = _check_mode(povm, mode)
     return validate_povm(_block_step(povm.elements, mode.outcome, vector[:, None], epsilon))
 
 
-def gain(ens: Ensemble, povm: Povm, mode: NegativeMode, epsilon: float) -> float:
+def gain(ens: Ensemble, povm: Povm, mode: Witness, epsilon: float) -> float:
     """Exact success-probability change of the perturbation at ``epsilon``.
 
-    Evaluated in closed form as a quadratic in epsilon; for a true negative
-    mode the linear coefficient is twice the eigenvalue magnitude.
+    Evaluated in closed form as a quadratic in epsilon; for a negative mode
+    of ``find_negative_mode`` the linear coefficient is -2 ``mode.eigenvalue``.
     """
-    if not 0.0 < epsilon <= 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
+    _check_epsilon(epsilon)
     check_match(ens, povm)
     vector = _check_mode(povm, mode)
     a, b = _block_coefficients(ens.weighted_states, povm.elements, mode.outcome, vector[:, None])
     return (a * epsilon + b) * epsilon
 
 
-def best_epsilon(ens: Ensemble, povm: Povm, mode: NegativeMode) -> float:
+def best_epsilon(ens: Ensemble, povm: Povm, mode: Witness) -> float:
     """Step size maximizing the exact quadratic gain over (0, 1].
 
     Raises ValueError when the gain's linear coefficient is not positive:
@@ -324,18 +297,18 @@ def _run_ascent(
     records: list[IterationRecord],
     steps: int,
     tol: float,
-    ascent_tol: float,
 ) -> tuple[np.ndarray, str]:
     """At most ``steps`` ascent steps; returns (elements, stop reason).
 
-    Each step moves toward the witness G_j0 with the most negative
-    eigenvalue, along the eigenvectors of G_j0 whose eigenvalues lie below
-    ``-ascent_tol``.  The eigenvalue scan of every witness picks G_j0, and
-    one ``eigh`` of G_j0 alone gives the basis, cut by its own eigenvalues;
-    should that ``eigh`` find none below ``-ascent_tol``, the empty basis
-    predicts no gain and the run stalls.
-    Clearing ``ascent_tol`` certifies only if Gamma is also Hermitian within
-    ``tol``; otherwise the ascent stops on the floor and hands over.
+    The run stops, certified, when ``certify``'s verdict holds: every
+    witness eigenvalue is at least ``-tol`` and Gamma is Hermitian within
+    ``tol``.  Until then each step moves toward the witness G_j0 with the
+    most negative eigenvalue, along every eigenvector of G_j0 with a
+    negative eigenvalue, those in (-tol, 0) included: while Gamma is not yet
+    Hermitian within ``tol``, the ascent must keep pushing them.  The
+    eigenvalue scan of every witness picks G_j0, and one ``eigh`` of G_j0
+    alone gives the basis, cut by its own eigenvalues; a basis that predicts
+    a gain below ``STALL_THRESHOLD``, an empty one included, ends the run.
     Gamma is formed once per candidate: the candidate's P_corr is Re tr Gamma,
     and an accepted candidate's Gamma is the one the next step scans.
     """
@@ -343,10 +316,10 @@ def _run_ascent(
     for _ in range(steps):
         witnesses, values, j0 = _witness_scan(gamma, weighted)
         value = float(values[j0, 0])
-        if value >= -ascent_tol:
-            return elements, CERTIFIED if _herm_residual(gamma) <= tol else FLOOR
+        if value >= -tol and _herm_residual(gamma) <= tol:
+            return elements, CERTIFIED
         own_values, vectors = checked_eigh(witnesses[j0])
-        basis = vectors[:, : int(np.searchsorted(own_values, -ascent_tol))]
+        basis = vectors[:, : int(np.searchsorted(own_values, 0.0))]
         a, b = _block_coefficients(weighted, elements, j0, basis)
         epsilon = _argmax_quadratic(a, b)
         predicted = (a * epsilon + b) * epsilon
@@ -367,13 +340,6 @@ def _run_ascent(
         )
         current_p = new_p
     return elements, CAP
-
-
-def _fixed_point_step(weighted: np.ndarray, products: np.ndarray) -> np.ndarray:
-    """pi_j <- S^{-1/2} B_j S^{-1/2} from the products W_j pi_j, where
-    B_j = W_j pi_j W_j and S = sum_j B_j; S's kernel projector goes to outcome 0.
-    The result is exactly Hermitian but not validated."""
-    return _completed_povm(products @ weighted)[0]
 
 
 def _factor_map(
@@ -587,7 +553,6 @@ def solve(
     else:
         check_match(ens, start)
         elements = start.elements
-    ascent_tol = min(config.tol, ASCENT_TOL)
     budget = config.max_iter
     burst = ASCENT_STEPS_PER_DIM * ens.dim
     engine = "ascent" if len(ens) <= 2 else "fixed_point"
@@ -597,7 +562,7 @@ def solve(
         before = len(records)
         if engine == "ascent":
             elements, reason = _run_ascent(
-                weighted, elements, records, min(budget - before, burst), config.tol, ascent_tol
+                weighted, elements, records, min(budget - before, burst), config.tol
             )
         else:
             elements, reason = _run_fixed_point(

@@ -33,7 +33,7 @@ def suboptimal_mode_instance(seed: int, dim: int = 2, n: int = 3, min_lam: float
     while True:
         ens, povm = random_instance(probe, dim, n)
         mode = md.find_negative_mode(ens, povm)
-        if mode is not None and mode.lam >= min_lam:
+        if mode is not None and -mode.eigenvalue >= min_lam:
             return ens, povm, mode
         probe += 1_000_003
 

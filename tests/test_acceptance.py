@@ -106,7 +106,7 @@ def test_criterion_03_first_order_gain():
         measured = (
             md.p_correct(ens, md.perturb(povm, mode, epsilon)) - md.p_correct(ens, povm)
         ) / epsilon
-        assert abs(measured - 2 * mode.lam) / (2 * mode.lam) <= 1e-3
+        assert abs(measured + 2 * mode.eigenvalue) / (-2 * mode.eigenvalue) <= 1e-3
     _report(3, "measured (P'-P)/eps matches 2*lambda on 100 instances")
 
 
@@ -183,7 +183,7 @@ def test_criterion_09_necessity_of_negative_modes():
             continue
         mode = md.find_negative_mode(ens, povm)
         assert mode is not None, f"margin {margin:.3e} but no negative mode"
-        assert mode.lam > 0
+        assert mode.eigenvalue < 0
         checked += 1
     _report(9, "negative mode found for all 100 strictly suboptimal POVMs")
 

@@ -249,7 +249,7 @@ def test_certify_agrees_with_public_functions(case):
     else:
         assert cert.witness is not None
         assert cert.witness.outcome == mode.outcome
-        assert cert.witness.eigenvalue == -mode.lam
+        assert cert.witness.eigenvalue == mode.eigenvalue
         assert np.array_equal(cert.witness.vector, mode.vector)
         assert np.array_equal(cert.witness.vector, min_eigenvalue(witnesses[mode.outcome])[1])
 
@@ -266,7 +266,7 @@ def test_negative_mode_is_the_certificate_witness():
         if mode is None:
             continue
         negative += 1
-        assert (mode.outcome, -mode.lam) == (cert.witness.outcome, cert.witness.eigenvalue)
+        assert (mode.outcome, mode.eigenvalue) == (cert.witness.outcome, cert.witness.eigenvalue)
         assert mode.vector.tobytes() == cert.witness.vector.tobytes()
     assert negative == 4
 

@@ -226,7 +226,7 @@ def test_non_finite_entries_report_index(bad):
         lambda: md.certify(md.trine(), md.uniform_povm(3, 2)).witness,
         lambda: md.find_negative_mode(md.trine(), md.uniform_povm(3, 2)),
     ],
-    ids=["DensityMatrix", "Ensemble", "Povm", "Spectrum", "Certificate", "Witness", "NegativeMode"],
+    ids=["DensityMatrix", "Ensemble", "Povm", "Spectrum", "Certificate", "Witness", "find_negative_mode"],
 )
 def test_array_holding_values_compare_and_hash(make):
     value, copy = make(), make()

@@ -15,13 +15,12 @@ from helpers import (
     random_instance,
     suboptimal_mode_instance,
 )
-from mindisc.povm import SUPPORT_FLOOR, _inv_sqrt_on_support
+from mindisc.povm import SUPPORT_FLOOR, _completed_povm, _inv_sqrt_on_support
 from mindisc.solver import (
     ANDERSON_DEPTH,
     _AndersonHistory,
     _argmax_quadratic,
     _factor_map,
-    _fixed_point_step,
     _hermitian_sqrt,
     _kernel_is_unseen,
 )
@@ -39,16 +38,16 @@ def test_no_mode_for_single_state(single_state_problem):
 def test_trine_uniform_has_negative_mode(trine_ensemble):
     mode = md.find_negative_mode(trine_ensemble, md.uniform_povm(3, 2))
     assert mode is not None
-    assert mode.lam > 1e-3
+    assert -mode.eigenvalue > 1e-3
     # eigenpair residual against the witness operator
     g = md.witness_operator(trine_ensemble, md.uniform_povm(3, 2), mode.outcome)
-    assert np.linalg.norm(g @ mode.vector + mode.lam * mode.vector) <= 1e-8
+    assert np.linalg.norm(g @ mode.vector - mode.eigenvalue * mode.vector) <= 1e-8
     assert np.linalg.norm(mode.vector) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_perturb_epsilon_one_projective_flip():
     povm = md.validate_povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
-    mode = md.NegativeMode(outcome=1, lam=1.0, vector=np.array([1.0, 0.0], dtype=complex))
+    mode = md.Witness(outcome=1, eigenvalue=-1.0, vector=np.array([1.0, 0.0], dtype=complex))
     flipped = md.perturb(povm, mode, 1.0)
     assert np.allclose(flipped[0], np.zeros((2, 2)), atol=1e-15)
     assert np.allclose(flipped[1], np.eye(2), atol=1e-15)
@@ -70,6 +69,20 @@ def test_perturb_rejects_bad_epsilon(trine_ensemble):
             md.perturb(povm, mode, epsilon)
 
 
+@pytest.mark.parametrize("epsilon", [True, np.True_, False, None, "0.5"])
+@pytest.mark.parametrize("operation", ["perturb", "gain"])
+def test_epsilon_that_is_not_a_real_number_is_a_type_error(trine_ensemble, operation, epsilon):
+    # a bool is not a step size, as it is no tolerance or count: True is not epsilon = 1
+    povm = md.uniform_povm(3, 2)
+    mode = md.find_negative_mode(trine_ensemble, povm)
+    calls = {
+        "perturb": lambda: md.perturb(povm, mode, epsilon),
+        "gain": lambda: md.gain(trine_ensemble, povm, mode, epsilon),
+    }
+    with pytest.raises(TypeError, match="epsilon must be a real number"):
+        calls[operation]()
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 10**6), epsilon=st.floats(1e-6, 1.0))
 def test_perturb_preserves_validity(seed, epsilon):
@@ -79,14 +92,14 @@ def test_perturb_preserves_validity(seed, epsilon):
     povm = md.random_povm(n, dim, rng)
     vector = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     vector /= np.linalg.norm(vector)
-    mode = md.NegativeMode(outcome=int(rng.integers(n)), lam=1.0, vector=vector)
+    mode = md.Witness(outcome=int(rng.integers(n)), eigenvalue=-1.0, vector=vector)
     assert isinstance(md.perturb(povm, mode, epsilon), md.Povm)
 
 
 def test_gain_first_order_coefficient_is_twice_lambda():
     ens, povm, mode = suboptimal_mode_instance(seed=5)
     epsilon = 1e-6
-    assert abs(md.gain(ens, povm, mode, epsilon) / epsilon - 2 * mode.lam) <= 1e-6
+    assert abs(md.gain(ens, povm, mode, epsilon) / epsilon + 2 * mode.eigenvalue) <= 1e-6
 
 
 def test_gain_positive_for_small_steps():
@@ -108,7 +121,7 @@ def test_gain_first_order_law_scaling():
     for seed in (11, 12, 13):
         ens, povm, mode = suboptimal_mode_instance(seed=seed)
         for epsilon in (1e-3, 1e-4, 1e-5):
-            assert abs(md.gain(ens, povm, mode, epsilon) / epsilon - 2 * mode.lam) <= 2 * epsilon
+            assert abs(md.gain(ens, povm, mode, epsilon) / epsilon + 2 * mode.eigenvalue) <= 2 * epsilon
 
 
 def test_linear_coefficient_targets_witnessed_outcome():
@@ -117,7 +130,7 @@ def test_linear_coefficient_targets_witnessed_outcome():
         ens.weighted_states, povm.elements, mode.outcome, mode.vector[:, None]
     )
     assert b > 0
-    assert b == pytest.approx(2 * mode.lam, rel=1e-8)
+    assert b == pytest.approx(-2 * mode.eigenvalue, rel=1e-8)
 
 
 def test_argmax_quadratic_interior():
@@ -146,8 +159,8 @@ def test_best_epsilon_rejects_directions_that_do_not_ascend():
     for _ in range(200):
         povm = md.random_povm(3, 3, rng)
         vector = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        mode = md.NegativeMode(
-            outcome=int(rng.integers(3)), lam=1.0, vector=vector / np.linalg.norm(vector)
+        mode = md.Witness(
+            outcome=int(rng.integers(3)), eigenvalue=-1.0, vector=vector / np.linalg.norm(vector)
         )
         _, b = solver._block_coefficients(
             ens.weighted_states, povm.elements, mode.outcome, mode.vector[:, None]
@@ -431,7 +444,7 @@ def test_trine_suboptimal_witness_matches_gap(trine_ensemble):
     uniform_p = md.p_correct(trine_ensemble, md.uniform_povm(3, 2))
     assert value - uniform_p == pytest.approx(1.0 / 3.0, abs=1e-6)
     mode = md.find_negative_mode(trine_ensemble, md.uniform_povm(3, 2))
-    assert mode is not None and mode.lam > 0
+    assert mode is not None and mode.eigenvalue < 0
 
 
 def _pure_ensemble(seed: int, dim: int, priors) -> md.Ensemble:
@@ -479,7 +492,7 @@ def test_binary_solves_use_the_ascent_alone(ens):
 
 def test_trine_srm_is_a_fixed_point_of_the_fixed_point_step(trine_ensemble, trine_srm):
     weighted = trine_ensemble.weighted_states
-    stepped = _fixed_point_step(weighted, weighted @ trine_srm.elements)
+    stepped = _completed_povm(weighted @ trine_srm.elements @ weighted)[0]
     assert np.max(np.abs(stepped - trine_srm.elements)) <= 1e-12
 
 
@@ -487,7 +500,7 @@ def test_fixed_point_step_gives_a_valid_hermitian_povm():
     for seed in range(10):
         ens, povm = random_instance(seed, 3, 4)
         weighted = ens.weighted_states
-        stepped = _fixed_point_step(weighted, weighted @ povm.elements)
+        stepped = _completed_povm(weighted @ povm.elements @ weighted)[0]
         # exactly Hermitian, so validation leaves every bit in place
         assert np.array_equal(stepped, stepped.conj().swapaxes(1, 2))
         assert np.array_equal(md.validate_povm(stepped).elements, stepped)
@@ -544,7 +557,7 @@ def test_ascent_computes_one_witness_eigh_per_step(monkeypatch):
 
 def test_ascent_stalls_when_the_witness_eigh_finds_no_negative_eigenvalue(monkeypatch):
     # the batched eigenvalue scan sees a negative mode, but G_j0's own eigh
-    # puts it above -ascent_tol: the run stops on a stall without a step
+    # finds none below 0: the run stops on a stall without a step
     ens = md.random_mixed(4, 2, seed=3)
     start = md.uniform_povm(2, 4)
     real = solver.checked_eigh
@@ -556,10 +569,25 @@ def test_ascent_stalls_when_the_witness_eigh_finds_no_negative_eigenvalue(monkey
     monkeypatch.setattr(solver, "checked_eigh", nonnegative)
     records = []
     elements, reason = solver._run_ascent(
-        ens.weighted_states, start.elements, records, 8, 1e-7, solver.ASCENT_TOL
+        ens.weighted_states, start.elements, records, 8, 1e-7
     )
     assert reason == solver.STALL
     assert elements is start.elements and records == []
+
+
+def test_ascent_stops_where_the_verdict_holds():
+    # a start just off Helstrom's measurement whose lowest witness eigenvalue,
+    # about -1.1e-9, lies inside the verdict's -tol: certify accepts it, so
+    # the ascent takes no step and the solve returns the start
+    ens = md.random_mixed(4, 2, seed=3)
+    helstrom, _ = md.helstrom_binary(ens.priors[0], ens.states[0], ens.priors[1], ens.states[1])
+    uniform = md.uniform_povm(2, 4)
+    start = md.validate_povm((1 - 1e-8) * helstrom.elements + 1e-8 * uniform.elements)
+    cert = md.certify(ens, start)
+    assert cert.is_optimal and min(cert.witness_min_eigenvalues) < 0.0
+    trace = md.solve(ens, start)
+    assert trace.converged and trace.iterations_used == 0
+    assert trace.final_certificate.p_corr == md.p_correct(ens, start)
 
 
 def _zero_prior(ens: md.Ensemble, k: int) -> md.Ensemble:
@@ -606,7 +634,7 @@ def test_factor_map_matches_the_fixed_point_step():
         _, elements, kernel = _factor_map(weighted, _hermitian_sqrt(povm.elements))
         assert kernel is None
         assert np.array_equal(elements, elements.conj().swapaxes(1, 2))
-        stepped = _fixed_point_step(weighted, weighted @ povm.elements)
+        stepped = _completed_povm(weighted @ povm.elements @ weighted)[0]
         assert np.max(np.abs(elements - stepped)) <= 1e-12
 
 
@@ -627,7 +655,7 @@ def test_factor_map_matches_the_fixed_point_step_when_s_has_a_kernel():
         # the kernel is the complement of the states' span, which no W_j sees
         assert _kernel_is_unseen(weighted, kernel)
         assert np.array_equal(elements, elements.conj().swapaxes(1, 2))
-        stepped = _fixed_point_step(weighted, weighted @ povm.elements)
+        stepped = _completed_povm(weighted @ povm.elements @ weighted)[0]
         assert np.max(np.abs(elements - stepped)) <= 1e-12
 
 
@@ -952,7 +980,7 @@ def test_find_negative_mode_rejects_bad_tolerance(trine_ensemble, trine_srm, tol
 def test_mode_outcome_out_of_range_is_an_index_error(trine_ensemble, operation, outcome):
     povm = md.uniform_povm(3, 2)
     mode = md.find_negative_mode(trine_ensemble, povm)
-    bad = md.NegativeMode(outcome=outcome, lam=mode.lam, vector=mode.vector)
+    bad = md.Witness(outcome=outcome, eigenvalue=mode.eigenvalue, vector=mode.vector)
     calls = {
         "perturb": lambda: md.perturb(povm, bad, 0.5),
         "gain": lambda: md.gain(trine_ensemble, povm, bad, 0.5),
@@ -967,7 +995,7 @@ def test_mode_outcome_out_of_range_is_an_index_error(trine_ensemble, operation, 
 )
 @pytest.mark.parametrize("operation", ["perturb", "gain", "best_epsilon"])
 def test_mode_with_non_finite_vector_is_rejected(trine_ensemble, trine_srm, operation, vector):
-    bad = md.NegativeMode(outcome=0, lam=0.1, vector=np.array(vector, dtype=complex))
+    bad = md.Witness(outcome=0, eigenvalue=-0.1, vector=np.array(vector, dtype=complex))
     calls = {
         "perturb": lambda: md.perturb(trine_srm, bad, 0.5),
         "gain": lambda: md.gain(trine_ensemble, trine_srm, bad, 0.5),

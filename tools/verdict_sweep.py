@@ -1,9 +1,12 @@
-"""Verdict sweep: how many solves of eight fixed instance groups certify,
-and in how many steps; exits 1 when a gated group certifies fewer than its
-floor.
+"""Verdict sweep: how many solves of eight fixed instance groups certify
+from four starts, and in how many steps; exits 1 when a gated (group,
+start) cell certifies fewer than its floor.
 
-Every instance is solved from the uniform start with
-``SolverConfig(max_iter=3000)``, at most 3000 steps per solve:
+Every instance is solved with ``SolverConfig(max_iter=3000)``, at most 3000
+steps per solve, from each of four starts: the uniform measurement, the
+square-root measurement, ``random_povm(n, d, k)`` for the instance's index
+k in its group, and the empty start [I, 0, ..., 0], which only the
+ascent's rescue bursts can grow.  The groups are
 
 - ``shapes``: ``random_mixed(d, n, 1)`` for d in {2, 3, 4, 6, 8, 16} and
   n in {3, 4, 8, 16} (24 instances);
@@ -24,8 +27,8 @@ The ``zero-prior`` and ``qubits`` builders are those of ``tests/helpers.py``.
 The solver draws no random numbers, so the table depends only on the
 floating-point results of numpy and its BLAS; a rounding change in the
 solver can move the crawling qubit instances either way, so ``qubits`` is
-printed but has no floor.  Every other group must certify at least its
-count in ``FLOORS``, or the sweep names it on stderr and exits 1.
+printed but has no floor.  Every other (group, start) cell must certify at
+least its count in ``FLOORS``, or the sweep names it on stderr and exits 1.
 
 Run from the repository root:
 
@@ -118,6 +121,19 @@ def _depolarised(rng, d, n):
     return states
 
 
+def _empty(ens: md.Ensemble, k: int) -> md.Povm:
+    d = ens.dim
+    return md.validate_povm([np.eye(d)] + [np.zeros((d, d))] * (len(ens) - 1))
+
+
+# start of the k-th instance of a group; None is solve's uniform start
+STARTS = {
+    "uniform": lambda ens, k: None,
+    "srm": lambda ens, k: md.square_root_measurement(ens),
+    "random": lambda ens, k: md.random_povm(len(ens), ens.dim, k),
+    "empty": _empty,
+}
+
 GROUPS = {
     "shapes": _shapes,
     "zero-prior": _zero_priors,
@@ -129,9 +145,10 @@ GROUPS = {
     "depolarised": lambda: _family(_depolarised),
 }
 
-# the fewest certified solves each group may read; ``qubits`` is not gated,
-# since its crawling instances certify or not with the BLAS build
-FLOORS = {
+# the fewest certified solves each (group, start) cell may read; ``qubits``
+# is not gated, since its crawling instances certify or not with the BLAS
+# build
+_GROUP_FLOORS = {
     "shapes": 24,
     "zero-prior": 78,
     "random": 300,
@@ -140,35 +157,41 @@ FLOORS = {
     "low-rank": FAMILY_SIZE,
     "depolarised": FAMILY_SIZE,
 }
+FLOORS = {(group, start): floor for start in STARTS for group, floor in _GROUP_FLOORS.items()}
+# gated when it read 77; it reads 78 since the ascent stops on the verdict
+FLOORS["zero-prior", "empty"] = 77
 
 
-def sweep(name: str) -> tuple[int, int, int, float]:
-    """(certified, instances, steps, seconds) of one group."""
-    certified = count = steps = 0
-    start = time.perf_counter()
-    for ens in GROUPS[name]():
-        trace = md.solve(ens, config=CONFIG)
-        count += 1
+def sweep(instances: list[md.Ensemble], start: str) -> tuple[int, int, int, float]:
+    """(certified, instances, steps, seconds) of one group from one start."""
+    certified = steps = 0
+    t0 = time.perf_counter()
+    for k, ens in enumerate(instances):
+        trace = md.solve(ens, STARTS[start](ens, k), CONFIG)
         certified += trace.final_certificate.is_optimal
         steps += len(trace.iterations)
-    return certified, count, steps, time.perf_counter() - start
+    return certified, len(instances), steps, time.perf_counter() - t0
 
 
 def main() -> int:
-    print(f"{'group':<12} {'certified':>11} {'steps':>8} {'time_s':>8}")
+    print(f"{'group':<12} {'start':<8} {'certified':>11} {'steps':>8} {'time_s':>8}")
     totals = [0, 0, 0, 0.0]
     counts = {}
-    for name in GROUPS:
-        row = sweep(name)
-        totals = [t + r for t, r in zip(totals, row)]
-        certified, count, steps, seconds = row
-        counts[name] = certified
-        print(f"{name:<12} {f'{certified}/{count}':>11} {steps:>8} {seconds:>8.1f}", flush=True)
+    for name, build in GROUPS.items():
+        instances = list(build())
+        for start in STARTS:
+            row = sweep(instances, start)
+            totals = [t + r for t, r in zip(totals, row)]
+            certified, count, steps, seconds = row
+            counts[name, start] = certified
+            print(f"{name:<12} {start:<8} {f'{certified}/{count}':>11} {steps:>8} {seconds:>8.1f}",
+                  flush=True)
     certified, count, steps, seconds = totals
-    lost = [name for name, floor in FLOORS.items() if counts[name] < floor]
-    print(f"{'total':<12} {f'{certified}/{count}':>11} {steps:>8} {seconds:>8.1f}")
-    for name in lost:
-        print(f"{name}: {counts[name]} certified, below the floor of {FLOORS[name]}", file=sys.stderr)
+    lost = [cell for cell, floor in FLOORS.items() if counts[cell] < floor]
+    print(f"{'total':<21} {f'{certified}/{count}':>11} {steps:>8} {seconds:>8.1f}")
+    for cell in lost:
+        print(f"{' from '.join(cell)}: {counts[cell]} certified, below the floor of {FLOORS[cell]}",
+              file=sys.stderr)
     return 1 if lost else 0
 
 
