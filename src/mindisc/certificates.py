@@ -196,16 +196,13 @@ def zero_product_residual(ens: Ensemble, povm: Povm) -> float:
     return _zero_product_residual(witnesses, povm.elements)
 
 
-def certify(
-    ens: Ensemble, povm: Povm, tol: float = DEFAULT_TOL, strict: bool = False
-) -> Certificate:
+def certify(ens: Ensemble, povm: Povm, tol: float = DEFAULT_TOL) -> Certificate:
     """Evaluate the full optimality certificate at tolerance ``tol``.
 
-    With ``strict=True`` the verdict additionally requires both equality
-    residuals to sit below ``tol``; by default they are reported but not
-    gated on, since positivity of the witnesses already implies them.
-    The verdict reads the witnesses' eigenvalues alone; an eigenvector is
-    computed only on a not-optimal verdict, for the witness it reports.
+    The verdict reads the witnesses' eigenvalues alone; both equality
+    residuals are reported but not gated on, since positivity of the
+    witnesses already implies them.  An eigenvector is computed only on a
+    not-optimal verdict, for the witness it reports.
     Gamma comes from the products W_i pi_i that the pairwise residual reads,
     summed by ``povm._gamma`` as in the solver's loop but behind the
     imaginary-trace guard, and ``p_corr`` is Re tr Gamma: bit for bit
@@ -225,8 +222,6 @@ def certify(
     lowest = float(minima[j])
     negative_trace = float(np.maximum(-values, 0.0).sum())
     optimal = lowest >= -tol and herm_residual <= tol
-    if strict:
-        optimal = optimal and eq_residual <= tol and zp_residual <= tol
 
     return Certificate(
         p_corr=p_corr,

@@ -1,8 +1,7 @@
 """Dense complex matrix foundation: Hermitian repair, spectra, positivity.
 
-Tolerances are double-precision defaults for the desk-scale problems this
-package targets (dimension <= ~64).  Operations that depend on them accept
-an override.
+Tolerances are double-precision constants for the desk-scale problems this
+package targets (dimension <= ~64).
 """
 
 from __future__ import annotations
@@ -74,8 +73,8 @@ def herm_deviation(m) -> float:
     return float(np.max(np.abs(arr - arr.conj().T)))
 
 
-def is_hermitian(m, tol: float = HERM_TOL) -> bool:
-    return herm_deviation(m) <= tol
+def is_hermitian(m) -> bool:
+    return herm_deviation(m) <= HERM_TOL
 
 
 def _square_or_stack(m) -> np.ndarray:
@@ -216,24 +215,24 @@ def checked_eigvalsh(m) -> np.ndarray:
     return eigenvalues
 
 
-def spectral_decompose(m, tol: float = HERM_TOL) -> Spectrum:
+def spectral_decompose(m) -> Spectrum:
     """Eigendecompose a Hermitian matrix into a deterministic Spectrum.
 
-    Raises NotHermitianError if ``m`` is not Hermitian within ``tol`` and
+    Raises NotHermitianError if ``m`` is not Hermitian within HERM_TOL and
     EigendecompositionError if the underlying solver fails.
     """
     arr = as_matrix(m)
     deviation = herm_deviation(arr)
-    if deviation > tol:
+    if deviation > HERM_TOL:
         raise NotHermitianError(deviation)
     eigenvalues, eigenvectors = checked_eigh(_hermitian_part(arr))
     return Spectrum(readonly(eigenvalues.astype(float)), readonly(fix_phase(eigenvectors)))
 
 
-def min_eigenvalue(m, tol: float = HERM_TOL) -> tuple[float, np.ndarray]:
+def min_eigenvalue(m) -> tuple[float, np.ndarray]:
     """Smallest eigenvalue of a Hermitian matrix with one unit eigenvector.
 
     A degenerate minimum resolves to the first column of the deterministic
     ascending decomposition.
     """
-    return spectral_decompose(m, tol=tol).pair(0)
+    return spectral_decompose(m).pair(0)

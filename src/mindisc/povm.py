@@ -244,8 +244,9 @@ def _completed_povm(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     kernel projector, if it has one, added to outcome 0; returns the
     elements and that projector (None if S is full rank).
 
-    The one completion of the square-root measurement, ``random_povm`` and
-    the fixed-point step.  Unvalidated, but exactly Hermitian: both terms are.
+    The one completion of the square-root measurement and ``random_povm``;
+    the fixed-point step calls ``_normalizer`` directly.  Unvalidated, but
+    exactly Hermitian: both terms are.
     """
     inv_sqrt, kernel = _normalizer(np.add.reduce(blocks, 0))
     elements = _hermitian_part(inv_sqrt @ blocks @ inv_sqrt)

@@ -34,9 +34,14 @@ whose fixed points satisfy the equality conditions and which converges
 linearly on those optima.  It cannot grow an element's support, so when it
 stops short of the verdict the ascent runs a short rescue burst and hands
 back.  A binary problem starts in the ascent instead, which is exact there
-(Helstrom) and certifies from the uniform measurement in two steps.  The
-engines share one step budget, the ``max_iter`` steps of a ``SolverConfig``,
-and the result is certified once, when the solve stops.
+(Helstrom) and certifies from the uniform measurement in two steps.  Each
+engine is a step function; ``solve`` holds the one loop that runs them.
+The loop keeps the accepted POVM with its Gamma and P_corr, checks the
+verdict once per accepted POVM, and hands over when a run cannot step or a
+burst is spent.  It stops when the verdict holds, when the engines' shared
+budget, the ``max_iter`` steps of a ``SolverConfig``, is spent, or after
+two runs in a row that take no step.  The result is certified once, when
+the solve stops.
 
 The iteration runs on factors A_j with pi_j = A_j A_j^*, through the map
 g(A)_j = S^{-1/2} W_j A_j, S = sum_j (W_j A_j)(W_j A_j)^*: the same step,
@@ -53,27 +58,28 @@ dropped, with the history, for the plain step.
 
 At the benchmark's sizes (d <= 16, n <= 8) a step is bound by the dispatch
 of its few dozen numpy calls, not by arithmetic on its small matrices, so
-the loop's kernels keep their calls and temporaries few.  Both engines form
-the Lagrange operator Gamma = sum_j W_j pi_j once per candidate, with
-``povm._gamma``: Re tr Gamma is the candidate's P_corr, which the accept
-test reads, and an accepted candidate's Gamma is what the next stop check
-reads.  The engines skip the imaginary-trace guard, since their W and pi
-are Hermitian by construction and a NaN P_corr already stops them;
-``p_correct`` and ``certify`` run the guard, then form Gamma and P_corr the
-same way, so a solve's last record, ``p_correct`` of the returned POVM and
-its certificate agree bit for bit, and every returned POVM is guarded once.
-Every stack sum (Gamma, the average state, the element sum of the
-completeness test, the S of a completion) is ``np.add.reduce``, which adds
-an (n, d, d) stack in index order when d >= 2 (a d = 1 stack pairwise).
-Only the 1-D sums of the step coefficients keep ``ordered_sum``'s loop,
-which beats numpy's dispatch at a handful of terms.  The square-root
-measurement, ``random_povm`` and the fixed-point step share one completion
-kernel, ``povm._completed_povm``, and its normaliser is the factor map's:
-deterministic for a given numpy and BLAS build, with no eigenvector phase
-fixed.  Norms follow numpy's own formula without its wrapper, and
-finiteness tests take one sum.  The default start, the uniform
-measurement, is built directly as an (n, d, d) stack of identity/n, valid
-by construction, with no validation.
+the loop's kernels keep their calls and temporaries few.  The Lagrange
+operator Gamma = sum_j W_j pi_j is formed with ``povm._gamma`` once for the
+start and once per candidate of either engine: Re tr Gamma is the
+candidate's P_corr, which the accept test reads, and an accepted
+candidate's Gamma is what the next verdict check reads.  A hand-over keeps
+the POVM, so it forms no second Gamma.  The engines skip the
+imaginary-trace guard, since their W and pi are Hermitian by construction
+and a NaN P_corr already stops them; ``p_correct`` and ``certify`` run the
+guard, then form Gamma and P_corr the same way, so a solve's last record,
+``p_correct`` of the returned POVM and its certificate agree bit for bit,
+and every returned POVM is guarded once.  Every stack sum (Gamma, the
+average state, the element sum of the completeness test, the S of a
+completion) is ``np.add.reduce``, which adds an (n, d, d) stack in index
+order when d >= 2 (a d = 1 stack pairwise).  Only the 1-D sums of the
+step coefficients keep ``ordered_sum``'s loop, which beats numpy's dispatch
+at a handful of terms.  The square-root measurement and ``random_povm``
+share one completion kernel, ``povm._completed_povm``, and the factor map
+calls its normaliser, ``povm._normalizer``, directly: deterministic for a
+given numpy and BLAS build, with no eigenvector phase fixed.  Norms follow
+numpy's own formula without its wrapper, and finiteness tests take one sum.
+The default start, the uniform measurement, is built directly as an
+(n, d, d) stack of identity/n, valid by construction, with no validation.
 """
 
 from __future__ import annotations
@@ -124,9 +130,6 @@ ANDERSON_DEPTH = 3
 # machine epsilon of a double, for the Anderson coefficients' cutoff
 _EPS = float(np.finfo(float).eps)
 
-# why an engine run stopped
-CERTIFIED, STALL, FLOOR, CAP = "certified", "stall", "floor", "cap"
-
 
 @dataclass(frozen=True)
 class IterationRecord:
@@ -145,7 +148,7 @@ class IterationRecord:
 
 @dataclass(frozen=True)
 class SolveTrace:
-    """Outcome of one solve call: per-step records for the returned run."""
+    """Outcome of one solve call: a record of every step from the start."""
 
     iterations: tuple[IterationRecord, ...]
     final_povm: Povm
@@ -291,55 +294,40 @@ def best_epsilon(ens: Ensemble, povm: Povm, mode: Witness) -> float:
     return _argmax_quadratic(a, b)
 
 
-def _run_ascent(
-    weighted: np.ndarray,
-    elements: np.ndarray,
-    records: list[IterationRecord],
-    steps: int,
-    tol: float,
-) -> tuple[np.ndarray, str]:
-    """At most ``steps`` ascent steps; returns (elements, stop reason).
+def _ascent_step(
+    weighted: np.ndarray, elements: np.ndarray, scan, current_p: float
+) -> tuple[IterationRecord, np.ndarray, np.ndarray] | None:
+    """One ascent step from ``elements``, whose P_corr is ``current_p``:
+    returns its record, the new POVM and that POVM's Gamma, or None when the
+    ascent cannot step.
 
-    The run stops, certified, when ``certify``'s verdict holds: every
-    witness eigenvalue is at least ``-tol`` and Gamma is Hermitian within
-    ``tol``.  Until then each step moves toward the witness G_j0 with the
-    most negative eigenvalue, along every eigenvector of G_j0 with a
-    negative eigenvalue, those in (-tol, 0) included: while Gamma is not yet
-    Hermitian within ``tol``, the ascent must keep pushing them.  The
-    eigenvalue scan of every witness picks G_j0, and one ``eigh`` of G_j0
-    alone gives the basis, cut by its own eigenvalues; a basis that predicts
-    a gain below ``STALL_THRESHOLD``, an empty one included, ends the run.
-    Gamma is formed once per candidate: the candidate's P_corr is Re tr Gamma,
-    and an accepted candidate's Gamma is the one the next step scans.
+    ``scan`` is ``_witness_scan`` of ``elements``, which names the witness
+    G_j0 with the most negative eigenvalue.  The step moves along every
+    eigenvector of G_j0 with a negative eigenvalue, those in (-tol, 0)
+    included: while Gamma is not yet Hermitian within ``tol``, the ascent
+    must keep pushing them.  One ``eigh`` of G_j0 alone gives the basis, cut
+    by its own eigenvalues.  A basis that predicts a gain below
+    ``STALL_THRESHOLD``, an empty one included, is a stall; a candidate that
+    does not raise P_corr is the rounding floor.  Both give None.
     """
-    gamma, current_p = _gamma(weighted @ elements)
-    for _ in range(steps):
-        witnesses, values, j0 = _witness_scan(gamma, weighted)
-        value = float(values[j0, 0])
-        if value >= -tol and _herm_residual(gamma) <= tol:
-            return elements, CERTIFIED
-        own_values, vectors = checked_eigh(witnesses[j0])
-        basis = vectors[:, : int(np.searchsorted(own_values, 0.0))]
-        a, b = _block_coefficients(weighted, elements, j0, basis)
-        epsilon = _argmax_quadratic(a, b)
-        predicted = (a * epsilon + b) * epsilon
-        if not math.isfinite(predicted):
-            raise NumericFailure("predicted step gain is not finite")
-        if predicted < STALL_THRESHOLD:
-            return elements, STALL
-        candidate = _block_step(elements, j0, basis, epsilon)
-        candidate_gamma, new_p = _gamma(weighted @ candidate)
-        if not math.isfinite(new_p):
-            raise NumericFailure("success probability is not finite")
-        if new_p <= current_p:
-            # rounding floor: the predicted gain no longer materializes
-            return elements, FLOOR
-        elements, gamma = candidate, candidate_gamma
-        records.append(
-            IterationRecord(p_corr=new_p, outcome=j0, lam=-value, epsilon=epsilon)
-        )
-        current_p = new_p
-    return elements, CAP
+    witnesses, values, j0 = scan
+    own_values, vectors = checked_eigh(witnesses[j0])
+    basis = vectors[:, : int(np.searchsorted(own_values, 0.0))]
+    a, b = _block_coefficients(weighted, elements, j0, basis)
+    epsilon = _argmax_quadratic(a, b)
+    predicted = (a * epsilon + b) * epsilon
+    if not math.isfinite(predicted):
+        raise NumericFailure("predicted step gain is not finite")
+    if predicted < STALL_THRESHOLD:
+        return None
+    candidate = _block_step(elements, j0, basis, epsilon)
+    gamma, new_p = _gamma(weighted @ candidate)
+    if not math.isfinite(new_p):
+        raise NumericFailure("success probability is not finite")
+    if new_p <= current_p:
+        # rounding floor: the predicted gain no longer materializes
+        return None
+    return IterationRecord(new_p, j0, -float(values[j0, 0]), epsilon), candidate, gamma
 
 
 def _factor_map(
@@ -455,70 +443,64 @@ class _AndersonHistory:
         return (g - gamma @ self.dg[:k]).view(complex).reshape(self.shape)
 
 
-def _run_fixed_point(
-    weighted: np.ndarray,
-    elements: np.ndarray,
-    records: list[IterationRecord],
-    steps: int,
-    tol: float,
-) -> tuple[np.ndarray, str]:
-    """At most ``steps`` fixed-point steps; returns (elements, stop reason).
-
-    Gamma is formed once per candidate by ``_gamma``, as in ``certify``:
-    the candidate's P_corr is Re tr Gamma, and an accepted candidate's Gamma
-    is what the next stop check reads.  That check runs the witness scan,
-    eigenvalues only as in ``certify``, only once Gamma is Hermitian within
-    ``tol``, so the loop stops exactly when ``certify`` would return optimal.
+class _FixedPoint:
+    """One run of the fixed-point engine: its factors and Anderson history.
 
     A step maps factors through ``_factor_map``.  Its input is the Anderson
     mix of the last ``ANDERSON_DEPTH + 1`` (input, output) pairs; a mix that
     is not finite, does not raise P_corr, or whose elements miss the
     identity by more than ``COMPLETENESS_TOL`` drops the history and gives
-    way to the plain step from the accepted factors.  Only a plain step that
-    fails the same tests ends the run, on the floor.  Every accepted POVM
-    is thus an output of the map that ``validate_povm`` accepts: an
+    way to the plain step from the accepted factors.  Only a plain step
+    that fails the same tests ends the run, on the floor.  Every accepted
+    POVM is thus an output of the map that ``validate_povm`` accepts: an
     ill-conditioned S amplifies rounding in the element sum.  When S has a
     kernel, its projector on outcome 0 is in no factor.  The factors and
     the history carry on if every W_j annihilates that projector, as when
     the states do not span the space; otherwise the factors restart from
-    the Hermitian square roots of the accepted POVM.
+    the Hermitian square roots of the accepted POVM, as they start a run.
     """
-    factors = None
-    history = _AndersonHistory(elements.shape)
-    gamma, current_p = _gamma(weighted @ elements)
-    for _ in range(steps):
-        if _herm_residual(gamma) <= tol and _witness_scan(gamma, weighted)[1].min() >= -tol:
-            return elements, CERTIFIED
-        if factors is None:
-            factors = _hermitian_sqrt(elements)
-        step = None
+
+    def __init__(self, shape: tuple[int, ...]):
+        self.factors: np.ndarray | None = None
+        self.history = _AndersonHistory(shape)
+
+    def step(
+        self, weighted: np.ndarray, elements: np.ndarray, current_p: float
+    ) -> tuple[IterationRecord, np.ndarray, np.ndarray] | None:
+        """One step from the accepted ``elements``, whose P_corr is
+        ``current_p``: returns its record, the new POVM and that POVM's
+        Gamma, or None on the floor."""
+        if self.factors is None:
+            self.factors = _hermitian_sqrt(elements)
+        history = self.history
         if history.count:
             mixed = history.mix()
             if _all_finite(mixed):
-                output, candidate, kernel = _factor_map(weighted, mixed)
-                candidate_gamma, new_p = _gamma(weighted @ candidate)
-                if _accepts(candidate, new_p, current_p):
-                    step = mixed
-            if step is None:
-                history.clear()
-        if step is None:
-            step = factors
-            output, candidate, kernel = _factor_map(weighted, step)
-            candidate_gamma, new_p = _gamma(weighted @ candidate)
-            if not math.isfinite(new_p):
-                raise NumericFailure("success probability is not finite")
-            if not _accepts(candidate, new_p, current_p):
-                return elements, FLOOR
-        if kernel is None or _kernel_is_unseen(weighted, kernel):
-            factors = output
-            history.push(step, output)
-        else:
-            factors = None
+                step = self._trial(weighted, mixed, current_p, False)
+                if step is not None:
+                    return step
             history.clear()
-        elements, gamma = candidate, candidate_gamma
-        records.append(IterationRecord(new_p, None, None, None, engine="fixed_point"))
-        current_p = new_p
-    return elements, CAP
+        return self._trial(weighted, self.factors, current_p, True)
+
+    def _trial(
+        self, weighted: np.ndarray, factors: np.ndarray, current_p: float, plain: bool
+    ) -> tuple[IterationRecord, np.ndarray, np.ndarray] | None:
+        """Map ``factors``, form the image's Gamma and keep the image if
+        ``_accepts`` it; None otherwise.  A P_corr that is not finite
+        rejects a mix and raises on the ``plain`` step."""
+        output, candidate, kernel = _factor_map(weighted, factors)
+        gamma, new_p = _gamma(weighted @ candidate)
+        if plain and not math.isfinite(new_p):
+            raise NumericFailure("success probability is not finite")
+        if not _accepts(candidate, new_p, current_p):
+            return None
+        if kernel is None or _kernel_is_unseen(weighted, kernel):
+            self.factors = output
+            self.history.push(factors, output)
+        else:
+            self.factors = None
+            self.history.clear()
+        return IterationRecord(new_p, None, None, None, engine="fixed_point"), candidate, gamma
 
 
 def solve(
@@ -528,53 +510,83 @@ def solve(
 
     Runs one start, ``start`` (default: the uniform POVM, built as a new
     stack for each call and bit for bit ``uniform_povm``'s), for at most
-    ``config.max_iter`` steps.  A problem with three or more states opens
-    in the fixed-point engine, which runs until the verdict holds or it
-    stops on the floor; the ascent then runs as a rescue, a burst of at
-    most ``ASCENT_STEPS_PER_DIM * d`` steps, and hands back.  A binary problem opens with such a burst, which certifies it.
-    The solve stops when the verdict holds, when the budget is spent, or
-    when neither engine can take a step; the result is then validated and
-    certified at ``config.tol``.  The optimality conditions are sufficient
-    as well as necessary, so a run that stops short has no local maximum
-    to escape: there is nothing to restart.  ``converged`` is True
+    ``config.max_iter`` steps of either engine.  A problem with three or
+    more states opens in the fixed-point engine, which runs until the
+    verdict holds or it stops on the floor; the ascent then runs as a
+    rescue, a burst of at most ``ASCENT_STEPS_PER_DIM * d`` steps, and
+    hands back.  A binary problem opens with such a burst, which certifies
+    it.  The solve stops when the verdict holds, when the budget is spent,
+    or when two runs in a row take no step; the result is then validated
+    and certified at ``config.tol``.  The optimality conditions are
+    sufficient as well as necessary, so a run that stops short has no local
+    maximum to escape: there is nothing to restart.  ``converged`` is True
     exactly when the returned certificate is optimal; ``iterations`` holds
     every step from the start, and ``iterations_used`` counts them.  No
     random numbers are drawn.  A ``start`` that is not a Povm, or a
     ``config`` that is not a SolverConfig, raises TypeError.
+
+    This loop is the only one: the engines' steps each return a candidate
+    with its Gamma and P_corr, or None when their run cannot step.  Gamma is
+    formed once for the start and once per candidate.  The verdict is
+    checked once per accepted POVM, before the engine in charge steps from
+    it, as ``certify`` decides it: the ascent scans first, since its step
+    reads the scan, and the fixed-point engine scans only once Gamma is
+    Hermitian within ``tol``.  A hand-over keeps the POVM, so it re-forms
+    neither Gamma nor the check; a spent burst hands over before the check.
     """
     if config is None:
         config = SolverConfig()
     elif not isinstance(config, SolverConfig):
         raise TypeError(f"expected a SolverConfig, got {type(config).__name__}")
-    weighted = ens.weighted_states
+    weighted, tol, budget = ens.weighted_states, config.tol, config.max_iter
     if start is None:
         # the uniform POVM's stack, valid by construction and new to this call
         elements = _uniform_elements(len(ens), ens.dim)
     else:
         check_match(ens, start)
         elements = start.elements
-    budget = config.max_iter
     burst = ASCENT_STEPS_PER_DIM * ens.dim
-    engine = "ascent" if len(ens) <= 2 else "fixed_point"
+    ascent = len(ens) <= 2
+    fixed = None if ascent else _FixedPoint(elements.shape)
+    gamma, p_corr = _gamma(weighted @ elements)
     records: list[IterationRecord] = []
-    idle = False
-    while True:
-        before = len(records)
-        if engine == "ascent":
-            elements, reason = _run_ascent(
-                weighted, elements, records, min(budget - before, burst), config.tol
-            )
+    # the current POVM's witness scan: None until its verdict is checked,
+    # () when the check needed no scan
+    scan = None
+    run = 0  # steps of the engine in charge since it took over
+    idle = False  # whether the run before took no step
+    while len(records) < budget:
+        if ascent and run == burst:
+            step = None  # a spent burst hands over before the verdict check
         else:
-            elements, reason = _run_fixed_point(
-                weighted, elements, records, budget - before, config.tol
-            )
-        taken = len(records) - before
-        if reason == CERTIFIED or len(records) == budget or (idle and not taken):
-            break
-        idle = not taken
-        engine = "fixed_point" if engine == "ascent" else "ascent"
+            if scan is None:
+                # the verdict at a new POVM: the ascent scans first, the
+                # fixed-point engine only once Gamma is Hermitian within tol
+                if ascent or _herm_residual(gamma) <= tol:
+                    scan = _witness_scan(gamma, weighted)
+                    lowest = scan[1][scan[2], 0]
+                    if lowest >= -tol and (not ascent or _herm_residual(gamma) <= tol):
+                        break
+                else:
+                    scan = ()
+            if ascent:
+                scan = scan or _witness_scan(gamma, weighted)
+                step = _ascent_step(weighted, elements, scan, p_corr)
+            else:
+                step = fixed.step(weighted, elements, p_corr)
+        if step is None:
+            if idle and not run:
+                break
+            ascent, idle, run = not ascent, not run, 0
+            fixed = None if ascent else _FixedPoint(elements.shape)
+            continue
+        record, elements, gamma = step
+        p_corr = record.p_corr
+        records.append(record)
+        run += 1
+        scan = None
     povm = validate_povm(elements)
-    cert = certify(ens, povm, config.tol)
+    cert = certify(ens, povm, tol)
     return SolveTrace(
         iterations=tuple(records),
         final_povm=povm,

@@ -198,11 +198,6 @@ def test_sufficiency_certified_beats_challengers(trine_ensemble, trine_srm):
         assert md.p_correct(trine_ensemble, challenger) <= cert.p_corr + slack
 
 
-def test_strict_mode_still_accepts_exact_optima(trine_ensemble, trine_srm):
-    assert md.certify(trine_ensemble, trine_srm, strict=True).is_optimal
-    assert not md.certify(trine_ensemble, md.uniform_povm(3, 2), strict=True).is_optimal
-
-
 def test_verdict_follows_tolerance_exactly(trine_ensemble):
     # uniform POVM on the trine: most negative witness eigenvalue is -1/6
     # and its Lagrange operator is Hermitian, so the verdict flips as the

@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -535,10 +536,11 @@ def test_fixed_point_stop_check_reads_eigenvalues_only(monkeypatch, trine_ensemb
     ens = md.random_mixed(4, 4, seed=1)
     engine_calls = count_eigh_calls(monkeypatch, solver)
     scan_calls = count_eigh_calls(monkeypatch, certificates)
-    elements, reason = solver._run_fixed_point(
-        trine_ensemble.weighted_states, trine_srm.elements, [], 5, 1e-7
-    )
-    assert reason == solver.CERTIFIED and elements is trine_srm.elements
+    # the trine opens in the fixed-point engine, whose stop check certifies
+    # the SRM before any step
+    trace = md.solve(trine_ensemble, trine_srm)
+    assert trace.converged and trace.iterations_used == 0
+    assert trace.final_povm.elements.tobytes() == trine_srm.elements.tobytes()
     assert engine_calls == scan_calls == []
     # a whole fixed-point solve: every eigh is the engine's own (S and the
     # square roots), none comes from a stop check or from the final certify
@@ -557,9 +559,13 @@ def test_ascent_computes_one_witness_eigh_per_step(monkeypatch):
 
 def test_ascent_stalls_when_the_witness_eigh_finds_no_negative_eigenvalue(monkeypatch):
     # the batched eigenvalue scan sees a negative mode, but G_j0's own eigh
-    # finds none below 0: the run stops on a stall without a step
+    # finds none below 0: the step is a stall, refused before any block step
     ens = md.random_mixed(4, 2, seed=3)
+    weighted = ens.weighted_states
     start = md.uniform_povm(2, 4)
+    gamma, p_corr = solver._gamma(weighted @ start.elements)
+    scan = solver._witness_scan(gamma, weighted)
+    assert scan[1].min() < 0.0
     real = solver.checked_eigh
 
     def nonnegative(m):
@@ -567,12 +573,8 @@ def test_ascent_stalls_when_the_witness_eigh_finds_no_negative_eigenvalue(monkey
         return np.maximum(values, 0.0), vectors
 
     monkeypatch.setattr(solver, "checked_eigh", nonnegative)
-    records = []
-    elements, reason = solver._run_ascent(
-        ens.weighted_states, start.elements, records, 8, 1e-7
-    )
-    assert reason == solver.STALL
-    assert elements is start.elements and records == []
+    monkeypatch.setattr(solver, "_block_step", lambda *args: pytest.fail("stepped"))
+    assert solver._ascent_step(weighted, start.elements, scan, p_corr) is None
 
 
 def test_ascent_stops_where_the_verdict_holds():
@@ -1041,15 +1043,20 @@ def test_default_start_is_the_uniform_povm_bit_for_bit(make):
 
 @pytest.mark.parametrize("n", [2, 4])
 def test_default_starts_are_never_shared(monkeypatch, n):
+    # the first step of each solve sees its start: the ascent's for a binary
+    # problem, the fixed-point engine's otherwise
     starts = []
-    engine = "_run_ascent" if n == 2 else "_run_fixed_point"
-    run = getattr(solver, engine)
+    if n == 2:
+        owner, name, position = solver, "_ascent_step", 1
+    else:
+        owner, name, position = solver._FixedPoint, "step", 2
+    step = getattr(owner, name)
 
-    def spy(weighted, elements, *args):
-        starts.append(elements)
-        return run(weighted, elements, *args)
+    def spy(*args):
+        starts.append(args[position])
+        return step(*args)
 
-    monkeypatch.setattr(solver, engine, spy)
+    monkeypatch.setattr(owner, name, spy)
     ens = md.random_mixed(3, n, 1)
     config = md.SolverConfig(max_iter=1)
     md.solve(ens, None, config)
@@ -1058,6 +1065,68 @@ def test_default_starts_are_never_shared(monkeypatch, n):
     a, b = starts[0], starts[first]
     assert np.array_equal(a, md.uniform_povm(n, 3).elements)
     assert not np.shares_memory(a, b)
+
+
+def _empty_start(ens: md.Ensemble) -> md.Povm:
+    """[I, 0, ..., 0]: only the ascent can grow the empty elements."""
+    d = ens.dim
+    return md.validate_povm([np.eye(d)] + [np.zeros((d, d))] * (len(ens) - 1))
+
+
+def _runs(trace: md.SolveTrace) -> list[tuple[str, int]]:
+    """(engine, steps) of each run of steps in a trace."""
+    return [(engine, len(list(steps))) for engine, steps in
+            itertools.groupby(record.engine for record in trace.iterations)]
+
+
+@pytest.mark.parametrize(
+    "make, engines",
+    [
+        (md.trine, ["ascent"]),
+        (lambda: md.random_mixed(4, 5, 3), ["ascent", "fixed_point"]),
+        (lambda: md.random_mixed(6, 3, 2), ["ascent", "fixed_point"]),
+    ],
+    ids=["trine", "mixed-d4-n5", "mixed-d6-n3"],
+)
+def test_empty_start_hands_over_between_engines(make, engines):
+    # the fixed-point engine cannot grow an empty element, so it hands the
+    # start to the ascent without a step; a burst of at most 2 d ascent
+    # steps grows them, and unless it certifies, the burst cap hands the
+    # POVM back to the fixed-point engine
+    ens = make()
+    trace = md.solve(ens, _empty_start(ens))
+    assert trace.converged
+    runs = _runs(trace)
+    assert [engine for engine, _ in runs] == engines
+    assert all(steps <= solver.ASCENT_STEPS_PER_DIM * ens.dim
+               for engine, steps in runs if engine == "ascent")
+
+
+@pytest.mark.parametrize(
+    "make, start, config",
+    [
+        (lambda: _zero_prior_rank_two(25), None, md.SolverConfig(max_iter=400)),
+        (lambda: md.random_mixed(4, 5, 3), _empty_start, None),
+    ],
+    ids=["zero-prior-25", "mixed-d4-n5-empty"],
+)
+def test_gamma_is_formed_once_per_candidate(monkeypatch, make, start, config):
+    # one Gamma for the start and one per candidate of either engine, with
+    # no second one at a hand-over, and at most one witness scan per POVM
+    calls = {}
+    for name in ("_gamma", "_factor_map", "_block_step", "_witness_scan"):
+        calls[name] = 0
+
+        def spy(*args, name=name, real=getattr(solver, name)):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(solver, name, spy)
+    ens = make()
+    trace = md.solve(ens, start(ens) if start else None, config)
+    assert calls["_factor_map"] and calls["_block_step"]
+    assert calls["_gamma"] == 1 + calls["_factor_map"] + calls["_block_step"]
+    assert calls["_witness_scan"] <= len(trace.iterations) + 1
 
 
 def _assert_same_certificate(returned, fresh):
