@@ -19,9 +19,16 @@ holds: one stopping rule, at the certificate's tolerance.  An ascent
 record's ``lam`` is the magnitude of that most negative eigenvalue.
 The witness scan computes the eigenvalues of every G_j in one batch and no
 eigenvectors; a step then eigendecomposes the one witness it moves toward.
-For two states from the uniform measurement, two such steps give Helstrom's
-measurement.  A point with no negative mode satisfies the sufficient
-optimality conditions, so a certified fixed point is a global optimum.
+A point with no negative mode satisfies the sufficient optimality
+conditions, so a certified fixed point is a global optimum.
+
+For two states the conditions hold at Helstrom's measurement (Helstrom,
+Quantum Detection and Estimation Theory, 1976): outcome 0 projects onto
+the nonnegative eigenspace of Delta = p1 rho1 - p2 rho2 and outcome 1 onto
+the rest.  A binary solve checks the start's verdict and, short of it,
+takes one step to that measurement from one ``eigh`` of Delta, whatever
+the start; ``helstrom_binary`` shares the kernel, so the two return the
+same bits.
 
 The ascent approaches degenerate or rank-deficient optima only
 sublinearly, and a step with eps = 1 can empty an element.  So a problem
@@ -33,15 +40,13 @@ Rehacek and Fiurasek (PRA 65, 060301(R), 2002),
 whose fixed points satisfy the equality conditions and which converges
 linearly on those optima.  It cannot grow an element's support, so when it
 stops short of the verdict the ascent runs a short rescue burst and hands
-back.  A binary problem starts in the ascent instead, which is exact there
-(Helstrom) and certifies from the uniform measurement in two steps.  Each
-engine is a step function; ``solve`` holds the one loop that runs them.
-The loop keeps the accepted POVM with its Gamma and P_corr, checks the
-verdict once per accepted POVM, and hands over when a run cannot step or a
-burst is spent.  It stops when the verdict holds, when the engines' shared
-budget, the ``max_iter`` steps of a ``SolverConfig``, is spent, or after
-two runs in a row that take no step.  The result is certified once, when
-the solve stops.
+back.  Each engine is a step function; ``solve`` holds the one loop that
+runs them.  The loop keeps the accepted POVM with its Gamma and P_corr,
+checks the verdict once per accepted POVM, and hands over when a run
+cannot step or a burst is spent.  It stops when the verdict holds, when
+the engines' shared budget, the ``max_iter`` steps of a ``SolverConfig``,
+is spent, or after two runs in a row that take no step.  The result is
+certified once, when the solve stops.
 
 The iteration runs on factors A_j with pi_j = A_j A_j^*, through the map
 g(A)_j = S^{-1/2} W_j A_j, S = sum_j (W_j A_j)(W_j A_j)^*: the same step,
@@ -99,7 +104,6 @@ from .matrices import (
     _all_finite,
     _hermitian_part,
     checked_eigh,
-    hermitize,
     ordered_sum,
     spectral_decompose,
 )
@@ -121,8 +125,8 @@ from .povm import (
 
 # a step predicted to gain less than this ends the ascent as a stall
 STALL_THRESHOLD = 1e-14
-# an ascent run takes at most this many steps per dimension before the
-# fixed-point engine takes over again; binary problems certify in fewer
+# an ascent rescue burst takes at most this many steps per dimension before
+# the fixed-point engine takes over again
 ASCENT_STEPS_PER_DIM = 2
 # the fixed-point engine's Anderson mix spans this many differences of its
 # last ANDERSON_DEPTH + 1 (input, output) pairs
@@ -133,11 +137,11 @@ _EPS = float(np.finfo(float).eps)
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """One accepted step.  ``engine`` is "ascent" or "fixed_point".  An
-    ascent step's ``outcome`` is the witness G_j0 it moved toward, ``lam``
-    the magnitude of G_j0's most negative eigenvalue and ``epsilon`` its
-    step size; a fixed-point step has no mode or step size, so these are
-    None."""
+    """One accepted step.  ``engine`` is "ascent", "fixed_point" or
+    "helstrom".  An ascent step's ``outcome`` is the witness G_j0 it moved
+    toward, ``lam`` the magnitude of G_j0's most negative eigenvalue and
+    ``epsilon`` its step size; a fixed-point step and the closed-form step
+    of a binary problem have no mode or step size, so these are None."""
 
     p_corr: float
     outcome: int | None
@@ -514,16 +518,18 @@ def solve(
     more states opens in the fixed-point engine, which runs until the
     verdict holds or it stops on the floor; the ascent then runs as a
     rescue, a burst of at most ``ASCENT_STEPS_PER_DIM * d`` steps, and
-    hands back.  A binary problem opens with such a burst, which certifies
-    it.  The solve stops when the verdict holds, when the budget is spent,
-    or when two runs in a row take no step; the result is then validated
-    and certified at ``config.tol``.  The optimality conditions are
-    sufficient as well as necessary, so a run that stops short has no local
-    maximum to escape: there is nothing to restart.  ``converged`` is True
-    exactly when the returned certificate is optimal; ``iterations`` holds
-    every step from the start, and ``iterations_used`` counts them.  No
-    random numbers are drawn.  A ``start`` that is not a Povm, or a
-    ``config`` that is not a SolverConfig, raises TypeError.
+    hands back.  The solve stops when the verdict holds, when the budget is
+    spent, or when two runs in a row take no step.  A binary problem runs
+    neither engine: unless the start's verdict holds, it takes one
+    "helstrom" step to ``helstrom_binary``'s POVM, bit for bit, and stops.
+    Either way the result is then validated and certified at
+    ``config.tol``.  The optimality conditions are sufficient as well as
+    necessary, so a run that stops short has no local maximum to escape:
+    there is nothing to restart.  ``converged`` is True exactly when the
+    returned certificate is optimal; ``iterations`` holds every step from
+    the start, and ``iterations_used`` counts them.  No random numbers are
+    drawn.  A ``start`` that is not a Povm, or a ``config`` that is not a
+    SolverConfig, raises TypeError.
 
     This loop is the only one: the engines' steps each return a candidate
     with its Gamma and P_corr, or None when their run cannot step.  Gamma is
@@ -545,11 +551,20 @@ def solve(
     else:
         check_match(ens, start)
         elements = start.elements
-    burst = ASCENT_STEPS_PER_DIM * ens.dim
-    ascent = len(ens) <= 2
-    fixed = None if ascent else _FixedPoint(elements.shape)
     gamma, p_corr = _gamma(weighted @ elements)
     records: list[IterationRecord] = []
+    if len(ens) == 2:
+        # the start's verdict as certify decides it: Gamma Hermitian within
+        # tol, then no witness eigenvalue below -tol.  Short of it, one step
+        # to Helstrom's measurement, with no verdict check after it
+        if not (_herm_residual(gamma) <= tol and _witness_scan(gamma, weighted)[1].min() >= -tol):
+            elements = _helstrom_elements(weighted[0] - weighted[1])
+            p_corr = _gamma(weighted @ elements)[1]
+            records.append(IterationRecord(p_corr, None, None, None, engine="helstrom"))
+        return _finish(ens, elements, records, tol)
+    burst = ASCENT_STEPS_PER_DIM * ens.dim
+    ascent = False
+    fixed = _FixedPoint(elements.shape)
     # the current POVM's witness scan: None until its verdict is checked,
     # () when the check needed no scan
     scan = None
@@ -585,6 +600,14 @@ def solve(
         records.append(record)
         run += 1
         scan = None
+    return _finish(ens, elements, records, tol)
+
+
+def _finish(
+    ens: Ensemble, elements: np.ndarray, records: list[IterationRecord], tol: float
+) -> SolveTrace:
+    """The trace of a solve that stops at ``elements``: validated once and
+    certified once, at ``tol``."""
     povm = validate_povm(elements)
     cert = certify(ens, povm, tol)
     return SolveTrace(
@@ -596,6 +619,17 @@ def solve(
     )
 
 
+def _helstrom_elements(delta: np.ndarray) -> np.ndarray:
+    """Helstrom's measurement for Delta = p1 rho1 - p2 rho2 as a (2, d, d)
+    stack, exactly Hermitian and not validated: outcome 0 projects onto the
+    nonnegative eigenspace of Delta (zero eigenvalues included, which
+    settles ties), outcome 1 onto the rest."""
+    spectrum = spectral_decompose(delta)
+    vs = spectrum.eigenvectors[:, spectrum.eigenvalues >= 0.0]
+    first = _hermitian_part(vs @ vs.conj().T)
+    return np.stack((first, _hermitian_part(np.eye(len(delta)) - first)))
+
+
 def helstrom_binary(
     p1: float, rho1: DensityMatrix, p2: float, rho2: DensityMatrix
 ) -> tuple[Povm, float]:
@@ -603,18 +637,14 @@ def helstrom_binary(
 
     Projects outcome 0 onto the nonnegative eigenspace of
     p1 rho1 - p2 rho2 (zero eigenvalues included, which settles ties), so
-    P_corr = p2 + tr(Delta pi_1) = (1 + sum |eig(Delta)|) / 2.
+    P_corr = p2 + tr(Delta pi_1) = (1 + sum |eig(Delta)|) / 2.  A binary
+    ``solve`` that steps returns this POVM bit for bit.
     """
     ens = Ensemble((p1, p2), (rho1, rho2))
     delta = ens.weighted(0) - ens.weighted(1)
-    spectrum = spectral_decompose(delta)
-    keep = spectrum.eigenvalues >= 0.0
-    vs = spectrum.eigenvectors[:, keep]
-    first = hermitize(vs @ vs.conj().T)
-    second = hermitize(np.eye(ens.dim) - first)
-    povm = validate_povm([first, second])
-    success = float(ens.priors[1]) + float(np.trace(delta @ first).real)
-    return povm, success
+    elements = _helstrom_elements(delta)
+    success = float(ens.priors[1]) + float(np.trace(delta @ elements[0]).real)
+    return validate_povm(elements), success
 
 
 def brute_force(ens: Ensemble, budget: int = 16, seed: int = 0) -> tuple[Povm, float]:
@@ -623,8 +653,10 @@ def brute_force(ens: Ensemble, budget: int = 16, seed: int = 0) -> tuple[Povm, f
     Runs ``solve`` from the uniform POVM, the square-root measurement and
     ``budget`` random POVMs, and returns the best POVM found with its
     success probability.  It shares ``solve``'s engines, so it is a check
-    of the schedule, not an independent oracle.  Guard rails: dimension
-    <= 4, at most 4 states, and ``budget`` an integer of at least 1.
+    of the schedule, not an independent oracle.  On a binary problem every
+    start that does not already certify returns ``helstrom_binary``'s
+    POVM, so there it checks nothing beyond the closed form.  Guard rails:
+    dimension <= 4, at most 4 states, and ``budget`` an integer of at least 1.
     """
     if ens.dim > 4 or len(ens) > 4:
         raise ValueError(

@@ -217,12 +217,16 @@ def test_solve_trace_strictly_increases(trine_ensemble):
 
 
 def test_solve_records_describe_steps():
-    ens = md.pure_pair(0.5)
-    trace = md.solve(ens)
-    assert trace.iterations_used >= len(trace.iterations)
-    for record in trace.iterations:
-        assert record.lam > 0
-        assert 0 < record.epsilon <= 1
+    # the empty start opens both solves with an ascent rescue burst: 2 steps
+    # on the trine, 8 on the mixed ensemble
+    for ens in (md.trine(), md.random_mixed(4, 5, 3)):
+        trace = md.solve(ens, _empty_start(ens))
+        assert trace.iterations_used >= len(trace.iterations)
+        ascent = [record for record in trace.iterations if record.engine == "ascent"]
+        assert ascent
+        for record in ascent:
+            assert record.lam > 0
+            assert 0 < record.epsilon <= 1
 
 
 def test_last_record_matches_final_certificate():
@@ -482,13 +486,27 @@ def test_default_solve_certifies_generic_ensembles(ens):
 @pytest.mark.parametrize(
     "ens",
     [md.pure_pair(0.5), md.pure_pair(0.9, priors=(0.3, 0.7))]
-    + [md.random_mixed(d, 2, seed=d) for d in (2, 3, 4, 8, 16)],
+    + [md.random_mixed(d, 2, seed=d) for d in (2, 3, 4, 8, 16)]
+    + [md.random_mixed(d, 2, 100 * d + s) for d in (2, 3, 4, 8, 16, 32) for s in range(4)]
+    + [md.pure_pair(c, p) for c in (0.0, 0.25, 0.5, 0.75, 0.9) for p in ((0.5, 0.5), (0.3, 0.7))],
 )
-def test_binary_solves_use_the_ascent_alone(ens):
-    trace = md.solve(ens)
-    assert trace.converged
-    assert trace.iterations_used == len(trace.iterations) <= ens.dim
-    assert all(record.engine == "ascent" for record in trace.iterations)
+def test_binary_solves_take_helstroms_measurement_from_any_start(ens):
+    # a start that certifies takes no step; any other takes one step to the
+    # POVM of helstrom_binary, bit for bit, whose certificate is optimal
+    helstrom, _ = md.helstrom_binary(ens.priors[0], ens.states[0], ens.priors[1], ens.states[1])
+    starts = (None, md.square_root_measurement(ens), md.random_povm(2, ens.dim, 0), _empty_start(ens))
+    for start in starts:
+        trace = md.solve(ens, start)
+        assert trace.converged
+        assert trace.iterations_used == len(trace.iterations) <= 1
+        if trace.iterations:
+            (record,) = trace.iterations
+            assert record.engine == "helstrom"
+            assert record.outcome is record.lam is record.epsilon is None
+            assert record.p_corr == trace.final_certificate.p_corr
+            assert trace.final_povm.elements.tobytes() == helstrom.elements.tobytes()
+        else:
+            assert trace.final_povm.elements.tobytes() == start.elements.tobytes()
 
 
 def test_trine_srm_is_a_fixed_point_of_the_fixed_point_step(trine_ensemble, trine_srm):
@@ -550,11 +568,15 @@ def test_fixed_point_stop_check_reads_eigenvalues_only(monkeypatch, trine_ensemb
 
 
 def test_ascent_computes_one_witness_eigh_per_step(monkeypatch):
-    ens = md.random_mixed(8, 2, seed=3)
+    # the empty start opens with an 8-step ascent burst; the fixed-point
+    # engine's own eigh calls take the (n, d, d) stack of square roots
+    ens = md.random_mixed(4, 5, 3)
+    start = _empty_start(ens)
     calls = count_eigh_calls(monkeypatch, solver)
-    trace = md.solve(ens)
-    assert trace.converged and trace.iterations_used == 2
-    assert calls == [(8, 8)] * 2
+    trace = md.solve(ens, start)
+    steps = sum(record.engine == "ascent" for record in trace.iterations)
+    assert trace.converged and steps == 8
+    assert [shape for shape in calls if shape != (5, 4, 4)] == [(4, 4)] * steps
 
 
 def test_ascent_stalls_when_the_witness_eigh_finds_no_negative_eigenvalue(monkeypatch):
@@ -943,14 +965,22 @@ def test_block_linear_gain_is_twice_the_negative_eigenvalue_sum():
 
 @pytest.mark.parametrize("dim", [2, 4, 8, 16, 32])
 def test_binary_solves_from_uniform_certify_in_two_block_steps(dim):
-    # one step gives outcome 0 the positive eigenspace of p1 rho1 - p2 rho2,
-    # the other gives outcome 1 the negative one: Helstrom's measurement
+    # one closed-form step gives outcome 0 the nonnegative eigenspace of
+    # p1 rho1 - p2 rho2 and outcome 1 the rest: Helstrom's measurement
     ens = md.random_mixed(dim, 2, seed=dim + 7)
     trace = md.solve(ens)
     assert trace.converged
-    assert trace.iterations_used == len(trace.iterations) <= 2
+    assert trace.iterations_used == len(trace.iterations) == 1
     _, oracle = md.helstrom_binary(ens.priors[0], ens.states[0], ens.priors[1], ens.states[1])
     assert abs(trace.final_certificate.p_corr - oracle) <= 1e-12
+
+
+def test_single_state_solve_takes_no_step(single_state_problem):
+    # the only measurement of one state is [I]: the start certifies
+    ens, povm = single_state_problem
+    for start in (None, povm):
+        trace = md.solve(ens, start)
+        assert trace.converged and trace.iterations_used == 0
 
 
 def test_solve_runs_one_start(monkeypatch):
@@ -1043,20 +1073,26 @@ def test_default_start_is_the_uniform_povm_bit_for_bit(make):
 
 @pytest.mark.parametrize("n", [2, 4])
 def test_default_starts_are_never_shared(monkeypatch, n):
-    # the first step of each solve sees its start: the ascent's for a binary
-    # problem, the fixed-point engine's otherwise
     starts = []
     if n == 2:
-        owner, name, position = solver, "_ascent_step", 1
+        # a binary solve reads its start only for the start's verdict, so
+        # the spy takes the stack the start builder hands it
+        build = solver._uniform_elements
+
+        def spy(*args):
+            starts.append(build(*args))
+            return starts[-1]
+
+        monkeypatch.setattr(solver, "_uniform_elements", spy)
     else:
-        owner, name, position = solver._FixedPoint, "step", 2
-    step = getattr(owner, name)
+        # the first step of the fixed-point engine sees the start
+        step = solver._FixedPoint.step
 
-    def spy(*args):
-        starts.append(args[position])
-        return step(*args)
+        def spy(*args):
+            starts.append(args[2])
+            return step(*args)
 
-    monkeypatch.setattr(owner, name, spy)
+        monkeypatch.setattr(solver._FixedPoint, "step", spy)
     ens = md.random_mixed(3, n, 1)
     config = md.SolverConfig(max_iter=1)
     md.solve(ens, None, config)

@@ -1,4 +1,4 @@
-"""Verdict sweep: how many solves of eight fixed instance groups certify
+"""Verdict sweep: how many solves of nine fixed instance groups certify
 from four starts, and in how many steps; exits 1 when a gated (group,
 start) cell certifies fewer than its floor.
 
@@ -6,7 +6,8 @@ Every instance is solved with ``SolverConfig(max_iter=3000)``, at most 3000
 steps per solve, from each of four starts: the uniform measurement, the
 square-root measurement, ``random_povm(n, d, k)`` for the instance's index
 k in its group, and the empty start [I, 0, ..., 0], which only the
-ascent's rescue bursts can grow.  The groups are
+ascent's rescue bursts can grow when there are three or more states.  The
+groups are
 
 - ``shapes``: ``random_mixed(d, n, 1)`` for d in {2, 3, 4, 6, 8, 16} and
   n in {3, 4, 8, 16} (24 instances);
@@ -21,7 +22,12 @@ ascent's rescue bursts can grow.  The groups are
   ensembles each from ``default_rng(2024)``, d in 2..6, n in 3..7 and
   random priors, of one full-rank state repeated n times, of random
   diagonal states, of states of rank 1..2 with n in d..2d, and of pure
-  states depolarised by lambda in (0.01, 0.5).
+  states depolarised by lambda in (0.01, 0.5);
+- ``binary``: ``random_mixed(d, 2, 100 d + s)`` for d in {2, 3, 4, 8, 16,
+  32} and s in 0..3, and the ten ``pure_pair(c, priors)`` of the
+  quick-certify benchmark (34 instances).  ``solve`` takes Helstrom's
+  measurement in closed form from any start, so each solve takes at most
+  one step.
 
 The ``zero-prior`` and ``qubits`` builders are those of ``tests/helpers.py``.
 The solver draws no random numbers, so the table depends only on the
@@ -121,6 +127,13 @@ def _depolarised(rng, d, n):
     return states
 
 
+def _binary():
+    for d, s in itertools.product((2, 3, 4, 8, 16, 32), range(4)):
+        yield md.random_mixed(d, 2, 100 * d + s)
+    for c, priors in itertools.product((0.0, 0.25, 0.5, 0.75, 0.9), ((0.5, 0.5), (0.3, 0.7))):
+        yield md.pure_pair(c, priors)
+
+
 def _empty(ens: md.Ensemble, k: int) -> md.Povm:
     d = ens.dim
     return md.validate_povm([np.eye(d)] + [np.zeros((d, d))] * (len(ens) - 1))
@@ -143,6 +156,7 @@ GROUPS = {
     "commuting": lambda: _family(_commuting),
     "low-rank": lambda: _family(_low_rank),
     "depolarised": lambda: _family(_depolarised),
+    "binary": _binary,
 }
 
 # the fewest certified solves each (group, start) cell may read; ``qubits``
@@ -156,6 +170,7 @@ _GROUP_FLOORS = {
     "commuting": FAMILY_SIZE,
     "low-rank": FAMILY_SIZE,
     "depolarised": FAMILY_SIZE,
+    "binary": 34,
 }
 FLOORS = {(group, start): floor for start in STARTS for group, floor in _GROUP_FLOORS.items()}
 # gated when it read 77; it reads 78 since the ascent stops on the verdict
