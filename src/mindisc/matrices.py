@@ -91,15 +91,16 @@ def _all_finite(a: np.ndarray) -> bool:
     return cmath.isfinite(a.sum()) or bool(np.isfinite(a).all())
 
 
-def _hermitian_part(a: np.ndarray) -> np.ndarray:
-    """(a + a^dagger)/2 of a complex square array or stack, unchecked.
+def _hermitian_part(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """(a + a^dagger)/2 of a complex square array or stack, unchecked,
+    written into ``out`` when one is given.
 
     The sum is halved in place by dividing by 2.  numpy divides a complex
     array by 2 as by the complex number 2 + 0j, which signs some zeros
     differently from a multiplication by 0.5, so only the division keeps
     the bits of (a + a^dagger)/2.
     """
-    out = a + a.conj().swapaxes(-1, -2)
+    out = np.add(a, a.conj().swapaxes(-1, -2), out=out)
     out /= 2
     return out
 
@@ -119,9 +120,13 @@ def checked_psd(m) -> np.ndarray:
     checking, in this order, that its entries are finite (else ValueError),
     that it is Hermitian within HERM_TOL (else NotHermitianError) and
     positive semidefinite within PSD_TOL (else NotPositiveError).  In a
-    stack the first offending element is named, and ``index`` holds its
-    position; for a single matrix ``index`` is None.  An eigensolver
-    failure raises EigendecompositionError, not a validation error."""
+    stack the first offending element is named: ``index`` holds its
+    position, and the error carries that element's own deviation or
+    eigenvalue; for a single matrix ``index`` is None.  An eigensolver
+    failure raises EigendecompositionError, not a validation error.
+
+    The Hermiticity test takes one max over the whole stack; per-element
+    maxima are formed only when it fails, to name the element."""
     arr = _square_or_stack(m)
 
     def first(bad: np.ndarray) -> int | None:
@@ -130,8 +135,9 @@ def checked_psd(m) -> np.ndarray:
     if not _all_finite(arr):
         i = first(~np.isfinite(arr).all(axis=(-2, -1)))
         raise ValueError(f"{'matrix' if i is None else f'element {i}'} has non-finite entries")
-    deviations = np.abs(arr - arr.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    deviations = np.abs(arr - arr.conj().swapaxes(-1, -2))
     if deviations.max() > HERM_TOL:
+        deviations = deviations.max(axis=(-2, -1))
         i = first(deviations > HERM_TOL)
         raise NotHermitianError(deviations.flat[i or 0], index=i)
     hermitian = _hermitian_part(arr)
@@ -185,10 +191,21 @@ def ordered_sum(values: np.ndarray) -> float | complex:
 
 def fix_phase(vectors: np.ndarray) -> np.ndarray:
     """Scale a vector, or each column of a matrix at once, so that its first
-    significant component is real positive."""
+    significant component is real positive.
+
+    Columns are scaled independently, so fixing some columns gives the bits
+    of the same columns of the fixed matrix.  The pivots are indexed
+    directly, as a (1,) slice of a vector or a (1, k) row of a matrix's k
+    columns: the shape ``np.take_along_axis`` gives them, which matters,
+    since a 1 x 1 matrix scaled by a (1,) factor takes numpy's broadcast
+    multiply loop, whose complex products can differ in the last bit.
+    """
     mags = np.abs(vectors)
-    lead = np.argmax(mags > _PHASE_CUTOFF * mags.max(axis=0), axis=0)
-    pivot = np.take_along_axis(vectors, lead[None], axis=0)
+    lead = (mags > _PHASE_CUTOFF * mags.max(axis=0)).argmax(axis=0)
+    if vectors.ndim == 1:
+        pivot = vectors[lead:lead + 1]
+    else:
+        pivot = vectors[lead[None], np.arange(vectors.shape[1])]
     return vectors * (pivot.conj() / np.abs(pivot))
 
 
@@ -219,7 +236,10 @@ def spectral_decompose(m) -> Spectrum:
     """Eigendecompose a Hermitian matrix into a deterministic Spectrum.
 
     Raises NotHermitianError if ``m`` is not Hermitian within HERM_TOL and
-    EigendecompositionError if the underlying solver fails.
+    EigendecompositionError if the underlying solver fails.  The public
+    entry point, behind ``min_eigenvalue`` too; the package's own kernels
+    take ``checked_eigh`` of matrices Hermitian by construction, with
+    ``fix_phase`` where they need its convention.
     """
     arr = as_matrix(m)
     deviation = herm_deviation(arr)

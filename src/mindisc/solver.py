@@ -28,7 +28,13 @@ the nonnegative eigenspace of Delta = p1 rho1 - p2 rho2 and outcome 1 onto
 the rest.  A binary solve checks the start's verdict and, short of it,
 takes one step to that measurement from one ``eigh`` of Delta, whatever
 the start; ``helstrom_binary`` shares the kernel, so the two return the
-same bits.
+same bits.  Delta is the difference of two rows of the ensemble's
+validated, exactly Hermitian stack of weighted states, so the kernel
+eigendecomposes it with ``checked_eigh`` and ``fix_phase`` and no second
+Hermiticity check: ``spectral_decompose`` serves the public API and
+``min_eigenvalue`` alone.  A binary solve then pays for at most four LAPACK
+calls (the start's verdict, Delta, validation and the certificate) and
+their checks.
 
 The ascent approaches degenerate or rank-deficient optima only
 sublinearly, and a step with eps = 1 can empty an element.  So a problem
@@ -104,8 +110,8 @@ from .matrices import (
     _all_finite,
     _hermitian_part,
     checked_eigh,
+    fix_phase,
     ordered_sum,
-    spectral_decompose,
 )
 from .povm import (
     COMPLETENESS_TOL,
@@ -184,6 +190,10 @@ class SolverConfig:
     def __post_init__(self):
         _check_tolerance(self.tol)
         _check_count("max_iter", self.max_iter)
+
+
+# the settings of a solve called without a config; frozen, so one serves all
+_DEFAULT_CONFIG = SolverConfig()
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +551,7 @@ def solve(
     neither Gamma nor the check; a spent burst hands over before the check.
     """
     if config is None:
-        config = SolverConfig()
+        config = _DEFAULT_CONFIG
     elif not isinstance(config, SolverConfig):
         raise TypeError(f"expected a SolverConfig, got {type(config).__name__}")
     weighted, tol, budget = ens.weighted_states, config.tol, config.max_iter
@@ -623,11 +633,22 @@ def _helstrom_elements(delta: np.ndarray) -> np.ndarray:
     """Helstrom's measurement for Delta = p1 rho1 - p2 rho2 as a (2, d, d)
     stack, exactly Hermitian and not validated: outcome 0 projects onto the
     nonnegative eigenspace of Delta (zero eigenvalues included, which
-    settles ties), outcome 1 onto the rest."""
-    spectrum = spectral_decompose(delta)
-    vs = spectrum.eigenvectors[:, spectrum.eigenvalues >= 0.0]
-    first = _hermitian_part(vs @ vs.conj().T)
-    return np.stack((first, _hermitian_part(np.eye(len(delta)) - first)))
+    settles ties), outcome 1 onto the rest.
+
+    Delta is a difference of two rows of the ensemble's exactly Hermitian
+    stack of weighted states, so it is Hermitian by construction and is
+    neither checked nor symmetrized again; ``eigh`` reads only its lower
+    triangle.  The kept eigenvectors take ``fix_phase``'s convention, which
+    fixes each column on its own, and the test suite pins both elements to
+    the bits of the path through ``spectral_decompose``.  Both elements are
+    written into one preallocated stack."""
+    d = len(delta)
+    values, vectors = checked_eigh(delta)
+    vs = fix_phase(vectors[:, values >= 0.0])
+    elements = np.empty((2, d, d), dtype=complex)
+    _hermitian_part(vs @ vs.conj().T, out=elements[0])
+    _hermitian_part(np.eye(d) - elements[0], out=elements[1])
+    return elements
 
 
 def helstrom_binary(

@@ -40,6 +40,15 @@ def test_hermiticity_residual_is_bit_identical_to_the_norm_formula(seed):
         assert md.hermiticity_residual(m).hex() == expected.hex()
 
 
+@pytest.mark.parametrize("shape", [(1, 1, 1), (1, 4, 4), (5, 1, 1), (2, 2, 2), (16, 8, 8), (3, 32, 32)])
+def test_max_norm_is_bit_identical_to_the_norm_formula(shape):
+    rng = np.random.default_rng(sum(shape))
+    stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for m in (stack, stack * 1e-160, stack.swapaxes(1, 2), stack[:, ::-1]):
+        expected = float(np.linalg.norm(m, axis=(1, 2)).max())
+        assert certificates._max_norm(m).hex() == expected.hex()
+
+
 def test_lagrange_generally_not_hermitian():
     ens, povm = random_instance(1, dim=3, n=3)
     assert md.hermiticity_residual(md.lagrange_operator(ens, povm)) > 1e-6

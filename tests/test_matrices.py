@@ -9,6 +9,7 @@ from mindisc.matrices import (
     Spectrum,
     _hermitian_part,
     checked_eigvalsh,
+    checked_psd,
     fix_phase,
     hermitize,
     is_hermitian,
@@ -180,6 +181,50 @@ def test_phase_fix_of_whole_matrix_is_bit_identical_to_per_column_fix():
         expected = _phase_fixed_per_column(vectors)
         assert spectral_decompose(m).eigenvectors.tobytes() == expected.tobytes()
         assert fix_phase(vectors[:, 0]).tobytes() == expected[:, 0].tobytes()
+
+
+def _phase_fixed_along_axis(vectors: np.ndarray) -> np.ndarray:
+    """The phase fix with its pivots gathered by ``np.take_along_axis``."""
+    mags = np.abs(vectors)
+    lead = np.argmax(mags > 1e-12 * mags.max(axis=0), axis=0)
+    pivot = np.take_along_axis(vectors, lead[None], axis=0)
+    return vectors * (pivot.conj() / np.abs(pivot))
+
+
+def test_phase_fix_is_bit_identical_to_the_take_along_axis_form():
+    rng = np.random.default_rng(47)
+    for trial in range(200):
+        dim = (1, 2, 3, 5, 8, 16, 32)[trial % 7]
+        vectors = random_complex(rng, dim)
+        if trial % 3 == 0:
+            # leading entries zero or below the cutoff move the pivot down
+            vectors[: rng.integers(dim), :] *= (0.0, 1e-14)[trial % 2]
+        expected = _phase_fixed_along_axis(vectors)
+        assert fix_phase(vectors).tobytes() == expected.tobytes()
+        # fixing some columns gives those columns of the fixed matrix
+        kept = rng.random(dim) < 0.5
+        assert fix_phase(vectors[:, kept]).tobytes() == expected[:, kept].tobytes()
+        for column in vectors.T:  # single vectors, as a witness's eigenvector
+            assert fix_phase(column).tobytes() == _phase_fixed_along_axis(column).tobytes()
+
+
+@pytest.mark.parametrize("stacked", [True, False], ids=["stack", "matrix"])
+def test_checked_psd_names_a_non_hermitian_element_with_its_own_deviation(stacked):
+    # element 1 deviates by 0.25; element 2, when it fails too, by 0.5
+    half = np.eye(2) / 2
+    skewed = np.array([[0.5, 0.375], [0.125, 0.5]])
+    if stacked:
+        worse = np.array([[0.5, 0.0], [0.5, 0.5]])
+        for stack in (np.stack((half, skewed, half)), np.stack((half, skewed, worse))):
+            with pytest.raises(NotHermitianError) as err:
+                checked_psd(stack)
+            assert err.value.index == 1
+            assert err.value.deviation == 0.25
+    else:
+        with pytest.raises(NotHermitianError) as err:
+            checked_psd(skewed)
+        assert err.value.index is None
+        assert err.value.deviation == 0.25
 
 
 def test_checked_eigvalsh_maps_solver_failures(monkeypatch):

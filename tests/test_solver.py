@@ -230,8 +230,9 @@ def test_solve_records_describe_steps():
 
 
 def test_last_record_matches_final_certificate():
-    # the ascent and the certificate compute P_corr with one function, so
-    # the last step's value is the certified value to the bit
+    # every engine's step and the certificate compute P_corr as Re tr Gamma,
+    # so the last record, a fixed-point, ascent or (for n = 2) "helstrom"
+    # one, holds the certified value to the bit
     for seed in range(40):
         rng = np.random.default_rng(seed)
         dim, n = (int(k) for k in rng.integers(2, 9, size=2))
@@ -382,13 +383,19 @@ def _helstrom_reference(p1, rho1, p2, rho2):
     return md.validate_povm([first, second]), p2 + float(np.trace(delta @ first).real)
 
 
-@pytest.mark.parametrize("seed", [1, 3, 7919])
+@pytest.mark.parametrize("seed", [1, 3, 7919, 11, 2024])
 def test_helstrom_is_bit_identical_to_the_reference_on_benchmark_pairs(seed):
-    # the binary ensembles of the quick-certify benchmark workload
+    # the binary ensembles of the quick-certify benchmark workload, with
+    # more dimensions, and real diagonal pairs whose Delta has exact zeros
     pairs = [md.pure_pair(c, p) for c in (0.0, 0.25, 0.5, 0.75, 0.9)
              for p in ((0.5, 0.5), (0.3, 0.7))]
-    seeds = np.random.default_rng(seed).integers(2**31, size=5)
-    pairs += [md.random_mixed(d, 2, int(s)) for d, s in zip((2, 4, 8, 16, 32), seeds)]
+    dims = (1, 2, 3, 4, 5, 8, 16, 32)
+    rng = np.random.default_rng(seed)
+    seeds = rng.integers(2**31, size=len(dims))
+    pairs += [md.random_mixed(d, 2, int(s)) for d, s in zip(dims, seeds)]
+    for d in dims[:5]:
+        states = tuple(md.validate_density(np.diag(rng.dirichlet(np.ones(d)))) for _ in range(2))
+        pairs += [md.Ensemble((0.4, 0.6), states), md.Ensemble((0.5, 0.5), states[:1] * 2)]
     for ens in pairs:
         args = (ens.priors[0], ens.states[0], ens.priors[1], ens.states[1])
         povm, value = md.helstrom_binary(*args)
@@ -964,7 +971,7 @@ def test_block_linear_gain_is_twice_the_negative_eigenvalue_sum():
 
 
 @pytest.mark.parametrize("dim", [2, 4, 8, 16, 32])
-def test_binary_solves_from_uniform_certify_in_two_block_steps(dim):
+def test_binary_solves_from_uniform_certify_in_one_closed_form_step(dim):
     # one closed-form step gives outcome 0 the nonnegative eigenspace of
     # p1 rho1 - p2 rho2 and outcome 1 the rest: Helstrom's measurement
     ens = md.random_mixed(dim, 2, seed=dim + 7)
