@@ -20,11 +20,13 @@ Numbers cross between JSON and arrays a whole matrix at a time.  A matrix
 is decoded by flattening its [re, im] pairs into one list, type-checking
 that list at once (JSON integers and floats only, not booleans, strings or
 null) and viewing its doubles as complex entries; a number too large for
-a double is a parse error.  A matrix is emitted as its (d, d, 2) float64
-array of [re, im] pairs, and a POVM as one (n, d, d, 2) array: one
-finiteness test per array, then one %.17g template per matrix row of
-pairs, formatted from that row's doubles.  The bytes are those of the
-array's nested lists, which the emitter formats scalar by scalar.
+a double is a parse error.  A file's states are stacked into one
+(n, d, d) array and checked as one stack, and so are its POVM elements.
+A matrix is emitted as its (d, d, 2) float64 array of [re, im] pairs, and
+a POVM as one (n, d, d, 2) array: one finiteness test per array, then one
+%.17g template per matrix row of pairs, formatted from that row's doubles.
+The bytes are those of the array's nested lists, which the emitter formats
+scalar by scalar.
 
 A problem file loads with the cyclic garbage collector paused, because
 the document json.loads decodes holds no reference cycles for it to
@@ -47,11 +49,11 @@ import numpy as np
 
 from .certificates import DEFAULT_TOL, Certificate, certify
 from .ensembles import (
-    DensityMatrix,
     Ensemble,
     PurePairSpec,
     RandomMixedSpec,
     TrineSpec,
+    _checked_states,
     generate,
 )
 from .matrices import NumericFailure
@@ -362,29 +364,33 @@ def _load_problem(path: str | Path) -> LoadedProblem:
         if not isinstance(states_obj, list) or not states_obj:
             raise ProblemFormatError(f"{path}: 'states' must be a nonempty list")
         priors = []
-        states = []
-        for i, item in enumerate(states_obj):
-            if not isinstance(item, dict) or "prior" not in item or "matrix" not in item:
-                raise ProblemFormatError(
-                    f"{path}: states[{i}] must carry 'prior' and 'matrix'"
-                )
-            if not _is_number(item["prior"]):
-                raise ProblemFormatError(f"{path}: states[{i}].prior must be a number")
-            priors.append(_as_double(item["prior"], f"{path}: states[{i}].prior"))
-            states.append(
-                DensityMatrix(_decode_matrix(item["matrix"], dim, f"{path}: states[{i}].matrix"))
-            )
-        ensemble = Ensemble(np.asarray(priors), tuple(states))
+        mats = []
+        try:
+            for i, item in enumerate(states_obj):
+                if not isinstance(item, dict) or "prior" not in item or "matrix" not in item:
+                    raise ProblemFormatError(
+                        f"{path}: states[{i}] must carry 'prior' and 'matrix'"
+                    )
+                if not _is_number(item["prior"]):
+                    raise ProblemFormatError(f"{path}: states[{i}].prior must be a number")
+                priors.append(_as_double(item["prior"], f"{path}: states[{i}].prior"))
+                mats.append(_decode_matrix(item["matrix"], dim, f"{path}: states[{i}].matrix"))
+        except ProblemFormatError:
+            # an invalid state before the malformed one is reported instead
+            if mats:
+                _checked_states(np.array(mats))
+            raise
+        ensemble = Ensemble(np.asarray(priors), _checked_states(np.array(mats)))
 
     povm = None
     if "povm" in doc:
         povm_obj = doc["povm"]
         if not isinstance(povm_obj, list) or not povm_obj:
             raise ProblemFormatError(f"{path}: 'povm' must be a nonempty list")
-        elements = [
+        elements = np.array([
             _decode_matrix(item, ensemble.dim, f"{path}: povm[{i}]")
             for i, item in enumerate(povm_obj)
-        ]
+        ])
         povm = validate_povm(elements)
 
     return LoadedProblem(ensemble=ensemble, povm=povm, digest=digest)

@@ -1,4 +1,12 @@
-"""Density matrices, prior-weighted ensembles, and generators for test ensembles."""
+"""Density matrices, prior-weighted ensembles, and generators for test ensembles.
+
+A ``DensityMatrix`` built on its own checks its one matrix.  The generators
+(``random_mixed``, ``pure_pair``, ``trine``) and the CLI's problem loader
+build an ensemble's states as one raw (n, d, d) stack instead, and check
+it once, through ``_checked_states``: one ``checked_psd`` of the stack and
+one trace test.  A stack that fails is checked again row by row, so the
+first bad state raises exactly the error its own ``DensityMatrix`` raises.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matrices import as_matrix, checked_psd, readonly
+from .matrices import NumericFailure, as_matrix, checked_psd, readonly
 
 TRACE_TOL = 1e-9
 PRIOR_TOL = 1e-9
@@ -47,13 +55,43 @@ def validate_density(m) -> DensityMatrix:
     return DensityMatrix(m)
 
 
-def pure_state(v) -> DensityMatrix:
-    """Rank-1 density matrix v v^dagger / |v|^2 for a nonzero vector."""
+def _checked_states(stack: np.ndarray) -> tuple[DensityMatrix, ...]:
+    """The states of a raw (n, d, d) stack, n >= 1, checked as one stack.
+
+    One ``checked_psd`` of the stack and one trace test stand for the n
+    checks of n DensityMatrix constructions, and each row of the checked
+    stack becomes a readonly DensityMatrix with the bits that construction
+    gives it.  If the stack fails, its rows are checked again one at a
+    time, in order, so the first bad row raises its own DensityMatrix's
+    error: same type, same message, ``index`` None.
+    """
+    try:
+        hermitian = checked_psd(stack)
+        valid = np.abs(np.trace(hermitian, axis1=1, axis2=2) - 1.0).max() <= TRACE_TOL
+    except (ValueError, NumericFailure):
+        valid = False
+    if not valid:
+        return tuple(DensityMatrix(m) for m in stack)
+    states = []
+    for row in readonly(hermitian):
+        state = object.__new__(DensityMatrix)
+        object.__setattr__(state, "mat", row)
+        states.append(state)
+    return tuple(states)
+
+
+def _projector(v) -> np.ndarray:
+    """v v^dagger / |v|^2 of a nonzero vector, as an unchecked matrix."""
     vec = np.asarray(v, dtype=complex).reshape(-1)
     norm_sq = float(np.vdot(vec, vec).real)
     if norm_sq == 0.0:
         raise ValueError("cannot build a state from the zero vector")
-    return DensityMatrix(np.outer(vec, vec.conj()) / norm_sq)
+    return np.outer(vec, vec.conj()) / norm_sq
+
+
+def pure_state(v) -> DensityMatrix:
+    """Rank-1 density matrix v v^dagger / |v|^2 for a nonzero vector."""
+    return DensityMatrix(_projector(v))
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,14 +185,14 @@ def pure_pair(overlap: float, priors: tuple[float, float] = (0.5, 0.5)) -> Ensem
     half = np.arccos(c) / 2.0
     psi1 = np.array([np.cos(half), np.sin(half)])
     psi2 = np.array([np.cos(half), -np.sin(half)])
-    return Ensemble(np.asarray(priors, dtype=float), (pure_state(psi1), pure_state(psi2)))
+    return Ensemble(priors, _checked_states(np.array([_projector(psi1), _projector(psi2)])))
 
 
 def trine() -> Ensemble:
     """Equal-prior trine ensemble; pairwise squared overlap 1/4."""
     s = np.sqrt(3.0) / 2.0
     kets = [np.array([1.0, 0.0]), np.array([0.5, s]), np.array([-0.5, s])]
-    states = tuple(pure_state(k) for k in kets)
+    states = _checked_states(np.array([_projector(k) for k in kets]))
     return Ensemble(np.full(3, 1.0 / 3.0), states)
 
 
@@ -178,8 +216,9 @@ def random_mixed(dim: int, n: int, seed: int) -> Ensemble:
     """
     _check_shape(n, dim)
     raws = _gaussian_grams(np.random.default_rng(seed), n, dim)
-    states = tuple(DensityMatrix(raw / raw.trace().real) for raw in raws)
-    return Ensemble(np.full(n, 1.0 / n), states)
+    # the stacked trace and division give each matrix raw / raw.trace().real bit for bit
+    raws /= np.trace(raws, axis1=1, axis2=2).real[:, None, None]
+    return Ensemble(np.full(n, 1.0 / n), _checked_states(raws))
 
 
 def generate(spec: EnsembleSpec) -> Ensemble:

@@ -7,6 +7,15 @@ import numpy as np
 import mindisc as md
 
 
+# one invalid qubit state of each kind a state check names
+BAD_STATES = {
+    "non-finite": np.array([[np.nan, 0], [0, 0.5]]),
+    "non-hermitian": np.array([[0.5, 0.3], [0.0, 0.5]]),
+    "non-psd": np.diag([1.5, -0.5]),
+    "trace": np.diag([0.6, 0.6]),
+}
+
+
 def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return (a + a.conj().T) / 2
@@ -62,14 +71,19 @@ def _zero_prior_rank_two(seed: int) -> md.Ensemble:
     return md.Ensemble(priors / priors.sum(), tuple(states))
 
 
-def count_eigh_calls(monkeypatch, module) -> list:
-    """Shapes of the matrices passed to ``module.checked_eigh`` from now on."""
+def count_calls(monkeypatch, module, name: str) -> list:
+    """Shapes of the arrays passed to ``module.<name>`` from now on."""
     calls = []
-    real = module.checked_eigh
+    real = getattr(module, name)
 
     def counted(m):
         calls.append(np.shape(m))
         return real(m)
 
-    monkeypatch.setattr(module, "checked_eigh", counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def count_eigh_calls(monkeypatch, module) -> list:
+    """Shapes of the matrices passed to ``module.checked_eigh`` from now on."""
+    return count_calls(monkeypatch, module, "checked_eigh")

@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mindisc as md
-from mindisc import cli
+from helpers import BAD_STATES, count_calls
+from mindisc import cli, ensembles
 
 
 def run(argv, capsys=None):
@@ -678,7 +679,7 @@ def test_matrices_round_trip_bit_for_bit(drawn):
     # physical validation is out of scope here: keep the decoded arrays as they are
     with tempfile.TemporaryDirectory() as tmp, mock.patch.multiple(
         cli,
-        DensityMatrix=lambda mat: SimpleNamespace(mat=mat),
+        _checked_states=lambda mats: tuple(SimpleNamespace(mat=mat) for mat in mats),
         Ensemble=lambda priors, states: SimpleNamespace(priors=priors, states=states, dim=d),
         validate_povm=np.array,
     ):
@@ -868,3 +869,67 @@ def test_eigensolver_failure_in_validation_is_a_numeric_failure(tmp_path, capsys
     code, captured = run(["certify", path], capsys)
     assert code == cli.EXIT_NUMERIC
     assert captured.err.startswith("numeric failure: ") and captured.err.count("\n") == 1
+
+
+def _qubit_doc(*mats) -> dict:
+    """A problem file of equiprior qubit states given as complex matrices."""
+    def pairs(m):
+        return [[[z.real, z.imag] for z in row] for row in np.asarray(m, dtype=complex).tolist()]
+
+    return {"dim": 2, "states": [{"prior": 1 / len(mats), "matrix": pairs(m)} for m in mats]}
+
+
+@pytest.mark.parametrize("kind", BAD_STATES)
+def test_loader_reports_a_bad_state_as_its_own_check_does(tmp_path, capsys, kind):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_qubit_doc(np.diag([1.0, 0.0]), BAD_STATES[kind], np.eye(2) / 2)))
+    with pytest.raises(ValueError) as err:
+        md.validate_density(BAD_STATES[kind])
+    code, captured = run(["certify", path], capsys)
+    assert code == cli.EXIT_VALIDATION
+    assert captured.err == f"validation error: {err.value}\n"
+
+
+@pytest.mark.parametrize("bad", [0, 1])
+def test_loader_reports_an_invalid_state_before_a_later_malformed_one(tmp_path, capsys, bad):
+    mats = [np.eye(2) / 2, np.eye(2) / 2, np.eye(2) / 2]
+    mats[bad] = BAD_STATES["non-psd"]
+    doc = _qubit_doc(*mats)
+    doc["states"][bad + 1]["matrix"] = [[[1, 0]], [[0, 0]]]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, captured = run(["certify", path], capsys)
+    assert code == cli.EXIT_VALIDATION
+    assert captured.err == "validation error: has negative eigenvalue -5.000000e-01\n"
+    # with the invalid state mended, the malformed one is a parse error
+    doc["states"][bad]["matrix"] = _qubit_doc(np.eye(2) / 2)["states"][0]["matrix"]
+    path.write_text(json.dumps(doc))
+    code, captured = run(["certify", path], capsys)
+    assert code == cli.EXIT_PARSE
+    assert captured.err.startswith(f"parse error: {path}: states[{bad + 1}].matrix row 0")
+
+
+@pytest.mark.parametrize(
+    "ens",
+    [md.trine(), md.pure_pair(0.3, (0.2, 0.8)), md.random_mixed(2, 3, 5), md.random_mixed(32, 16, 1)],
+    ids=["trine", "pair", "random-2x3", "random-32x16"],
+)
+def test_loaded_states_match_per_state_construction(tmp_path, monkeypatch, ens):
+    path = make_problem(tmp_path / "p.json", ens, md.square_root_measurement(ens))
+    doc = json.loads(path.read_text())
+    reference = md.Ensemble(
+        np.asarray([item["prior"] for item in doc["states"]]),
+        tuple(
+            md.DensityMatrix(cli._decode_matrix(item["matrix"], ens.dim, "reference"))
+            for item in doc["states"]
+        ),
+    )
+    calls = count_calls(monkeypatch, ensembles, "checked_psd")
+    loaded = cli.load_problem(path)
+    assert calls == [(len(ens), ens.dim, ens.dim)]
+    for state, expected in zip(loaded.ensemble.states, reference.states, strict=True):
+        assert state.mat.tobytes() == expected.mat.tobytes()
+    assert loaded.ensemble.weighted_states.tobytes() == reference.weighted_states.tobytes()
+    assert loaded.ensemble.priors.tobytes() == reference.priors.tobytes()
+    povm = md.validate_povm([cli._decode_matrix(m, ens.dim, "reference") for m in doc["povm"]])
+    assert loaded.povm.elements.tobytes() == povm.elements.tobytes()

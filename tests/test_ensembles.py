@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import mindisc as md
-from mindisc.ensembles import PRIOR_TOL
+from helpers import BAD_STATES, count_calls
+from mindisc import ensembles
+from mindisc.ensembles import PRIOR_TOL, _checked_states
 
 
 def test_maximally_mixed_is_valid():
@@ -178,3 +180,89 @@ def test_ensemble_rejects_priors_that_are_not_real_numbers(priors):
         md.Ensemble(priors, states)
     with pytest.raises(TypeError, match="real numbers"):
         md.helstrom_binary(priors[0], states[0], priors[1], states[1])
+    with pytest.raises(TypeError, match="real numbers"):
+        md.pure_pair(0.5, tuple(priors))
+    with pytest.raises(TypeError, match="real numbers"):
+        md.generate(md.PurePairSpec(0.5, tuple(priors)))
+
+
+def _raised(build) -> Exception:
+    with pytest.raises(Exception) as err:
+        build()
+    return err.value
+
+
+def _assert_same_error(got: Exception, expected: Exception) -> None:
+    assert type(got) is type(expected)
+    assert str(got) == str(expected)
+    # the deviation, eigenvalue or trace it carries, and index None
+    assert vars(got) == vars(expected)
+    assert getattr(got, "index", None) is None
+
+
+@pytest.mark.parametrize("kind", BAD_STATES)
+def test_stack_check_raises_the_per_state_error_of_state_1_of_3(kind):
+    stack = np.array([np.diag([1.0, 0.0]), BAD_STATES[kind], np.eye(2) / 2], dtype=complex)
+    per_state = _raised(lambda: [md.validate_density(m) for m in stack])
+    _assert_same_error(_raised(lambda: _checked_states(stack)), per_state)
+
+
+@pytest.mark.parametrize(
+    "first, second, expected",
+    [
+        ("non-psd", "non-finite", md.NotPositiveError),
+        ("trace", "non-hermitian", md.TraceNotOneError),
+        ("non-hermitian", "non-finite", md.NotHermitianError),
+    ],
+)
+def test_stack_check_reports_the_first_bad_state(first, second, expected):
+    # the stack's own check would name state 1 first; the rows are rechecked in order
+    stack = np.array([BAD_STATES[first], BAD_STATES[second], np.eye(2) / 2], dtype=complex)
+    error = _raised(lambda: _checked_states(stack))
+    assert type(error) is expected
+    _assert_same_error(error, _raised(lambda: md.validate_density(stack[0])))
+
+
+def _assert_same_bits(ens: md.Ensemble, reference: md.Ensemble) -> None:
+    assert len(ens) == len(reference)
+    for state, expected in zip(ens.states, reference.states):
+        assert isinstance(state, md.DensityMatrix)
+        assert not state.mat.flags.writeable
+        assert state.mat.tobytes() == expected.mat.tobytes()
+    assert ens.weighted_states.tobytes() == reference.weighted_states.tobytes()
+    assert ens.priors.tobytes() == reference.priors.tobytes()
+
+
+@pytest.mark.parametrize("dim, n", [(1, 1), (2, 3), (3, 5), (4, 8), (8, 8), (16, 4), (32, 16)])
+def test_random_mixed_matches_per_state_construction(monkeypatch, dim, n):
+    seed = 97 * dim + n
+    raws = ensembles._gaussian_grams(np.random.default_rng(seed), n, dim)
+    reference = md.Ensemble(
+        np.full(n, 1.0 / n), tuple(md.DensityMatrix(raw / raw.trace().real) for raw in raws)
+    )
+    calls = count_calls(monkeypatch, ensembles, "checked_psd")
+    ens = md.random_mixed(dim, n, seed)
+    assert calls == [(n, dim, dim)]
+    _assert_same_bits(ens, reference)
+
+
+@pytest.mark.parametrize("overlap", [0.0, 0.3, 0.9])
+@pytest.mark.parametrize("priors", [(0.5, 0.5), (0.2, 0.8), (1, 0)])
+def test_pure_pair_matches_per_state_construction(monkeypatch, overlap, priors):
+    half = np.arccos(overlap) / 2.0
+    kets = ([np.cos(half), np.sin(half)], [np.cos(half), -np.sin(half)])
+    reference = md.Ensemble(np.asarray(priors, dtype=float), tuple(map(md.pure_state, kets)))
+    calls = count_calls(monkeypatch, ensembles, "checked_psd")
+    ens = md.pure_pair(overlap, priors)
+    assert calls == [(2, 2, 2)]
+    _assert_same_bits(ens, reference)
+
+
+def test_trine_matches_per_state_construction(monkeypatch):
+    s = np.sqrt(3.0) / 2.0
+    kets = ([1.0, 0.0], [0.5, s], [-0.5, s])
+    reference = md.Ensemble(np.full(3, 1.0 / 3.0), tuple(map(md.pure_state, kets)))
+    calls = count_calls(monkeypatch, ensembles, "checked_psd")
+    ens = md.trine()
+    assert calls == [(3, 2, 2)]
+    _assert_same_bits(ens, reference)
