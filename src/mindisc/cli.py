@@ -28,9 +28,26 @@ a POVM as one (n, d, d, 2) array: one finiteness test per array, then one
 The bytes are those of the array's nested lists, which the emitter formats
 scalar by scalar.
 
+A problem file is parsed by orjson, whose doubles are correctly rounded as
+float() rounds them.  The stdlib json parser, on the UTF-8 decoded text,
+reads the file instead in three cases, and it alone sets every error's
+type, message and exit code:
+- orjson rejects the text (NaN and Infinity literals, a number beyond
+  the doubles, a byte order mark, invalid UTF-8, any syntax error), or
+  the text is kept from orjson: it holds a backslash (lone surrogates
+  among its escapes), or it nests arrays and objects more than 1024 deep,
+  which orjson 3.8 would follow until the C stack overflows;
+- the document carries a 'spec', whose dim, n and seed must stay exact
+  integers (orjson reads an integer beyond 64 bits as a double);
+- building the problem from orjson's document raises.
+Valid JSON nested deeper than the json parser's recursion limit (about
+1000 levels, less the caller's stack) but at most 1024 deep, under a key
+the loader ignores, therefore loads, where json alone fails it as nested
+too deeply.
+
 A problem file loads with the cyclic garbage collector paused, because
-the document json.loads decodes holds no reference cycles for it to
-reclaim; the caller's collector state is restored afterwards.
+the decoded document holds no reference cycles for it to reclaim; the
+caller's collector state is restored afterwards.
 """
 
 from __future__ import annotations
@@ -46,6 +63,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from .certificates import DEFAULT_TOL, Certificate, certify
 from .ensembles import (
@@ -311,6 +329,12 @@ def load_problem(path: str | Path) -> LoadedProblem:
 
     Structural defects raise ProblemFormatError; physical-invariant
     violations propagate as the validation errors of the domain types.
+    orjson parses the file's bytes.  The json module parses the decoded
+    text instead when orjson rejects it, when the text holds a backslash
+    or nests more than 1024 deep, when the document carries a 'spec', and
+    when building the problem from orjson's document raises; every error
+    is therefore the one json's document gives.
+
     The load runs with the cyclic garbage collector paused, since the
     decoded document is a tree of lists, dicts and numbers with no cycles
     to reclaim, and the caller's collector state is restored whether it
@@ -326,12 +350,63 @@ def load_problem(path: str | Path) -> LoadedProblem:
 
 
 def _load_problem(path: str | Path) -> LoadedProblem:
-    # a separate frame, so the decoded document is freed before the
+    # a separate frame, so the decoded documents are freed before the
     # collector resumes
     raw = Path(path).read_bytes()
     digest = hashlib.sha256(raw).hexdigest()
+    doc = _orjson_document(raw)
+    if doc is not None:
+        try:
+            return _problem_from_document(doc, path, digest)
+        except Exception:
+            # json's reading of the same text raises the error, or loads a
+            # document orjson read differently
+            pass
+    return _problem_from_document(_json_document(raw, path), path, digest)
+
+
+# deeper texts go to json: orjson 3.8 sets no depth limit of its own and
+# overflows the C stack converting a document some 10^5 levels deep
+_MAX_ORJSON_DEPTH = 1024
+# everything but the bytes that open or close an array, an object or a string
+_NOT_STRUCTURE = bytes(sorted(set(range(256)) - set(b'[]{}"')))
+_DEPTH_STEP = np.zeros(256, dtype=np.int64)
+_DEPTH_STEP[list(b"[{")] = 1
+_DEPTH_STEP[list(b"]}")] = -1
+
+
+def _nesting_depth(raw: bytes) -> int:
+    """The deepest nesting of arrays and objects in a JSON text without a
+    backslash, whose quotes therefore pair up as string delimiters; an
+    invalid text, which orjson rejects before it nests anything, may count
+    wrong."""
+    structure = raw.translate(None, _NOT_STRUCTURE)
+    outside_strings = b"".join(structure.split(b'"')[::2])
+    steps = _DEPTH_STEP[np.frombuffer(outside_strings, dtype=np.uint8)]
+    return int(steps.cumsum().max(initial=0))
+
+
+def _orjson_document(raw: bytes) -> dict | None:
+    """The object orjson reads from ``raw``, or None where json alone reads
+    it: a text with a backslash, whose escaped quotes the depth count would
+    take for string delimiters, a text nested more than _MAX_ORJSON_DEPTH
+    deep, one orjson rejects, and one that is not an object or carries a
+    'spec', whose integers must stay exact (orjson reads an integer beyond
+    64 bits as a double)."""
+    if b"\\" in raw or _nesting_depth(raw) > _MAX_ORJSON_DEPTH:
+        return None
     try:
-        doc = json.loads(raw.decode("utf-8"))
+        doc = orjson.loads(raw)
+    except orjson.JSONDecodeError:
+        return None
+    if not isinstance(doc, dict) or "spec" in doc:
+        return None
+    return doc
+
+
+def _json_document(raw: bytes, path: str | Path):
+    try:
+        return json.loads(raw.decode("utf-8"))
     except UnicodeDecodeError as exc:
         raise ProblemFormatError(f"{path}: not valid UTF-8 ({exc})") from exc
     except json.JSONDecodeError as exc:
@@ -340,6 +415,9 @@ def _load_problem(path: str | Path) -> LoadedProblem:
         ) from exc
     except RecursionError:
         raise ProblemFormatError(f"{path}: JSON nested too deeply") from None
+
+
+def _problem_from_document(doc, path: str | Path, digest: str) -> LoadedProblem:
     if not isinstance(doc, dict):
         raise ProblemFormatError(f"{path}: top level must be an object")
 
