@@ -111,6 +111,20 @@ def _witness_scan(gamma: np.ndarray, weighted: np.ndarray):
     return witnesses, values, int(values[:, 0].argmin())
 
 
+def _verdict(gamma: np.ndarray, weighted: np.ndarray, tol: float, scan: bool = False):
+    """The optimality verdict at Gamma, the one rule that ``certify`` and
+    ``solve`` apply: Gamma Hermitian within ``tol`` and every witness
+    eigenvalue at least ``-tol``.  Returns the verdict (a bool), Gamma's
+    Hermiticity residual and the witness scan.  The scan is formed when
+    Gamma passes the Hermiticity test or when ``scan`` asks for it, and is
+    None otherwise."""
+    herm_residual = _herm_residual(gamma)
+    hermitian = herm_residual <= tol
+    witness_scan = _witness_scan(gamma, weighted) if hermitian or scan else None
+    holds = hermitian and bool(witness_scan[1][witness_scan[2], 0] >= -tol)
+    return holds, herm_residual, witness_scan
+
+
 def _witness(witnesses: np.ndarray, values: np.ndarray, j: int) -> Witness:
     """The ``Witness`` of outcome j from a witness scan: the scan's lowest
     eigenvalue of G_j and a unit eigenvector of it, from an ``eigh`` of G_j
@@ -204,10 +218,11 @@ def zero_product_residual(ens: Ensemble, povm: Povm) -> float:
 def certify(ens: Ensemble, povm: Povm, tol: float = DEFAULT_TOL) -> Certificate:
     """Evaluate the full optimality certificate at tolerance ``tol``.
 
-    The verdict reads the witnesses' eigenvalues alone; both equality
-    residuals are reported but not gated on, since positivity of the
-    witnesses already implies them.  An eigenvector is computed only on a
-    not-optimal verdict, for the witness it reports.
+    The verdict is ``_verdict``'s: Gamma Hermitian within ``tol`` and no
+    witness eigenvalue below ``-tol``.  Both equality residuals are reported
+    but not gated on, since positivity of the witnesses already implies
+    them.  An eigenvector is computed only on a not-optimal verdict, for the
+    witness it reports.
     Gamma comes from the products W_i pi_i that the pairwise residual reads,
     summed by ``povm._gamma`` as in the solver's loop but behind the
     imaginary-trace guard, and ``p_corr`` is Re tr Gamma: bit for bit
@@ -218,15 +233,13 @@ def certify(ens: Ensemble, povm: Povm, tol: float = DEFAULT_TOL) -> Certificate:
     weighted, elements = ens.weighted_states, povm.elements
     products = weighted @ elements
     gamma, p_corr = _checked_gamma(products)
-    herm_residual = _herm_residual(gamma)
     eq_residual = _pairwise_residual(products, elements)
     del products  # freed before the witness scan allocates its own stacks
-    witnesses, values, j = _witness_scan(gamma, weighted)
+    optimal, herm_residual, (witnesses, values, j) = _verdict(gamma, weighted, tol, scan=True)
     zp_residual = _zero_product_residual(witnesses, elements)
     minima = values[:, 0]
     lowest = float(minima[j])
     negative_trace = float(np.maximum(-values, 0.0).sum())
-    optimal = lowest >= -tol and herm_residual <= tol
 
     return Certificate(
         p_corr=p_corr,

@@ -47,12 +47,12 @@ whose fixed points satisfy the equality conditions and which converges
 linearly on those optima.  It cannot grow an element's support, so when it
 stops short of the verdict the ascent runs a short rescue burst and hands
 back.  Each engine is a step function; ``solve`` holds the one loop that
-runs them.  The loop keeps the accepted POVM with its Gamma and P_corr,
-checks the verdict once per accepted POVM, and hands over when a run
-cannot step or a burst is spent.  It stops when the verdict holds, when
-the engines' shared budget, the ``max_iter`` steps of a ``SolverConfig``,
-is spent, or after two runs in a row that take no step.  The result is
-certified once, when the solve stops.
+runs them, and hands over when a run cannot step or a burst is spent.
+The verdict is ``certificates._verdict``, ``certify``'s own, checked for
+the start and for each POVM the loop accepts.  The loop stops when it
+holds, when the engines' shared budget, the ``max_iter`` steps of a
+``SolverConfig``, is spent, or after two runs in a row that take no step.
+The result is certified once, when the solve stops.
 
 The iteration runs on factors A_j with pi_j = A_j A_j^*, through the map
 g(A)_j = S^{-1/2} W_j A_j, S = sum_j (W_j A_j)(W_j A_j)^*: the same step,
@@ -73,8 +73,10 @@ the loop's kernels keep their calls and temporaries few.  The Lagrange
 operator Gamma = sum_j W_j pi_j is formed with ``povm._gamma`` once for the
 start and once per candidate of either engine: Re tr Gamma is the
 candidate's P_corr, which the accept test reads, and an accepted
-candidate's Gamma is what the next verdict check reads.  A hand-over keeps
-the POVM, so it forms no second Gamma.  The engines skip the
+candidate's Gamma is what its verdict reads.  The verdict scans the
+witnesses only once Gamma is Hermitian within ``tol``, or under the
+ascent, whose next step reads the scan.  A hand-over keeps the POVM, so it
+forms no second Gamma or witness scan.  The engines skip the
 imaginary-trace guard, since their W and pi are Hermitian by construction
 and a NaN P_corr already stops them; ``p_correct`` and ``certify`` run the
 guard, then form Gamma and P_corr the same way, so a solve's last record,
@@ -103,7 +105,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certificates import DEFAULT_TOL, Certificate, Witness, certify
-from .certificates import _check_real, _check_tolerance, _herm_residual, _max_norm, _witness_scan
+from .certificates import _check_real, _check_tolerance, _max_norm, _verdict, _witness_scan
 from .ensembles import DensityMatrix, Ensemble
 from .matrices import (
     NumericFailure,
@@ -543,12 +545,8 @@ def solve(
 
     This loop is the only one: the engines' steps each return a candidate
     with its Gamma and P_corr, or None when their run cannot step.  Gamma is
-    formed once for the start and once per candidate.  The verdict is
-    checked once per accepted POVM, before the engine in charge steps from
-    it, as ``certify`` decides it: the ascent scans first, since its step
-    reads the scan, and the fixed-point engine scans only once Gamma is
-    Hermitian within ``tol``.  A hand-over keeps the POVM, so it re-forms
-    neither Gamma nor the check; a spent burst hands over before the check.
+    formed once for the start and once per candidate, and ``certify``'s
+    verdict is checked for the start and for each accepted candidate.
     """
     if config is None:
         config = _DEFAULT_CONFIG
@@ -562,54 +560,37 @@ def solve(
         check_match(ens, start)
         elements = start.elements
     gamma, p_corr = _gamma(weighted @ elements)
+    holds, _, scan = _verdict(gamma, weighted, tol)
+    if len(ens) == 2 and not holds:
+        # one step to Helstrom's measurement, with no verdict check after it
+        elements = _helstrom_elements(weighted[0] - weighted[1])
+        record = IterationRecord(_gamma(weighted @ elements)[1], None, None, None, engine="helstrom")
+        return _finish(ens, elements, [record], tol)
     records: list[IterationRecord] = []
-    if len(ens) == 2:
-        # the start's verdict as certify decides it: Gamma Hermitian within
-        # tol, then no witness eigenvalue below -tol.  Short of it, one step
-        # to Helstrom's measurement, with no verdict check after it
-        if not (_herm_residual(gamma) <= tol and _witness_scan(gamma, weighted)[1].min() >= -tol):
-            elements = _helstrom_elements(weighted[0] - weighted[1])
-            p_corr = _gamma(weighted @ elements)[1]
-            records.append(IterationRecord(p_corr, None, None, None, engine="helstrom"))
-        return _finish(ens, elements, records, tol)
     burst = ASCENT_STEPS_PER_DIM * ens.dim
-    ascent = False
-    fixed = _FixedPoint(elements.shape)
-    # the current POVM's witness scan: None until its verdict is checked,
-    # () when the check needed no scan
-    scan = None
+    fixed = _FixedPoint(elements.shape)  # None while the ascent is in charge
     run = 0  # steps of the engine in charge since it took over
     idle = False  # whether the run before took no step
-    while len(records) < budget:
-        if ascent and run == burst:
-            step = None  # a spent burst hands over before the verdict check
-        else:
+    while not holds and len(records) < budget:
+        if fixed is not None:
+            step = fixed.step(weighted, elements, p_corr)
+        elif run < burst:
             if scan is None:
-                # the verdict at a new POVM: the ascent scans first, the
-                # fixed-point engine only once Gamma is Hermitian within tol
-                if ascent or _herm_residual(gamma) <= tol:
-                    scan = _witness_scan(gamma, weighted)
-                    lowest = scan[1][scan[2], 0]
-                    if lowest >= -tol and (not ascent or _herm_residual(gamma) <= tol):
-                        break
-                else:
-                    scan = ()
-            if ascent:
-                scan = scan or _witness_scan(gamma, weighted)
-                step = _ascent_step(weighted, elements, scan, p_corr)
-            else:
-                step = fixed.step(weighted, elements, p_corr)
+                scan = _witness_scan(gamma, weighted)
+            step = _ascent_step(weighted, elements, scan, p_corr)
+        else:
+            step = None  # the burst is spent
         if step is None:
             if idle and not run:
                 break
-            ascent, idle, run = not ascent, not run, 0
-            fixed = None if ascent else _FixedPoint(elements.shape)
+            idle, run = not run, 0
+            fixed = _FixedPoint(elements.shape) if fixed is None else None
             continue
         record, elements, gamma = step
         p_corr = record.p_corr
         records.append(record)
         run += 1
-        scan = None
+        holds, _, scan = _verdict(gamma, weighted, tol, scan=fixed is None)
     return _finish(ens, elements, records, tol)
 
 

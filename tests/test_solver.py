@@ -1172,6 +1172,59 @@ def test_gamma_is_formed_once_per_candidate(monkeypatch, make, start, config):
     assert calls["_witness_scan"] <= len(trace.iterations) + 1
 
 
+@pytest.mark.parametrize(
+    "make, start, config",
+    [
+        (lambda: _zero_prior_rank_two(25), None, md.SolverConfig(max_iter=400)),
+        (lambda: md.random_mixed(4, 5, 3), _empty_start, None),
+    ],
+    ids=["zero-prior-25", "mixed-d4-n5-empty"],
+)
+def test_witness_scans_at_most_one_per_accepted_povm(monkeypatch, make, start, config):
+    # the solver and the verdict scan in their own modules: one scan at most
+    # per accepted POVM, the start included, and one for the final certify
+    calls = []
+    for module in (solver, certificates):
+        def spy(*args, real=module._witness_scan):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(module, "_witness_scan", spy)
+    ens = make()
+    trace = md.solve(ens, start(ens) if start else None, config)
+    assert len(calls) <= len(trace.iterations) + 2
+
+
+@pytest.mark.parametrize(
+    "make, start",
+    [
+        (lambda: md.random_mixed(4, 5, 3), _empty_start),
+        (lambda: md.random_mixed(6, 3, 2), _empty_start),
+        (md.trine, _empty_start),
+        (lambda: md.random_mixed(3, 4, 1), None),
+        (lambda: _zero_prior_rank_two(3), None),
+        (lambda: md.random_mixed(4, 2, 3), None),
+    ],
+    ids=["mixed-d4-n5-empty", "mixed-d6-n3-empty", "trine-empty", "mixed-d3-n4",
+         "zero-prior-3", "binary-d4"],
+)
+def test_solve_stops_at_the_first_povm_whose_verdict_holds(make, start):
+    # a solve capped short of the default solve's step count takes every
+    # step it may and does not certify; at that count it certifies at the
+    # same POVM, so no POVM accepted before the last passes the verdict
+    ens = make()
+    start = start(ens) if start else None
+    trace = md.solve(ens, start)
+    steps = len(trace.iterations)
+    assert trace.converged and steps >= 1
+    for budget in range(1, steps):
+        capped = md.solve(ens, start, md.SolverConfig(max_iter=budget))
+        assert len(capped.iterations) == budget and not capped.converged, budget
+    last = md.solve(ens, start, md.SolverConfig(max_iter=steps))
+    assert last.converged
+    assert last.final_povm.elements.tobytes() == trace.final_povm.elements.tobytes()
+
+
 def _assert_same_certificate(returned, fresh):
     for name in (
         "p_corr", "lagrange_herm_residual", "pairwise_equality_residual",
