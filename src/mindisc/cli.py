@@ -25,8 +25,17 @@ a double is a parse error.  A file's states are stacked into one
 A matrix is emitted as its (d, d, 2) float64 array of [re, im] pairs, and
 a POVM as one (n, d, d, 2) array: one finiteness test per array, then one
 %.17g template per matrix row of pairs, formatted from that row's doubles.
-The bytes are those of the array's nested lists, which the emitter formats
-scalar by scalar.
+A matrix that is Hermitian bit for bit takes a mirror path instead.  One
+test on the block's bits, viewed as uint64 and XORed with its transpose's,
+finds every real part equal to its mirror's and every off-diagonal
+imaginary part differing from its mirror's in the sign bit alone; such a
+block of size d >= 2 formats only its upper triangle, d(d + 1) of its 2d^2
+numbers, in one %.17g template, and each lower entry takes its mirror's
+real text and its mirror's imaginary text with the sign flipped.  Every
+other block formats every number: one not Hermitian bit for bit, a real
+symmetric one (its +0 imaginary parts fail the sign test) and a 1 x 1
+one.  The bytes are those of the array's nested lists, which the emitter
+formats scalar by scalar.
 
 A problem file is parsed by orjson, whose doubles are correctly rounded as
 float() rounds them.  The stdlib json parser, on the UTF-8 decoded text,
@@ -58,6 +67,7 @@ import gc
 import hashlib
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -147,10 +157,79 @@ def _block(texts: list, indent: int, brackets: str = "[]") -> str:
     return brackets[0] + inner + ("," + inner).join(texts) + "\n" + "  " * indent + brackets[1]
 
 
+@functools.lru_cache(maxsize=None)
+def _mirror_bits(d: int) -> np.ndarray:
+    """The bits of a Hermitian (d, d, 2) block XORed with its transpose's:
+    the sign bit of every off-diagonal imaginary part, zero elsewhere."""
+    bits = np.zeros((d, d, 2), dtype=np.uint64)
+    bits[..., 1] = 1 << 63
+    bits[range(d), range(d), 1] = 0
+    return bits
+
+
+def _is_hermitian_block(a: np.ndarray) -> bool:
+    """Whether ``a`` is a (d, d, 2) block of [re, im] pairs, d >= 2, that is
+    Hermitian bit for bit: each real part has its mirror's bits, and each
+    off-diagonal imaginary part differs from its mirror's in the sign bit
+    alone (so a real symmetric block, whose +0 parts agree, is not)."""
+    d = a.shape[0]
+    if a.shape != (d, d, 2) or d < 2:
+        return False
+    bits = a.view(np.uint64)
+    return bool(((bits ^ bits.transpose(1, 0, 2)) == _mirror_bits(d)).all())
+
+
+@functools.lru_cache(maxsize=None)
+def _mirror_layout(d: int):
+    """For a (d, d, 2) block: the flat positions of its upper triangle's
+    numbers in row-major order, the %s-template of one row's text, and the
+    getter that orders, row after row, the upper triangle's texts followed
+    by their imaginary parts' sign-flipped texts."""
+    rows, cols = np.triu_indices(d)
+    # the place of each entry, or of its mirror below the diagonal, in the upper triangle
+    k = np.empty((d, d), dtype=np.intp)
+    k[rows, cols] = k[cols, rows] = np.arange(len(rows))
+    real = 2 * k
+    imag = np.where(np.triu(np.ones((d, d), dtype=bool)), real + 1, 2 * len(rows) + k)
+    order = np.stack((real, imag), axis=-1).ravel().tolist()
+    upper = 2 * (rows * d + cols)
+    return (
+        np.stack((upper, upper + 1), axis=-1).ravel(),
+        "[" + ", ".join(["[%s, %s]"] * d) + "]",
+        operator.itemgetter(*order),
+    )
+
+
+def _emit_hermitian(a: np.ndarray, indent: int) -> str:
+    """The text of ``a.tolist()`` for a block that `_is_hermitian_block`
+    accepts, formatting only its upper triangle: a lower entry repeats its
+    mirror's real text, and its mirror's imaginary text with the sign
+    flipped, which is exact since %.17g writes the sign apart from the
+    digits.  Rows are formatted one at a time, as in `_emit_floats`: one
+    template for the whole block grows its text by reallocation and left
+    the process's peak memory about 2 MiB higher on a 32 x 16 problem."""
+    d = a.shape[0]
+    upper, row, layout = _mirror_layout(d)
+    values = a.reshape(-1)[upper].tolist()
+    texts = (_float_template(len(values), 0) % tuple(values))[1:-1].split(", ")
+    flipped = [t[1:] if t[0] == "-" else "-" + t for t in texts[1::2]]
+    ordered = layout(texts + flipped)
+    return _block([row % ordered[k:k + 2 * d] for k in range(0, 2 * d * d, 2 * d)], indent)
+
+
 def _emit_floats(a: np.ndarray, indent: int) -> str:
     """The text of ``a.tolist()`` for a finite float64 array with no
     zero-length axis: 1-D and 2-D arrays inline through one template,
-    deeper arrays one element per line."""
+    deeper arrays one element per line.
+
+    A (d, d, 2) block with d >= 2 whose real parts have their mirrors'
+    bits and whose off-diagonal imaginary parts differ from their mirrors'
+    in the sign bit alone, one vectorised test (`_is_hermitian_block`),
+    formats only its upper triangle (`_emit_hermitian`).  Any other block,
+    d = 1 and real symmetric blocks among them, falls back on formatting
+    every number; each matrix of a POVM stack is tested on its own."""
+    if _is_hermitian_block(a):
+        return _emit_hermitian(a, indent)
     if a.ndim > 2:
         return _block([_emit_floats(sub, indent + 1) for sub in a], indent)
     width = a.shape[1] if a.ndim == 2 else 0

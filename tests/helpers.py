@@ -72,13 +72,13 @@ def _zero_prior_rank_two(seed: int) -> md.Ensemble:
 
 
 def count_calls(monkeypatch, module, name: str) -> list:
-    """Shapes of the arrays passed to ``module.<name>`` from now on."""
+    """Shapes of the arrays passed first to ``module.<name>`` from now on."""
     calls = []
     real = getattr(module, name)
 
-    def counted(m):
+    def counted(m, *args):
         calls.append(np.shape(m))
-        return real(m)
+        return real(m, *args)
 
     monkeypatch.setattr(module, name, counted)
     return calls

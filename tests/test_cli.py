@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import mindisc as md
 from helpers import BAD_STATES, count_calls
 from mindisc import cli, ensembles
+from mindisc.matrices import _hermitian_part
 
 
 def run(argv, capsys=None):
@@ -823,6 +824,69 @@ def test_problem_emission_is_pinned_to_its_bytes():
     e0 = np.array([[1.0, complex(-0.0, -0.0)], [complex(-0.0, 0.0), third]])
     e1 = np.array([[0.0, 0.0], [0.0, 1 - third]], dtype=complex)
     assert cli.problem_to_json(ens, md.validate_povm([e0, e1])) == _GOLDEN_PROBLEM
+
+
+_SALTS = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1e300, -1e300, 1 / 3, -1 / 3, 3.0, -7.0]
+
+
+def _hermitian_stack(n, d, seed, salted=0.0):
+    """(a + a^dagger)/2 of n complex normal draws, each of whose real and
+    imaginary parts is replaced by an edge value with probability ``salted``."""
+    rng = np.random.default_rng(seed)
+    parts = rng.standard_normal((n, d, d, 2))
+    salt = rng.random(parts.shape) < salted
+    parts[salt] = rng.choice(_SALTS, size=salt.sum())
+    return _hermitian_part(parts.view(complex)[..., 0])
+
+
+def _bit_hermitian(m) -> bool:
+    """Whether a complex matrix of size 2 or more is its conjugate transpose
+    bit for bit, signed zeros included."""
+    off = ~np.eye(len(m), dtype=bool)
+    real = (m.real == m.real.T) & (np.signbit(m.real) == np.signbit(m.real.T))
+    imag = (m.imag == -m.imag.T) & (np.signbit(m.imag) != np.signbit(m.imag.T))
+    return len(m) > 1 and bool(real.all() and imag[off].all())
+
+
+@pytest.mark.parametrize("salted", [0.0, 0.25], ids=["plain", "salted"])
+@pytest.mark.parametrize("d", [*range(2, 10), 33])
+def test_a_hermitian_block_is_emitted_from_its_upper_triangle(monkeypatch, d, salted):
+    stack = _hermitian_stack(4, d, seed=d, salted=salted)
+    hermitian = [_bit_hermitian(m) for m in stack]
+    # a salted zero can leave a block Hermitian in value only, which the
+    # emitter must format in full
+    assert all(hermitian) if not salted else any(hermitian)
+    pairs = stack.view(float).reshape(4, d, d, 2)
+    view = pairs[:, ::-1, ::-1]  # Hermitian too, on negative strides
+    calls = count_calls(monkeypatch, cli, "_emit_hermitian")
+    for arr in [*pairs, pairs]:
+        assert cli.dumps_canonical(arr) == cli.dumps_canonical(arr.tolist())
+    assert cli.dumps_canonical({"stack": pairs}) == _reference_matrix_text(stack)
+    assert cli.dumps_canonical(view) == cli.dumps_canonical(np.ascontiguousarray(view))
+    # blocks alone, as a POVM, in the document, as the view and its copy
+    assert len(calls) == 5 * sum(hermitian)
+
+
+def _one_ulp_up(a, index):
+    a = a.copy()
+    a[index] = np.nextafter(a[index], np.inf)
+    return a
+
+
+_NOT_HERMITIAN_BITS = {
+    "real-symmetric": cli._encode_matrix(md.random_mixed(4, 1, 3).states[0].mat.real + 0j),
+    "real-one-ulp-off": _one_ulp_up(_hermitian_stack(1, 4, 5).view(float).reshape(4, 4, 2), (3, 1, 0)),
+    "imag-one-ulp-off": _one_ulp_up(_hermitian_stack(1, 4, 5).view(float).reshape(4, 4, 2), (3, 1, 1)),
+    "d=1": np.array([[[0.5, -0.0]]]),
+}
+
+
+@pytest.mark.parametrize("block", _NOT_HERMITIAN_BITS.values(), ids=_NOT_HERMITIAN_BITS)
+def test_a_block_not_hermitian_bit_for_bit_formats_every_number(monkeypatch, block):
+    calls = count_calls(monkeypatch, cli, "_emit_hermitian")
+    for arr in [block, np.stack([block, block])]:
+        assert cli.dumps_canonical(arr) == cli.dumps_canonical(arr.tolist())
+    assert not calls
 
 
 @pytest.mark.parametrize(
