@@ -1,6 +1,11 @@
 import pytest
+from hypothesis import settings
 
 import mindisc as md
+
+# Hypothesis's own CI profile, loaded on every run: fixed draws, no example
+# database and no too_slow health check, so each run tests what CI tests
+settings.load_profile("ci")
 
 
 @pytest.fixture(scope="session")

@@ -290,6 +290,69 @@ def test_malformed_spec_fields_are_parse_errors(tmp_path, doc):
     assert run(["solve", path])[0] == cli.EXIT_PARSE
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"spec": 3}, "spec: expected an object with a 'kind' key"),
+        ({"spec": {"kind": "pair", "priors": [1]}}, "spec.priors: expected two numbers"),
+        ({"spec": {"kind": "random", "dim": 2, "n": 2}}, "spec.seed: required for kind 'random'"),
+    ],
+    ids=["spec-not-an-object", "pair-priors", "random-seed"],
+)
+def test_malformed_spec_is_parse_error_with_its_message(tmp_path, capsys, doc, message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    code, captured = run(["solve", path], capsys)
+    assert code == cli.EXIT_PARSE
+    assert captured.err == f"parse error: {message}\n"
+
+
+_QUBIT = [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"dim": 2, "states": []}, "'states' must be a nonempty list"),
+        ({"dim": 2, "states": [3]}, "states[0] must carry 'prior' and 'matrix'"),
+        ({"dim": 2, "states": [{"prior": "1", "matrix": _QUBIT}]}, "states[0].prior must be a number"),
+        ({"dim": 2, "states": [{"prior": 1, "matrix": _QUBIT}], "povm": []},
+         "'povm' must be a nonempty list"),
+    ],
+    ids=["states-empty", "state-fields", "prior-type", "povm-empty"],
+)
+def test_malformed_structure_is_parse_error_with_its_path(tmp_path, capsys, doc, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, captured = run(["certify", path], capsys)
+    assert code == cli.EXIT_PARSE
+    assert captured.err == f"parse error: {path}: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "priors, message",
+    [("0.5", "--priors expects two comma-separated numbers, got '0.5'"),
+     ("a,b", "--priors: could not convert string to float: 'a'")],
+)
+def test_generate_pair_rejects_malformed_priors(tmp_path, capsys, priors, message):
+    out = tmp_path / "pair.json"
+    code, captured = run(["generate", "--kind", "pair", "--priors", priors, "--output", out], capsys)
+    assert code == cli.EXIT_PARSE
+    assert captured.err == f"parse error: {message}\n"
+    assert not out.exists()
+
+
+def test_pair_spec_file_loads_as_pure_pair(tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"spec": {"kind": "pair", "overlap": 0.3, "priors": [0.2, 0.8]}}))
+    loaded = cli.load_problem(path).ensemble
+    reference = md.pure_pair(0.3, (0.2, 0.8))
+    assert loaded.priors.tobytes() == reference.priors.tobytes()
+    for a, b in zip(loaded.states, reference.states, strict=True):
+        assert a.mat.tobytes() == b.mat.tobytes()
+    assert loaded.weighted_states.tobytes() == reference.weighted_states.tobytes()
+
+
 def test_spec_and_states_conflict(tmp_path):
     path = tmp_path / "both.json"
     path.write_text(json.dumps({
@@ -322,6 +385,15 @@ def test_canonical_dump_sorts_keys():
     text = cli.dumps_canonical({"b": 1, "a": [1.5, 2]})
     assert text.index('"a"') < text.index('"b"')
     assert text.endswith("\n")
+
+
+def test_canonical_dump_of_an_empty_object():
+    assert cli.dumps_canonical({}) == "{}\n"
+
+
+def test_canonical_dump_rejects_a_value_json_cannot_hold():
+    with pytest.raises(TypeError):
+        cli.dumps_canonical({"a": object()})
 
 
 def test_non_finite_state_is_validation_error(tmp_path):

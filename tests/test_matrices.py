@@ -8,6 +8,7 @@ from mindisc.matrices import (
     NotHermitianError,
     Spectrum,
     _hermitian_part,
+    checked_eigh,
     checked_eigvalsh,
     checked_psd,
     fix_phase,
@@ -240,6 +241,27 @@ def test_checked_eigvalsh_maps_solver_failures(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.full(a.shape[:-1], np.nan))
     with pytest.raises(EigendecompositionError, match="non-finite"):
         checked_eigvalsh(m)
+
+
+def test_checked_eigh_maps_solver_failures(monkeypatch):
+    m = np.stack([random_hermitian(np.random.default_rng(k), 3) for k in range(2)])
+    values, vectors = checked_eigh(m)
+    reference = np.linalg.eigh(m)
+    assert np.array_equal(values, reference[0]) and np.array_equal(vectors, reference[1])
+
+    def no_convergence(_):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+    with pytest.raises(EigendecompositionError, match="did not converge"):
+        checked_eigh(m)
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: (np.full(a.shape[:-1], np.nan), a))
+    with pytest.raises(EigendecompositionError, match="non-finite"):
+        checked_eigh(m)
+    # finite eigenvalues with non-finite eigenvectors fail the same check
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: (reference[0], np.full_like(a, np.inf)))
+    with pytest.raises(EigendecompositionError, match="non-finite"):
+        checked_eigh(m)
 
 
 # entries whose sums depend on the order of addition, and signed zeros

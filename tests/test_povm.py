@@ -136,6 +136,23 @@ def test_srm_single_state_is_identity():
     assert np.allclose(povm[0], np.eye(2), atol=1e-12)
 
 
+def test_srm_exists_when_a_state_with_admitted_negative_eigenvalues_sees_the_kernel():
+    # S = diag(1, 0, 0): p_0 rho_0's eigenvalues -0.999 eps, which validation
+    # admits, cancel p_1 rho_1's 1.8e-9 of weight on S's kernel; the SRM is
+    # still the completion, bit for bit, and a start that certifies
+    eps = 0.9e-9
+    delta = 0.999 * eps / 0.001
+    rho0 = md.validate_density(np.diag([1 + 2 * eps, -eps, -eps]))
+    rho1 = md.validate_density(np.diag([1 - 2 * delta, delta, delta]))
+    ens = md.Ensemble((0.999, 0.001), (rho0, rho1))
+    elements, kernel = povm_module._completed_povm(ens.weighted_states)
+    assert kernel is not None
+    assert np.trace(kernel @ ens.weighted_states[1]).real > 1e-9
+    srm = md.square_root_measurement(ens)
+    assert srm.elements.tobytes() == elements.tobytes()
+    assert md.solve(ens, srm).converged
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 10**6),

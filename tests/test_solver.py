@@ -430,6 +430,24 @@ def test_brute_force_guard_rails():
         md.brute_force(md.trine(), budget=0)
 
 
+def test_brute_force_keeps_its_other_starts_when_the_srm_raises(monkeypatch):
+    # the SRM's completion can miss the identity on an ill-conditioned S;
+    # brute_force then solves from the uniform POVM and its random starts
+    def incomplete(ens):
+        raise md.IncompleteSumError(1.6e-9)
+
+    starts = []
+    real_solve = solver.solve
+    monkeypatch.setattr(solver, "square_root_measurement", incomplete)
+    monkeypatch.setattr(solver, "solve", lambda ens, start, config: starts.append(start)
+                        or real_solve(ens, start, config))
+    _, value = md.brute_force(md.trine(), budget=2, seed=0)
+    rng = np.random.default_rng(0)
+    expected = [md.uniform_povm(3, 2)] + [md.random_povm(3, 2, rng) for _ in range(2)]
+    assert [p.elements.tobytes() for p in starts] == [p.elements.tobytes() for p in expected]
+    assert value == pytest.approx(2.0 / 3.0, abs=1e-6)
+
+
 @pytest.mark.parametrize("budget", [True, 2.5, "3"])
 def test_brute_force_rejects_a_budget_that_is_not_an_integer(monkeypatch, budget):
     # rejected before any start is built
@@ -604,6 +622,56 @@ def test_ascent_stalls_when_the_witness_eigh_finds_no_negative_eigenvalue(monkey
     monkeypatch.setattr(solver, "checked_eigh", nonnegative)
     monkeypatch.setattr(solver, "_block_step", lambda *args: pytest.fail("stepped"))
     assert solver._ascent_step(weighted, start.elements, scan, p_corr) is None
+
+
+def test_ascent_stops_on_the_rounding_floor(monkeypatch):
+    # a block step that returns its input does not raise P_corr: the ascent
+    # keeps no record, the fixed-point engine cannot grow the empty start
+    # either, and the solve returns the start unchanged
+    ens = md.random_mixed(4, 5, 3)
+    start = _empty_start(ens)
+    calls = []
+    monkeypatch.setattr(solver, "_block_step", lambda elements, *args: calls.append(1) or elements)
+    trace = md.solve(ens, start)
+    assert len(calls) == 1
+    assert trace.iterations == ()
+    assert trace.final_povm.elements.tobytes() == start.elements.tobytes()
+    assert not trace.converged
+
+
+def _uniform_scan(ens: md.Ensemble):
+    """The weighted states, uniform elements, witness scan and P_corr of an
+    ascent step from the uniform POVM."""
+    weighted = ens.weighted_states
+    elements = md.uniform_povm(len(ens), ens.dim).elements
+    gamma, p_corr = solver._gamma(weighted @ elements)
+    return weighted, elements, solver._witness_scan(gamma, weighted), p_corr
+
+
+def test_ascent_raises_on_a_predicted_gain_that_is_not_finite(monkeypatch):
+    weighted, elements, scan, p_corr = _uniform_scan(md.random_mixed(4, 2, seed=3))
+    monkeypatch.setattr(solver, "_block_coefficients", lambda *args: (0.0, np.nan))
+    monkeypatch.setattr(solver, "_block_step", lambda *args: pytest.fail("stepped"))
+    with pytest.raises(md.NumericFailure, match="predicted step gain is not finite"):
+        solver._ascent_step(weighted, elements, scan, p_corr)
+
+
+def test_ascent_raises_on_a_success_probability_that_is_not_finite(monkeypatch):
+    weighted, elements, scan, p_corr = _uniform_scan(md.random_mixed(4, 2, seed=3))
+    monkeypatch.setattr(solver, "_block_step", lambda elements, *args: np.full_like(elements, np.nan))
+    with pytest.raises(md.NumericFailure, match="success probability is not finite"):
+        solver._ascent_step(weighted, elements, scan, p_corr)
+
+
+def test_plain_fixed_point_step_raises_on_a_success_probability_that_is_not_finite(monkeypatch):
+    # the first fixed-point step has no history to mix, so it is the plain step
+    def non_finite(weighted, factors):
+        output, elements, kernel = _factor_map(weighted, factors)
+        return output, np.full_like(elements, np.nan), kernel
+
+    monkeypatch.setattr(solver, "_factor_map", non_finite)
+    with pytest.raises(md.NumericFailure, match="success probability is not finite"):
+        md.solve(md.trine())
 
 
 def test_ascent_stops_where_the_verdict_holds():
@@ -885,6 +953,39 @@ def test_fixed_point_keeps_its_factors_when_no_state_sees_the_kernel(monkeypatch
     assert len(calls) == 1
 
 
+def test_fixed_point_restarts_from_square_roots_when_a_state_sees_the_kernel(monkeypatch):
+    # from the empty start the first fixed-point step leaves S a kernel that
+    # some W_j sees, so the factors of that step do not factor its POVM: the
+    # next step takes the Hermitian square roots of that POVM instead
+    ens = _perturbed_qubits(4, 1e-3, 0.5, 0)
+    events = []
+    real_unseen, real_sqrt, real_map = (
+        solver._kernel_is_unseen, solver._hermitian_sqrt, solver._factor_map)
+
+    def unseen(weighted, kernel):
+        verdict = real_unseen(weighted, kernel)
+        events.append(("unseen", verdict))
+        return verdict
+
+    def mapped(weighted, factors):
+        result = real_map(weighted, factors)
+        events.append(("map", result[1]))
+        return result
+
+    monkeypatch.setattr(solver, "_kernel_is_unseen", unseen)
+    monkeypatch.setattr(solver, "_hermitian_sqrt", lambda e: events.append(("sqrt", e)) or real_sqrt(e))
+    monkeypatch.setattr(solver, "_factor_map", mapped)
+    trace = md.solve(ens, _empty_start(ens))
+    assert trace.converged
+    kinds = [event[0] for event in events]
+    seen = kinds.index("unseen")
+    assert events[seen][1] is False
+    # the step after the restart opens with square roots of the POVM the
+    # step before it accepted
+    assert kinds[seen - 1:seen + 3] == ["map", "unseen", "sqrt", "map"]
+    assert events[seen + 1][1].tobytes() == events[seen - 1][1].tobytes()
+
+
 @pytest.mark.parametrize(
     "n, delta, theta, seed",
     [
@@ -1044,6 +1145,26 @@ def test_mode_with_non_finite_vector_is_rejected(trine_ensemble, trine_srm, oper
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="mode vector has non-finite entries"):
             calls[operation]()
+
+
+@pytest.mark.parametrize(
+    "vector, message",
+    [([1.0, 0.0, 0.0], "mode vector has dimension 3, POVM has 2"),
+     ([0.0, 0.0], "mode vector is zero")],
+    ids=["dimension", "zero"],
+)
+@pytest.mark.parametrize("operation", ["perturb", "gain", "best_epsilon"])
+def test_mode_with_a_wrong_dimension_or_zero_vector_is_rejected(
+    trine_ensemble, trine_srm, operation, vector, message
+):
+    bad = md.Witness(outcome=0, eigenvalue=-0.1, vector=np.array(vector, dtype=complex))
+    calls = {
+        "perturb": lambda: md.perturb(trine_srm, bad, 0.5),
+        "gain": lambda: md.gain(trine_ensemble, trine_srm, bad, 0.5),
+        "best_epsilon": lambda: md.best_epsilon(trine_ensemble, trine_srm, bad),
+    }
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        calls[operation]()
 
 
 def _record_bits(trace) -> list[tuple]:

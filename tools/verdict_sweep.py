@@ -173,8 +173,6 @@ _GROUP_FLOORS = {
     "binary": 34,
 }
 FLOORS = {(group, start): floor for start in STARTS for group, floor in _GROUP_FLOORS.items()}
-# gated when it read 77; it reads 78 since the ascent stops on the verdict
-FLOORS["zero-prior", "empty"] = 77
 
 
 def sweep(instances: list[md.Ensemble], start: str) -> tuple[int, int, int, float]:
