@@ -28,6 +28,9 @@ IMAG_TOL = 1e-10
 
 # eigenvalues of the average state at or below this floor count as kernel
 SUPPORT_FLOOR = 1e-12
+# a full-rank S whose eigenvalues span a wider ratio than this is
+# ill-conditioned, and its completion is normalised a second time
+CONDITION_RATIO = 1e-6
 
 
 def _completeness_deviation(stack: np.ndarray) -> float:
@@ -128,7 +131,7 @@ def _gamma(products: np.ndarray) -> tuple[np.ndarray, float]:
     """The Lagrange operator Gamma = sum_i P_i of the products P_i = W_i pi_i,
     summed by ``np.add.reduce``, and the success probability Re tr Gamma.
 
-    Unguarded: the solver's engines call it on W and pi that are Hermitian
+    Unguarded: the solver's engine calls it on W and pi that are Hermitian
     by construction.  ``_checked_gamma`` first checks the traces.
     """
     gamma = np.add.reduce(products, 0)
@@ -228,10 +231,22 @@ def _inv_sqrt_on_support(
     return inv_sqrt, _hermitian_part(np.eye(eigenvectors.shape[0]) - vs @ vs.conj().T)
 
 
-def _normalizer(s: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """S^{-1/2} on the support of S, and S's kernel projector (None if S is
-    full rank)."""
-    return _inv_sqrt_on_support(*checked_eigh(_hermitian_part(s)))
+def _normalizer(s: np.ndarray) -> tuple[np.ndarray, np.ndarray | None, bool]:
+    """S^{-1/2} on the support of S, S's kernel projector (None if S is
+    full rank), and whether a full-rank S is ill-conditioned:
+    lambda_min < ``CONDITION_RATIO`` lambda_max, read from the same ``eigh``."""
+    eigenvalues, eigenvectors = checked_eigh(_hermitian_part(s))
+    inv_sqrt, kernel = _inv_sqrt_on_support(eigenvalues, eigenvectors)
+    ill = kernel is None and eigenvalues[0] < CONDITION_RATIO * eigenvalues[-1]
+    return inv_sqrt, kernel, bool(ill)
+
+
+def _sum_normalizer(elements: np.ndarray) -> np.ndarray:
+    """T^{-1/2} of the element sum T of a stack completed through an
+    ill-conditioned S.  The first normalisation amplifies rounding by S's
+    condition number, so T misses the identity by more than rounding; T
+    itself is near I, so normalising by it is well conditioned."""
+    return _normalizer(np.add.reduce(elements, 0))[0]
 
 
 def _completed_povm(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
@@ -240,14 +255,19 @@ def _completed_povm(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     elements and that projector (None if S is full rank).
 
     The one completion of the square-root measurement and ``random_povm``;
-    the fixed-point step calls ``_normalizer`` directly.  Unvalidated, but
-    exactly Hermitian: both terms are.  PSD blocks lie in S's support, as
-    B_i <= S, so the elements sum to the identity up to rounding; on an
-    ill-conditioned S the sandwich amplifies that rounding, and the sum can
-    then miss ``COMPLETENESS_TOL``.
+    the fixed-point step calls ``_normalizer`` and ``_sum_normalizer``
+    directly.  Unvalidated, but exactly Hermitian: both terms are.  PSD
+    blocks lie in S's support, as B_i <= S, so the elements sum to the
+    identity up to rounding.  On an ill-conditioned full-rank S the sandwich
+    amplifies that rounding, so the elements are sandwiched once more by
+    T^{-1/2}, T their sum, which is near I and well conditioned: their sum
+    then misses the identity by rounding alone.
     """
-    inv_sqrt, kernel = _normalizer(np.add.reduce(blocks, 0))
+    inv_sqrt, kernel, ill = _normalizer(np.add.reduce(blocks, 0))
     elements = _hermitian_part(inv_sqrt @ blocks @ inv_sqrt)
+    if ill:
+        inv_sqrt = _sum_normalizer(elements)
+        elements = _hermitian_part(inv_sqrt @ elements @ inv_sqrt)
     if kernel is not None:
         elements[0] += kernel
     return elements, kernel
@@ -258,7 +278,9 @@ def square_root_measurement(ens: Ensemble) -> Povm:
 
     Any completeness deficit from a rank-deficient S (its kernel projector)
     is assigned to outcome 0.  No support check is needed: each weighted
-    state p_i rho_i <= S lies in the support of S.
+    state p_i rho_i <= S lies in the support of S.  A full-rank but
+    ill-conditioned S gets a second normalisation (see ``_completed_povm``),
+    so its rounding no longer makes the elements miss completeness.
     """
     return validate_povm(_completed_povm(ens.weighted_states)[0])
 

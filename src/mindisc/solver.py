@@ -1,26 +1,44 @@
 """Solver for minimum-error discrimination, with the binary closed form.
 
-Whenever some witness operator G_j has negative eigenvalues, let V hold
-their unit eigenvectors in its columns and P = V V* be the projector onto
-that negative eigenspace.  The block update
+A problem with three or more states is solved by one monotone iteration,
+the fixed-point map of Jezek, Rehacek and Fiurasek (PRA 65, 060301(R),
+2002),
 
-    pi'_i = (1 - eps P) pi_i (1 - eps P) + eps (2 - eps) P [i == j]
+    pi_j <- S^{-1/2} W_j pi_j W_j S^{-1/2},   W_j = p_j rho_j,  S = sum_j W_j pi_j W_j,
 
-is again a valid measurement: each damped element stays positive
-semidefinite, and since P^2 = P the elements still sum to
-(1 - eps P)^2 + eps (2 - eps) P = 1.  It improves the success probability
-by 2 eps sum_k |lam_k| to first order, summed over the negative
-eigenvalues -|lam_k|.  The improvement is exactly quadratic in eps, and its
-two coefficients come from k x k blocks for a k-column V, so each iteration
-takes the argmax of that quadratic instead of an infinitesimal step.  The
-ascent steps toward the witness with the most negative eigenvalue, along
-every eigenvector with a negative eigenvalue, until ``certify``'s verdict
-holds: one stopping rule, at the certificate's tolerance.  An ascent
-record's ``lam`` is the magnitude of that most negative eigenvalue.
-The witness scan computes the eigenvalues of every G_j in one batch and no
-eigenvectors; a step then eigendecomposes the one witness it moves toward.
-A point with no negative mode satisfies the sufficient optimality
-conditions, so a certified fixed point is a global optimum.
+whose fixed points satisfy the equality conditions and which converges
+linearly on most instances, crawling near some degenerate optima such as
+those of nearly symmetric qubit ensembles.  The optimality conditions are sufficient as
+well as necessary, so a fixed point that also passes the witness test is a
+global optimum, and one engine is enough.  ``solve`` holds its one loop:
+the verdict, ``certificates._verdict``, ``certify``'s own, is checked for
+the start and for each POVM the loop accepts, and the loop stops when it
+holds, when a step finds no candidate that raises P_corr (the floor), or
+when the ``max_iter`` steps of a ``SolverConfig`` are spent.  The result
+is certified once, when the solve stops.
+
+The map cannot grow an element's support: an element that is zero stays
+zero.  So a given start that fails its verdict and leaves empty an element
+whose state has a positive prior is mixed once with the uniform
+measurement, (1 - ``EMPTY_START_MIX``) start + ``EMPTY_START_MIX`` I/n,
+and the loop climbs from the mix.  The default start, the uniform
+measurement, has no empty element and skips the test.
+
+The iteration runs on factors A_j with pi_j = A_j A_j^*, through the map
+g(A)_j = S^{-1/2} W_j A_j, S = sum_j (W_j A_j)(W_j A_j)^*: the same step,
+whose output is a measurement by construction.  S is one product of the
+side-by-side matrix [W_1 A_1 ... W_n A_n] with its conjugate transpose,
+and a full-rank S, the usual case, costs no kernel projector.  An
+ill-conditioned S (``povm.CONDITION_RATIO``) amplifies rounding in the
+element sum, so then g is normalised a second time by T^{-1/2}, T the sum
+of its Gram products, which is near I.  Anderson acceleration (Walker and
+Ni, SIAM J. Numer. Anal. 49, 1715 (2011)) feeds the map a mix of its last
+few inputs and outputs in place of the last output, from a rolling history
+that adds one row of inner products per step; its coefficients come from
+an ``eigh`` of that history's k x k Gram matrix, with the relative cutoff
+of ``lstsq``.  The mix is only a proposal: it is kept when its image
+raises P_corr and is otherwise dropped, with the history, for the plain
+step.
 
 For two states the conditions hold at Helstrom's measurement (Helstrom,
 Quantum Detection and Estimation Theory, 1976): outcome 0 projects onto
@@ -36,62 +54,47 @@ Hermiticity check: ``spectral_decompose`` serves the public API and
 calls (the start's verdict, Delta, validation and the certificate) and
 their checks.
 
-The ascent approaches degenerate or rank-deficient optima only
-sublinearly, and a step with eps = 1 can empty an element.  So a problem
-with three or more states starts in the fixed-point iteration of Jezek,
-Rehacek and Fiurasek (PRA 65, 060301(R), 2002),
+The paper's own argument is the perturbation that ``perturb``, ``gain``
+and ``best_epsilon`` expose, toward a negative mode of
+``find_negative_mode``.  Whenever some witness operator G_j has negative
+eigenvalues, let V hold their unit eigenvectors in its columns and
+P = V V* be the projector onto that negative eigenspace.  The block update
 
-    pi_j <- S^{-1/2} W_j pi_j W_j S^{-1/2},   W_j = p_j rho_j,  S = sum_j W_j pi_j W_j,
+    pi'_i = (1 - eps P) pi_i (1 - eps P) + eps (2 - eps) P [i == j]
 
-whose fixed points satisfy the equality conditions and which converges
-linearly on those optima.  It cannot grow an element's support, so when it
-stops short of the verdict the ascent runs a short rescue burst and hands
-back.  Each engine is a step function; ``solve`` holds the one loop that
-runs them, and hands over when a run cannot step or a burst is spent.
-The verdict is ``certificates._verdict``, ``certify``'s own, checked for
-the start and for each POVM the loop accepts.  The loop stops when it
-holds, when the engines' shared budget, the ``max_iter`` steps of a
-``SolverConfig``, is spent, or after two runs in a row that take no step.
-The result is certified once, when the solve stops.
-
-The iteration runs on factors A_j with pi_j = A_j A_j^*, through the map
-g(A)_j = S^{-1/2} W_j A_j, S = sum_j (W_j A_j)(W_j A_j)^*: the same step,
-whose output is a measurement by construction.  S is one product of the
-side-by-side matrix [W_1 A_1 ... W_n A_n] with its conjugate transpose,
-and a full-rank S, the usual case, costs no kernel projector.  Anderson
-acceleration (Walker and Ni, SIAM J. Numer. Anal. 49, 1715 (2011)) feeds
-the map a mix of its last few inputs and outputs in place of the last
-output, from a rolling history that adds one row of inner products per
-step; its coefficients come from an ``eigh`` of that history's k x k Gram
-matrix, with the relative cutoff of ``lstsq``.  The mix is only a
-proposal: it is kept when its image raises P_corr and is otherwise
-dropped, with the history, for the plain step.
+is again a valid measurement: each damped element stays positive
+semidefinite, and since P^2 = P the elements still sum to
+(1 - eps P)^2 + eps (2 - eps) P = 1.  It improves the success probability
+by 2 eps sum_k |lam_k| to first order, summed over the negative
+eigenvalues -|lam_k|.  The improvement is exactly quadratic in eps, and its
+two coefficients come from k x k blocks for a k-column V; ``best_epsilon``
+takes the argmax of that quadratic.  So a point with a negative mode is
+not optimal, and one with none satisfies the sufficient conditions.
 
 At the benchmark's sizes (d <= 16, n <= 8) a step is bound by the dispatch
 of its few dozen numpy calls, not by arithmetic on its small matrices, so
 the loop's kernels keep their calls and temporaries few.  The Lagrange
 operator Gamma = sum_j W_j pi_j is formed with ``povm._gamma`` once for the
-start and once per candidate of either engine: Re tr Gamma is the
+start, once for a mixed start, and once per candidate: Re tr Gamma is the
 candidate's P_corr, which the accept test reads, and an accepted
 candidate's Gamma is what its verdict reads.  The verdict scans the
-witnesses only once Gamma is Hermitian within ``tol``, or under the
-ascent, whose next step reads the scan.  A hand-over keeps the POVM, so it
-forms no second Gamma or witness scan.  The engines skip the
-imaginary-trace guard, since their W and pi are Hermitian by construction
-and a NaN P_corr already stops them; ``p_correct`` and ``certify`` run the
-guard, then form Gamma and P_corr the same way, so a solve's last record,
-``p_correct`` of the returned POVM and its certificate agree bit for bit,
-and every returned POVM is guarded once.  Every stack sum (Gamma, the
-average state, the element sum of the completeness test, the S of a
-completion) is ``np.add.reduce``, which adds an (n, d, d) stack in index
-order when d >= 2 (a d = 1 stack pairwise).  Only the 1-D sums of the
-step coefficients keep ``ordered_sum``'s loop, which beats numpy's dispatch
-at a handful of terms.  The square-root measurement and ``random_povm``
-share one completion kernel, ``povm._completed_povm``, and the factor map
-calls its normaliser, ``povm._normalizer``, directly: deterministic for a
-given numpy and BLAS build, with no eigenvector phase fixed.  Norms follow
-numpy's own formula without its wrapper, and finiteness tests take one sum.
-The default start, the uniform measurement, is built directly as an
+witnesses only once Gamma is Hermitian within ``tol``.  The engine skips
+the imaginary-trace guard, since its W and pi are Hermitian by
+construction and a NaN P_corr already stops it; ``p_correct`` and
+``certify`` run the guard, then form Gamma and P_corr the same way, so a
+solve's last record, ``p_correct`` of the returned POVM and its
+certificate agree bit for bit, and every returned POVM is guarded once.
+Every stack sum (Gamma, the average state, the element sum of the
+completeness test, the S of a completion) is ``np.add.reduce``, which
+adds an (n, d, d) stack in index order when d >= 2 (a d = 1 stack
+pairwise).  Only the 1-D sums of the step coefficients keep
+``ordered_sum``'s loop, which beats numpy's dispatch at a handful of
+terms.  The square-root measurement and ``random_povm`` share one
+completion kernel, ``povm._completed_povm``, and the factor map calls its
+normalisers, ``povm._normalizer`` and ``povm._sum_normalizer``, directly:
+deterministic for a given numpy and BLAS build, with no eigenvector phase
+fixed.  Norms follow numpy's own formula without its wrapper, and
+finiteness tests take one sum.  The default start is built directly as an
 (n, d, d) stack of identity/n, valid by construction, with no validation.
 """
 
@@ -105,7 +108,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certificates import DEFAULT_TOL, Certificate, Witness, certify
-from .certificates import _check_real, _check_tolerance, _max_norm, _verdict, _witness_scan
+from .certificates import _check_real, _check_tolerance, _max_norm, _verdict
 from .ensembles import DensityMatrix, Ensemble
 from .matrices import (
     NumericFailure,
@@ -122,6 +125,7 @@ from .povm import (
     _completeness_deviation,
     _gamma,
     _normalizer,
+    _sum_normalizer,
     _uniform_elements,
     check_match,
     check_outcome,
@@ -131,11 +135,9 @@ from .povm import (
     validate_povm,
 )
 
-# a step predicted to gain less than this ends the ascent as a stall
-STALL_THRESHOLD = 1e-14
-# an ascent rescue burst takes at most this many steps per dimension before
-# the fixed-point engine takes over again
-ASCENT_STEPS_PER_DIM = 2
+# a start that leaves a seen element empty is mixed with this weight of the
+# uniform POVM, since the fixed-point map cannot grow an empty element
+EMPTY_START_MIX = 1e-3
 # the fixed-point engine's Anderson mix spans this many differences of its
 # last ANDERSON_DEPTH + 1 (input, output) pairs
 ANDERSON_DEPTH = 3
@@ -145,11 +147,12 @@ _EPS = float(np.finfo(float).eps)
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """One accepted step.  ``engine`` is "ascent", "fixed_point" or
-    "helstrom".  An ascent step's ``outcome`` is the witness G_j0 it moved
-    toward, ``lam`` the magnitude of G_j0's most negative eigenvalue and
-    ``epsilon`` its step size; a fixed-point step and the closed-form step
-    of a binary problem have no mode or step size, so these are None."""
+    """One accepted step and the P_corr it reached.  ``engine`` is
+    "fixed_point" for a step of three or more states and "helstrom" for the
+    closed-form step of a binary problem.  Neither has a mode or a step
+    size, so ``outcome``, ``lam`` and ``epsilon`` are always None; they and
+    the "ascent" default of ``engine`` remain from the ascent engine, and
+    dropping them would change the CLI report's bytes."""
 
     p_corr: float
     outcome: int | None
@@ -183,7 +186,7 @@ class SolverConfig:
 
     ``tol`` is the certificate tolerance, a finite positive number.
     ``max_iter``, an integer of at least 1, is the step budget: a solve
-    takes at most that many steps of both engines together.
+    takes at most that many steps.
     """
 
     tol: float = DEFAULT_TOL
@@ -310,42 +313,6 @@ def best_epsilon(ens: Ensemble, povm: Povm, mode: Witness) -> float:
     return _argmax_quadratic(a, b)
 
 
-def _ascent_step(
-    weighted: np.ndarray, elements: np.ndarray, scan, current_p: float
-) -> tuple[IterationRecord, np.ndarray, np.ndarray] | None:
-    """One ascent step from ``elements``, whose P_corr is ``current_p``:
-    returns its record, the new POVM and that POVM's Gamma, or None when the
-    ascent cannot step.
-
-    ``scan`` is ``_witness_scan`` of ``elements``, which names the witness
-    G_j0 with the most negative eigenvalue.  The step moves along every
-    eigenvector of G_j0 with a negative eigenvalue, those in (-tol, 0)
-    included: while Gamma is not yet Hermitian within ``tol``, the ascent
-    must keep pushing them.  One ``eigh`` of G_j0 alone gives the basis, cut
-    by its own eigenvalues.  A basis that predicts a gain below
-    ``STALL_THRESHOLD``, an empty one included, is a stall; a candidate that
-    does not raise P_corr is the rounding floor.  Both give None.
-    """
-    witnesses, values, j0 = scan
-    own_values, vectors = checked_eigh(witnesses[j0])
-    basis = vectors[:, : int(np.searchsorted(own_values, 0.0))]
-    a, b = _block_coefficients(weighted, elements, j0, basis)
-    epsilon = _argmax_quadratic(a, b)
-    predicted = (a * epsilon + b) * epsilon
-    if not math.isfinite(predicted):
-        raise NumericFailure("predicted step gain is not finite")
-    if predicted < STALL_THRESHOLD:
-        return None
-    candidate = _block_step(elements, j0, basis, epsilon)
-    gamma, new_p = _gamma(weighted @ candidate)
-    if not math.isfinite(new_p):
-        raise NumericFailure("success probability is not finite")
-    if new_p <= current_p:
-        # rounding floor: the predicted gain no longer materializes
-        return None
-    return IterationRecord(new_p, j0, -float(values[j0, 0]), epsilon), candidate, gamma
-
-
 def _factor_map(
     weighted: np.ndarray, factors: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
@@ -358,14 +325,20 @@ def _factor_map(
     and that projector, which is None when S is full rank, that is when
     g(A) factors the whole POVM.  The elements are formed as the Gram
     products g_j g_j^*, which stay positive semidefinite to rounding however
-    ill-conditioned S is; S^{-1/2} B_j S^{-1/2} does not.
+    ill-conditioned S is; S^{-1/2} B_j S^{-1/2} does not.  Their sum need
+    not stay near I: an ill-conditioned full-rank S amplifies rounding in
+    it, so then g is normalised once more, g <- T^{-1/2} g with T the sum
+    of the Gram products, and the elements are formed again.
     """
     n, d, _ = factors.shape
     products = weighted @ factors
     side = products.transpose(1, 0, 2).reshape(d, n * d)
-    inv_sqrt, kernel = _normalizer(side @ side.conj().T)
+    inv_sqrt, kernel, ill = _normalizer(side @ side.conj().T)
     outputs = inv_sqrt @ products
     elements = _hermitian_part(outputs @ outputs.conj().swapaxes(1, 2))
+    if ill:
+        outputs = _sum_normalizer(elements) @ outputs
+        elements = _hermitian_part(outputs @ outputs.conj().swapaxes(1, 2))
     if kernel is not None:
         elements[0] += kernel
     return outputs, elements, kernel
@@ -460,20 +433,20 @@ class _AndersonHistory:
 
 
 class _FixedPoint:
-    """One run of the fixed-point engine: its factors and Anderson history.
+    """The fixed-point engine of one solve: its factors and Anderson history.
 
     A step maps factors through ``_factor_map``.  Its input is the Anderson
     mix of the last ``ANDERSON_DEPTH + 1`` (input, output) pairs; a mix that
     is not finite, does not raise P_corr, or whose elements miss the
     identity by more than ``COMPLETENESS_TOL`` drops the history and gives
     way to the plain step from the accepted factors.  Only a plain step
-    that fails the same tests ends the run, on the floor.  Every accepted
-    POVM is thus an output of the map that ``validate_povm`` accepts: an
-    ill-conditioned S amplifies rounding in the element sum.  When S has a
-    kernel, its projector on outcome 0 is in no factor.  The factors and
-    the history carry on if every W_j annihilates that projector, as when
-    the states do not span the space; otherwise the factors restart from
-    the Hermitian square roots of the accepted POVM, as they start a run.
+    that fails the same tests is the floor, which ends the solve.  Every
+    accepted POVM is thus an output of the map that ``validate_povm``
+    accepts.  When S has a kernel, its projector on outcome 0 is in no
+    factor.  The factors and the history carry on if every W_j annihilates
+    that projector, as when the states do not span the space; otherwise the
+    factors restart from the Hermitian square roots of the accepted POVM,
+    as they do at the first step.
     """
 
     def __init__(self, shape: tuple[int, ...]):
@@ -519,34 +492,47 @@ class _FixedPoint:
         return IterationRecord(new_p, None, None, None, engine="fixed_point"), candidate, gamma
 
 
+def _leaves_a_seen_element_empty(priors: np.ndarray, elements: np.ndarray) -> bool:
+    """Whether some element of trace at most ``SUPPORT_FLOOR`` belongs to a
+    state of positive prior: the fixed-point map cannot grow it."""
+    traces = np.einsum("ijj->i", elements).real
+    return bool(((traces <= SUPPORT_FLOOR) & (priors > 0.0)).any())
+
+
 def solve(
     ens: Ensemble, start: Povm | None = None, config: SolverConfig | None = None
 ) -> SolveTrace:
-    """Run the fixed-point engine and the ascent to a certified optimum.
+    """Run the fixed-point engine, or the binary closed form, to a
+    certified optimum.
 
     Runs one start, ``start`` (default: the uniform POVM, built as a new
     stack for each call and bit for bit ``uniform_povm``'s), for at most
-    ``config.max_iter`` steps of either engine.  A problem with three or
-    more states opens in the fixed-point engine, which runs until the
-    verdict holds or it stops on the floor; the ascent then runs as a
-    rescue, a burst of at most ``ASCENT_STEPS_PER_DIM * d`` steps, and
-    hands back.  The solve stops when the verdict holds, when the budget is
-    spent, or when two runs in a row take no step.  A binary problem runs
-    neither engine: unless the start's verdict holds, it takes one
-    "helstrom" step to ``helstrom_binary``'s POVM, bit for bit, and stops.
-    Either way the result is then validated and certified at
-    ``config.tol``.  The optimality conditions are sufficient as well as
-    necessary, so a run that stops short has no local maximum to escape:
-    there is nothing to restart.  ``converged`` is True exactly when the
-    returned certificate is optimal; ``iterations`` holds every step from
-    the start, and ``iterations_used`` counts them.  No random numbers are
-    drawn.  A ``start`` that is not a Povm, or a ``config`` that is not a
+    ``config.max_iter`` steps.  A problem with three or more states runs
+    the fixed-point engine until the verdict holds, until a step finds no
+    candidate that raises P_corr (the floor) or until the budget is spent.
+    A given start that fails its verdict and leaves empty an element whose
+    state has a positive prior is first mixed once,
+    (1 - ``EMPTY_START_MIX``) start + ``EMPTY_START_MIX`` I/n, since the
+    map cannot grow an empty element; the records then climb from the mix,
+    not from the start.  So the returned P_corr is at least the mix's,
+    (1 - EMPTY_START_MIX) P_start + EMPTY_START_MIX / n, since the uniform
+    POVM scores 1/n, and a solve capped at a few steps can end below
+    P_start itself.  A binary problem runs no
+    engine: unless the start's verdict holds, it takes one "helstrom" step
+    to ``helstrom_binary``'s POVM, bit for bit, and stops.  Either way the
+    result is then validated and certified at ``config.tol``.  The
+    optimality conditions are sufficient as well as necessary, so a run
+    that stops short has no local maximum to escape: there is nothing to
+    restart.  ``converged`` is True exactly when the returned certificate
+    is optimal; ``iterations`` holds every step from the start, and
+    ``iterations_used`` counts them.  No random numbers are drawn.  A
+    ``start`` that is not a Povm, or a ``config`` that is not a
     SolverConfig, raises TypeError.
 
-    This loop is the only one: the engines' steps each return a candidate
-    with its Gamma and P_corr, or None when their run cannot step.  Gamma is
-    formed once for the start and once per candidate, and ``certify``'s
-    verdict is checked for the start and for each accepted candidate.
+    Each step returns a candidate with its Gamma and P_corr, or None on the
+    floor.  Gamma is formed once for the start, once for a mixed start and
+    once per candidate, and ``certify``'s verdict is checked for the start
+    and for each accepted candidate.
     """
     if config is None:
         config = _DEFAULT_CONFIG
@@ -560,37 +546,26 @@ def solve(
         check_match(ens, start)
         elements = start.elements
     gamma, p_corr = _gamma(weighted @ elements)
-    holds, _, scan = _verdict(gamma, weighted, tol)
+    holds = _verdict(gamma, weighted, tol)[0]
     if len(ens) == 2 and not holds:
         # one step to Helstrom's measurement, with no verdict check after it
         elements = _helstrom_elements(weighted[0] - weighted[1])
         record = IterationRecord(_gamma(weighted @ elements)[1], None, None, None, engine="helstrom")
         return _finish(ens, elements, [record], tol)
+    if start is not None and not holds and _leaves_a_seen_element_empty(ens.priors, elements):
+        uniform = _uniform_elements(len(ens), ens.dim)
+        elements = (1.0 - EMPTY_START_MIX) * elements + EMPTY_START_MIX * uniform
+        gamma, p_corr = _gamma(weighted @ elements)
     records: list[IterationRecord] = []
-    burst = ASCENT_STEPS_PER_DIM * ens.dim
-    fixed = _FixedPoint(elements.shape)  # None while the ascent is in charge
-    run = 0  # steps of the engine in charge since it took over
-    idle = False  # whether the run before took no step
+    fixed = _FixedPoint(elements.shape)
     while not holds and len(records) < budget:
-        if fixed is not None:
-            step = fixed.step(weighted, elements, p_corr)
-        elif run < burst:
-            if scan is None:
-                scan = _witness_scan(gamma, weighted)
-            step = _ascent_step(weighted, elements, scan, p_corr)
-        else:
-            step = None  # the burst is spent
+        step = fixed.step(weighted, elements, p_corr)
         if step is None:
-            if idle and not run:
-                break
-            idle, run = not run, 0
-            fixed = _FixedPoint(elements.shape) if fixed is None else None
-            continue
+            break
         record, elements, gamma = step
         p_corr = record.p_corr
         records.append(record)
-        run += 1
-        holds, _, scan = _verdict(gamma, weighted, tol, scan=fixed is None)
+        holds = _verdict(gamma, weighted, tol)[0]
     return _finish(ens, elements, records, tol)
 
 
@@ -654,8 +629,9 @@ def brute_force(ens: Ensemble, budget: int = 16, seed: int = 0) -> tuple[Povm, f
 
     Runs ``solve`` from the uniform POVM, the square-root measurement and
     ``budget`` random POVMs, and returns the best POVM found with its
-    success probability.  It shares ``solve``'s engines, so it is a check
-    of the schedule, not an independent oracle.  On a binary problem every
+    success probability.  It shares ``solve``'s fixed-point engine, so it
+    checks that the engine's result does not depend on the start; it is not
+    an independent oracle.  On a binary problem every
     start that does not already certify returns ``helstrom_binary``'s
     POVM, so there it checks nothing beyond the closed form.  Guard rails:
     dimension <= 4, at most 4 states, and ``budget`` an integer of at least 1.
@@ -675,8 +651,9 @@ def brute_force(ens: Ensemble, budget: int = 16, seed: int = 0) -> tuple[Povm, f
     for _ in range(budget):
         starts.append(random_povm(len(ens), ens.dim, rng))
 
-    # modest iteration cap: the multi-start sweep, not ascent depth, does
-    # the work here, and stalled-but-high starts still rank correctly
+    # modest iteration cap: the multi-start sweep, not the depth of one
+    # run, does the work here, and stalled-but-high starts still rank
+    # correctly
     config = SolverConfig(max_iter=600)
     best_povm: Povm | None = None
     best_p = -np.inf

@@ -87,3 +87,23 @@ def count_calls(monkeypatch, module, name: str) -> list:
 def count_eigh_calls(monkeypatch, module) -> list:
     """Shapes of the matrices passed to ``module.checked_eigh`` from now on."""
     return count_calls(monkeypatch, module, "checked_eigh")
+
+
+def _ill_conditioned_triple(seed: int) -> md.Ensemble:
+    """Three equiprior rank-2 states in a common 3-dimensional subspace of
+    d=4, each with a log-uniform weight in [1e-12, 1e-9] of its trace on the
+    fourth direction, all turned by one seeded random unitary: the average
+    state is full rank, with a condition number of 1e9 to 1e12."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    unitary = np.linalg.qr(g)[0]
+    states = []
+    for _ in range(3):
+        a = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+        weight = 10.0 ** rng.uniform(-12, -9)
+        rho = np.zeros((4, 4), dtype=complex)
+        rho[:3, :3] = a @ a.conj().T / np.linalg.norm(a) ** 2
+        rho *= 1 - weight
+        rho[3, 3] = weight
+        states.append(md.validate_density(unitary @ rho @ unitary.conj().T))
+    return md.Ensemble(np.full(3, 1 / 3), tuple(states))

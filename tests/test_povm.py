@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import mindisc as md
 import mindisc.matrices as matrices
 import mindisc.povm as povm_module
-from helpers import count_eigh_calls
+from helpers import _ill_conditioned_triple, count_eigh_calls
 from mindisc.ensembles import _gaussian_grams
 from mindisc.povm import _completeness_deviation, _success_probability, check_match
 
@@ -151,6 +151,30 @@ def test_srm_exists_when_a_state_with_admitted_negative_eigenvalues_sees_the_ker
     srm = md.square_root_measurement(ens)
     assert srm.elements.tobytes() == elements.tobytes()
     assert md.solve(ens, srm).converged
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_srm_sums_to_the_identity_when_the_average_state_is_ill_conditioned(seed):
+    # S is full rank with a condition number near 1e10: the sandwich alone
+    # misses completeness by up to 4e-5, and the second normalisation by the
+    # element sum brings it back to rounding
+    ens = _ill_conditioned_triple(seed)
+    inv_sqrt, kernel, ill = povm_module._normalizer(np.add.reduce(ens.weighted_states, 0))
+    assert kernel is None and ill
+    once = inv_sqrt @ ens.weighted_states @ inv_sqrt
+    assert _completeness_deviation(once) > md.COMPLETENESS_TOL
+    srm = md.square_root_measurement(ens)
+    assert _completeness_deviation(srm.elements.copy()) <= 1e-13
+    assert md.solve(ens, srm).converged
+
+
+def test_a_well_conditioned_srm_is_normalised_once(monkeypatch):
+    # the second normalisation is for ill-conditioned S alone, so the common
+    # case pays one eigh
+    ens = md.random_mixed(4, 3, 1)
+    calls = count_eigh_calls(monkeypatch, povm_module)
+    md.square_root_measurement(ens)
+    assert calls == [(4, 4)]
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,4 +1,3 @@
-import itertools
 import warnings
 
 import numpy as np
@@ -12,6 +11,7 @@ import mindisc.solver as solver
 from helpers import (
     _perturbed_qubits,
     _zero_prior_rank_two,
+    count_calls,
     count_eigh_calls,
     random_instance,
     suboptimal_mode_instance,
@@ -217,16 +217,17 @@ def test_solve_trace_strictly_increases(trine_ensemble):
 
 
 def test_solve_records_describe_steps():
-    # the empty start opens both solves with an ascent rescue burst: 2 steps
-    # on the trine, 8 on the mixed ensemble
+    # a solve of three or more states takes fixed-point steps alone, from
+    # the default start and from the mixed empty one, and they carry no
+    # mode or step size
     for ens in (md.trine(), md.random_mixed(4, 5, 3)):
-        trace = md.solve(ens, _empty_start(ens))
-        assert trace.iterations_used >= len(trace.iterations)
-        ascent = [record for record in trace.iterations if record.engine == "ascent"]
-        assert ascent
-        for record in ascent:
-            assert record.lam > 0
-            assert 0 < record.epsilon <= 1
+        for start in (None, _empty_start(ens)):
+            trace = md.solve(ens, start)
+            assert trace.converged and trace.iterations
+            assert trace.iterations_used == len(trace.iterations)
+            for record in trace.iterations:
+                assert record.engine == "fixed_point"
+                assert record.outcome is record.lam is record.epsilon is None
 
 
 def test_last_record_matches_final_certificate():
@@ -592,77 +593,6 @@ def test_fixed_point_stop_check_reads_eigenvalues_only(monkeypatch, trine_ensemb
     assert scan_calls == []
 
 
-def test_ascent_computes_one_witness_eigh_per_step(monkeypatch):
-    # the empty start opens with an 8-step ascent burst; the fixed-point
-    # engine's own eigh calls take the (n, d, d) stack of square roots
-    ens = md.random_mixed(4, 5, 3)
-    start = _empty_start(ens)
-    calls = count_eigh_calls(monkeypatch, solver)
-    trace = md.solve(ens, start)
-    steps = sum(record.engine == "ascent" for record in trace.iterations)
-    assert trace.converged and steps == 8
-    assert [shape for shape in calls if shape != (5, 4, 4)] == [(4, 4)] * steps
-
-
-def test_ascent_stalls_when_the_witness_eigh_finds_no_negative_eigenvalue(monkeypatch):
-    # the batched eigenvalue scan sees a negative mode, but G_j0's own eigh
-    # finds none below 0: the step is a stall, refused before any block step
-    ens = md.random_mixed(4, 2, seed=3)
-    weighted = ens.weighted_states
-    start = md.uniform_povm(2, 4)
-    gamma, p_corr = solver._gamma(weighted @ start.elements)
-    scan = solver._witness_scan(gamma, weighted)
-    assert scan[1].min() < 0.0
-    real = solver.checked_eigh
-
-    def nonnegative(m):
-        values, vectors = real(m)
-        return np.maximum(values, 0.0), vectors
-
-    monkeypatch.setattr(solver, "checked_eigh", nonnegative)
-    monkeypatch.setattr(solver, "_block_step", lambda *args: pytest.fail("stepped"))
-    assert solver._ascent_step(weighted, start.elements, scan, p_corr) is None
-
-
-def test_ascent_stops_on_the_rounding_floor(monkeypatch):
-    # a block step that returns its input does not raise P_corr: the ascent
-    # keeps no record, the fixed-point engine cannot grow the empty start
-    # either, and the solve returns the start unchanged
-    ens = md.random_mixed(4, 5, 3)
-    start = _empty_start(ens)
-    calls = []
-    monkeypatch.setattr(solver, "_block_step", lambda elements, *args: calls.append(1) or elements)
-    trace = md.solve(ens, start)
-    assert len(calls) == 1
-    assert trace.iterations == ()
-    assert trace.final_povm.elements.tobytes() == start.elements.tobytes()
-    assert not trace.converged
-
-
-def _uniform_scan(ens: md.Ensemble):
-    """The weighted states, uniform elements, witness scan and P_corr of an
-    ascent step from the uniform POVM."""
-    weighted = ens.weighted_states
-    elements = md.uniform_povm(len(ens), ens.dim).elements
-    gamma, p_corr = solver._gamma(weighted @ elements)
-    return weighted, elements, solver._witness_scan(gamma, weighted), p_corr
-
-
-def test_ascent_raises_on_a_predicted_gain_that_is_not_finite(monkeypatch):
-    weighted, elements, scan, p_corr = _uniform_scan(md.random_mixed(4, 2, seed=3))
-    monkeypatch.setattr(solver, "_block_coefficients", lambda *args: (0.0, np.nan))
-    monkeypatch.setattr(solver, "_block_step", lambda *args: pytest.fail("stepped"))
-    with pytest.raises(md.NumericFailure, match="predicted step gain is not finite"):
-        solver._ascent_step(weighted, elements, scan, p_corr)
-
-
-def test_ascent_raises_on_a_success_probability_that_is_not_finite(monkeypatch):
-    weighted, elements, scan, p_corr = _uniform_scan(md.random_mixed(4, 2, seed=3))
-    monkeypatch.setattr(solver, "_block_step", lambda elements, *args: np.full_like(elements, np.nan))
-    with pytest.raises(md.NumericFailure, match="success probability is not finite"):
-        solver._ascent_step(weighted, elements, scan, p_corr)
-
-
 def test_plain_fixed_point_step_raises_on_a_success_probability_that_is_not_finite(monkeypatch):
     # the first fixed-point step has no history to mix, so it is the plain step
     def non_finite(weighted, factors):
@@ -954,10 +884,10 @@ def test_fixed_point_keeps_its_factors_when_no_state_sees_the_kernel(monkeypatch
 
 
 def test_fixed_point_restarts_from_square_roots_when_a_state_sees_the_kernel(monkeypatch):
-    # from the empty start the first fixed-point step leaves S a kernel that
-    # some W_j sees, so the factors of that step do not factor its POVM: the
+    # from the mixed empty start the fixed-point steps leave S a kernel that
+    # some W_j sees, so the factors of a step do not factor its POVM: the
     # next step takes the Hermitian square roots of that POVM instead
-    ens = _perturbed_qubits(4, 1e-3, 0.5, 0)
+    ens = _zero_prior_rank_two(25)
     events = []
     real_unseen, real_sqrt, real_map = (
         solver._kernel_is_unseen, solver._hermitian_sqrt, solver._factor_map)
@@ -975,8 +905,7 @@ def test_fixed_point_restarts_from_square_roots_when_a_state_sees_the_kernel(mon
     monkeypatch.setattr(solver, "_kernel_is_unseen", unseen)
     monkeypatch.setattr(solver, "_hermitian_sqrt", lambda e: events.append(("sqrt", e)) or real_sqrt(e))
     monkeypatch.setattr(solver, "_factor_map", mapped)
-    trace = md.solve(ens, _empty_start(ens))
-    assert trace.converged
+    md.solve(ens, _empty_start(ens))
     kinds = [event[0] for event in events]
     seen = kinds.index("unseen")
     assert events[seen][1] is False
@@ -1016,6 +945,24 @@ def test_fixed_point_accepts_only_valid_measurements_when_s_is_ill_conditioned(s
     trace = md.solve(ens, start, md.SolverConfig(max_iter=200))
     assert trace.final_certificate.p_corr >= md.p_correct(ens, start)
     md.validate_povm(trace.final_povm.elements)
+
+
+def test_second_normalisation_certifies_an_ill_conditioned_zero_prior_instance(monkeypatch):
+    # S's condition number near 1e8 amplified rounding in each step's element
+    # sum until ``_accepts`` refused every step, short of Gamma's
+    # Hermiticity; renormalised by the element sum, the steps are accepted
+    ens = _zero_prior_rank_two(19)
+    renormalised = count_calls(monkeypatch, solver, "_sum_normalizer")
+    trace = md.solve(ens)
+    assert trace.converged
+    assert renormalised
+
+
+def test_a_well_conditioned_step_is_normalised_once(monkeypatch):
+    ens = md.random_mixed(4, 5, 3)
+    renormalised = count_calls(monkeypatch, solver, "_sum_normalizer")
+    trace = md.solve(ens)
+    assert trace.converged and renormalised == []
 
 
 def _orthonormal_columns(rng: np.random.Generator, dim: int, k: int) -> np.ndarray:
@@ -1232,53 +1179,88 @@ def test_default_starts_are_never_shared(monkeypatch, n):
 
 
 def _empty_start(ens: md.Ensemble) -> md.Povm:
-    """[I, 0, ..., 0]: only the ascent can grow the empty elements."""
+    """[I, 0, ..., 0]: the fixed-point map cannot grow the empty elements."""
     d = ens.dim
     return md.validate_povm([np.eye(d)] + [np.zeros((d, d))] * (len(ens) - 1))
 
 
-def _runs(trace: md.SolveTrace) -> list[tuple[str, int]]:
-    """(engine, steps) of each run of steps in a trace."""
-    return [(engine, len(list(steps))) for engine, steps in
-            itertools.groupby(record.engine for record in trace.iterations)]
+def _mixed_start(ens: md.Ensemble, start: md.Povm) -> md.Povm:
+    """The mix of ``start`` with the uniform POVM that ``solve`` climbs from
+    when ``start`` leaves a seen element empty."""
+    mix = solver.EMPTY_START_MIX
+    uniform = md.uniform_povm(len(ens), ens.dim)
+    return md.validate_povm((1.0 - mix) * start.elements + mix * uniform.elements)
 
 
 @pytest.mark.parametrize(
-    "make, engines",
-    [
-        (md.trine, ["ascent"]),
-        (lambda: md.random_mixed(4, 5, 3), ["ascent", "fixed_point"]),
-        (lambda: md.random_mixed(6, 3, 2), ["ascent", "fixed_point"]),
-    ],
+    "make",
+    [md.trine, lambda: md.random_mixed(4, 5, 3), lambda: md.random_mixed(6, 3, 2)],
     ids=["trine", "mixed-d4-n5", "mixed-d6-n3"],
 )
-def test_empty_start_hands_over_between_engines(make, engines):
-    # the fixed-point engine cannot grow an empty element, so it hands the
-    # start to the ascent without a step; a burst of at most 2 d ascent
-    # steps grows them, and unless it certifies, the burst cap hands the
-    # POVM back to the fixed-point engine
+def test_empty_start_is_mixed_once_and_certifies_in_fixed_point_steps(monkeypatch, make):
+    # the fixed-point map cannot grow an empty element, so the start is mixed
+    # with the uniform POVM once, before the first step, and the solve
+    # climbs from the mix in fixed-point steps alone
     ens = make()
-    trace = md.solve(ens, _empty_start(ens))
+    start = _empty_start(ens)
+    seen = []
+    step = solver._FixedPoint.step
+    monkeypatch.setattr(solver._FixedPoint, "step", lambda *args: seen.append(args[2]) or step(*args))
+    uniform = count_calls(monkeypatch, solver, "_uniform_elements")
+    trace = md.solve(ens, start)
     assert trace.converged
-    runs = _runs(trace)
-    assert [engine for engine, _ in runs] == engines
-    assert all(steps <= solver.ASCENT_STEPS_PER_DIM * ens.dim
-               for engine, steps in runs if engine == "ascent")
+    assert len(uniform) == 1
+    assert seen[0].tobytes() == _mixed_start(ens, start).elements.tobytes()
+    assert {record.engine for record in trace.iterations} == {"fixed_point"}
+    assert len(seen) >= len(trace.iterations) >= 1
+
+
+def test_a_start_is_mixed_only_when_an_element_a_state_sees_is_empty(monkeypatch):
+    # the empty element of the zero-prior state is no reason to mix: the
+    # start that gives it no weight is climbed from as it is
+    ens = _zero_prior(md.random_mixed(3, 4, 1), 1)
+    start = md.validate_povm([np.eye(3) / 3, np.zeros((3, 3)), np.eye(3) / 3, np.eye(3) / 3])
+    uniform = count_calls(monkeypatch, solver, "_uniform_elements")
+    trace = md.solve(ens, start, md.SolverConfig(max_iter=5))
+    assert uniform == [] and len(trace.iterations) == 5
+    # an empty element of a state of positive prior is mixed
+    md.solve(ens, _empty_start(ens), md.SolverConfig(max_iter=1))
+    assert len(uniform) == 1
 
 
 @pytest.mark.parametrize(
-    "make, start, config",
+    "make",
     [
-        (lambda: _zero_prior_rank_two(25), None, md.SolverConfig(max_iter=400)),
-        (lambda: md.random_mixed(4, 5, 3), _empty_start, None),
+        md.trine,
+        lambda: md.random_mixed(4, 5, 3),
+        lambda: md.Ensemble((0.3, 0.5, 0.2), (md.random_mixed(3, 1, 7).states[0],) * 3),
+    ],
+    ids=["trine", "mixed-d4-n5", "identical"],
+)
+@pytest.mark.parametrize("budget", [1, 2, 3])
+def test_a_capped_solve_from_the_empty_start_ends_at_or_above_its_mix(make, budget):
+    # the records climb from the mix, so a capped solve is bounded below by
+    # the mix's P_corr, (1 - mix) P_start + mix / n, not by the start's
+    ens = make()
+    start = _empty_start(ens)
+    trace = md.solve(ens, start, md.SolverConfig(max_iter=budget))
+    assert len(trace.iterations) == budget
+    assert trace.final_certificate.p_corr >= md.p_correct(ens, _mixed_start(ens, start))
+
+
+@pytest.mark.parametrize(
+    "make, start, config, starts",
+    [
+        (lambda: _zero_prior_rank_two(25), None, md.SolverConfig(max_iter=400), 1),
+        (lambda: md.random_mixed(4, 5, 3), _empty_start, None, 2),
     ],
     ids=["zero-prior-25", "mixed-d4-n5-empty"],
 )
-def test_gamma_is_formed_once_per_candidate(monkeypatch, make, start, config):
-    # one Gamma for the start and one per candidate of either engine, with
-    # no second one at a hand-over
+def test_gamma_is_formed_once_per_candidate(monkeypatch, make, start, config, starts):
+    # one Gamma for the start and one per candidate; a mixed start adds one,
+    # for the start's verdict and then for the mix
     calls = {}
-    for name in ("_gamma", "_factor_map", "_block_step"):
+    for name in ("_gamma", "_factor_map"):
         calls[name] = 0
 
         def spy(*args, name=name, real=getattr(solver, name)):
@@ -1288,8 +1270,8 @@ def test_gamma_is_formed_once_per_candidate(monkeypatch, make, start, config):
         monkeypatch.setattr(solver, name, spy)
     ens = make()
     md.solve(ens, start(ens) if start else None, config)
-    assert calls["_factor_map"] and calls["_block_step"]
-    assert calls["_gamma"] == 1 + calls["_factor_map"] + calls["_block_step"]
+    assert calls["_factor_map"]
+    assert calls["_gamma"] == starts + calls["_factor_map"]
 
 
 @pytest.mark.parametrize(
@@ -1301,15 +1283,9 @@ def test_gamma_is_formed_once_per_candidate(monkeypatch, make, start, config):
     ids=["zero-prior-25", "mixed-d4-n5-empty"],
 )
 def test_witness_scans_at_most_one_per_accepted_povm(monkeypatch, make, start, config):
-    # the solver and the verdict scan in their own modules: one scan at most
-    # per accepted POVM, the start included, and one for the final certify
-    calls = []
-    for module in (solver, certificates):
-        def spy(*args, real=module._witness_scan):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(module, "_witness_scan", spy)
+    # the verdict scans in ``certificates``: one scan at most per accepted
+    # POVM, the start included, and one for the final certify
+    calls = count_calls(monkeypatch, certificates, "_witness_scan")
     ens = make()
     trace = md.solve(ens, start(ens) if start else None, config)
     assert len(calls) <= len(trace.iterations) + 2
@@ -1364,17 +1340,18 @@ def _assert_same_certificate(returned, fresh):
 
 
 @pytest.mark.parametrize(
-    "make, config, verdict",
+    "make, start, config, verdict",
     [
-        (lambda: md.random_mixed(3, 4, 1), md.SolverConfig(), True),
-        (lambda: _zero_prior_rank_two(19), md.SolverConfig(), False),
-        (lambda: md.random_mixed(32, 16, 1), md.SolverConfig(max_iter=3), False),
+        (lambda: md.random_mixed(3, 4, 1), None, md.SolverConfig(), True),
+        (lambda: _zero_prior_rank_two(47), lambda: md.random_povm(4, 6, 47),
+         md.SolverConfig(), False),
+        (lambda: md.random_mixed(32, 16, 1), None, md.SolverConfig(max_iter=3), False),
     ],
     ids=["certified", "floor", "cap"],
 )
-def test_final_certificate_is_a_fresh_certify_of_the_final_povm(make, config, verdict):
+def test_final_certificate_is_a_fresh_certify_of_the_final_povm(make, start, config, verdict):
     ens = make()
-    trace = md.solve(ens, None, config)
+    trace = md.solve(ens, start() if start else None, config)
     assert trace.converged is verdict
     budget = config.max_iter
     if not verdict:
