@@ -4,14 +4,23 @@ A measurement maximizes the success probability exactly when every witness
 operator G_j = sym(Gamma) - p_j rho_j is positive semidefinite, where
 Gamma = sum_i p_i rho_i pi_i; Hermiticity of Gamma and the equality
 conditions pi_j (p_j rho_j - p_k rho_k) pi_k = 0 follow at any optimum.
-The certificate bundles all of these residuals with a verdict at a stated
-tolerance, and with a weak-duality bound on the distance to the optimum
-(Eldar, Megretski and Verghese, IEEE TIT 49, 1007 (2003)).  Both
+The certificate bundles all of these residuals with a weak-duality bound on
+the distance to the optimum (Eldar, Megretski and Verghese, IEEE TIT 49,
+1007 (2003)) and a verdict at a stated tolerance.  Both
 Z = sym(Gamma) + mu I with mu = max(0, -min_j lambda_min(G_j)) and
 Z = sym(Gamma) + sum_j neg(G_j), where neg(G) is the negative part of G,
 are dual feasible (Z - p_j rho_j is at least G_j + neg(G_j) >= 0), so for
 any valid POVM P_opt - P_corr <= tr(Z) - P_corr, which is the smaller of
-d mu and sum_j tr neg(G_j).
+d mu and sum_j tr neg(G_j), whatever Gamma's anti-Hermitian part is.  The
+verdict is therefore the witness test alone: it holds exactly when every
+witness eigenvalue is at least -tol, and then the gap is at most d tol.  A
+verdict that fails always has a witness eigenvalue below -tol, a negative
+mode.
+
+The solver screens its candidates with two cheaper tests that can only
+prove the verdict fails (``_passes_trace_test`` and
+``_passes_cholesky_test``); each allows for its own rounding and that of
+the witness scan, so neither fails where the scan would pass.
 
 The pairwise residual reuses the products P_k = W_k pi_k (W_k = p_k rho_k)
 whose sum is Gamma: pi_j W_j = P_j^*, so
@@ -30,6 +39,7 @@ import numpy as np
 
 from .ensembles import Ensemble
 from .matrices import (
+    EPS,
     _hermitian_part,
     as_matrix,
     checked_eigh,
@@ -50,8 +60,8 @@ class Witness:
     eigenvector of it.  Below zero it is a negative mode: a step of the
     measurement along ``vector`` toward outcome j raises P_corr.
     ``find_negative_mode`` returns one only below ``-tol``; ``certify``
-    reports one with every verdict that fails, and when the verdict fails on
-    Hermiticity alone its eigenvalue can lie above ``-tol``."""
+    reports one with every verdict that fails, and its eigenvalue then
+    always lies below ``-tol``."""
 
     outcome: int
     eigenvalue: float
@@ -63,13 +73,15 @@ class Certificate:
     """All optimality residuals for one (ensemble, POVM) pair.
 
     ``is_optimal`` is True iff every witness minimum eigenvalue is at least
-    ``-tolerance`` and the Lagrange-operator Hermiticity residual is at most
-    ``tolerance``.  When False, ``witness`` carries the globally most
+    ``-tolerance``.  When False, ``witness`` carries the globally most
     negative eigenvalue across outcomes, as listed in
-    ``witness_min_eigenvalues``, with a unit eigenvector of it.
+    ``witness_min_eigenvalues``, with a unit eigenvector of it; that
+    eigenvalue lies below ``-tolerance``.
     ``gap_bound`` = min(d max(0, -min_j lambda_min(G_j)), sum_j tr neg(G_j)),
     where tr neg(G) sums the magnitudes of G's negative eigenvalues, bounds
-    P_opt - P_corr whatever the verdict.
+    P_opt - P_corr whatever the verdict, and is at most d ``tolerance``
+    when the verdict holds.  ``lagrange_herm_residual`` is reported but
+    not gated on: the bound does not need Gamma to be Hermitian.
     """
 
     p_corr: float
@@ -111,18 +123,61 @@ def _witness_scan(gamma: np.ndarray, weighted: np.ndarray):
     return witnesses, values, int(values[:, 0].argmin())
 
 
-def _verdict(gamma: np.ndarray, weighted: np.ndarray, tol: float, scan: bool = False):
+def _verdict(gamma: np.ndarray, weighted: np.ndarray, tol: float):
     """The optimality verdict at Gamma, the one rule that ``certify`` and
-    ``solve`` apply: Gamma Hermitian within ``tol`` and every witness
-    eigenvalue at least ``-tol``.  Returns the verdict (a bool), Gamma's
-    Hermiticity residual and the witness scan.  The scan is formed when
-    Gamma passes the Hermiticity test or when ``scan`` asks for it, and is
-    None otherwise."""
-    herm_residual = _herm_residual(gamma)
-    hermitian = herm_residual <= tol
-    witness_scan = _witness_scan(gamma, weighted) if hermitian or scan else None
-    holds = hermitian and bool(witness_scan[1][witness_scan[2], 0] >= -tol)
-    return holds, herm_residual, witness_scan
+    ``solve`` apply: every witness eigenvalue at least ``-tol``.  Returns the
+    verdict (a bool) and the witness scan."""
+    witness_scan = _witness_scan(gamma, weighted)
+    _, values, j = witness_scan
+    return bool(values[j, 0] >= -tol), witness_scan
+
+
+# The two screens below return False only when the verdict at Gamma fails.
+# Each compares against -tol widened by a margin that covers its own rounding
+# and that of the scan: every ||Gamma||_F and ||W_j||_F is at most 1, so
+# every witness has ||G_j||_2 <= 2, and ``eigvalsh`` is backward stable, so
+# the scan's lowest eigenvalue lies within a few d eps of the exact one.
+
+def _passes_trace_test(
+    gamma: np.ndarray, products: np.ndarray, elements: np.ndarray, tol: float
+) -> bool:
+    """False only when the verdict fails: when some
+    t_j = Re tr(Gamma pi_j) - Re tr(W_j pi_j) = tr(G_j pi_j), which is at
+    least lambda_min(G_j) tr pi_j, lies below -(tol + 8 d^2 eps) tr pi_j.
+
+    ``products`` holds the P_j = W_j pi_j whose sum is Gamma, and their
+    diagonals give Re tr(W_j pi_j).  Each pi_j is Hermitian, so
+    Re tr(Gamma pi_j) is the real dot product of the two matrices' entries:
+    one real gemv of the element stack against Gamma.  Both terms of t_j
+    round by at most about 2 d^2 eps tr pi_j, since ||pi_j||_F <= tr pi_j.
+    """
+    n, d, _ = elements.shape
+    cross = elements.reshape(n, -1).view(float) @ gamma.reshape(-1).view(float)
+    own = np.add.reduce(products.diagonal(0, 1, 2).real, 1)
+    size = np.add.reduce(elements.diagonal(0, 1, 2).real, 1)
+    return not (cross - own < -(tol + 8 * d * d * EPS) * size).any()
+
+
+def _passes_cholesky_test(gamma: np.ndarray, weighted: np.ndarray, tol: float) -> bool:
+    """False only when the verdict fails: when the batched Cholesky of
+    every G_j + (tol + delta) I, delta = 4 (d + 1)^2 eps (1 + tol), breaks
+    down.
+
+    If the scan passes, each shifted witness A has lambda_min(A) at least
+    delta less the scan's rounding, and its diagonal entries are at most
+    2 + tol + delta.  A Cholesky completes on such an A whenever
+    lambda_min(A) exceeds d (d + 1) eps / 2 times its largest diagonal entry
+    (Demmel; Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+    ed., Thm 10.7), and delta exceeds that with room for complex
+    arithmetic."""
+    d = len(gamma)
+    shifted = _hermitian_part(gamma)
+    shifted.reshape(-1)[:: d + 1] += tol + 4 * (d + 1) ** 2 * EPS * (1.0 + tol)
+    try:
+        np.linalg.cholesky(shifted - weighted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _witness(witnesses: np.ndarray, values: np.ndarray, j: int) -> Witness:
@@ -218,11 +273,13 @@ def zero_product_residual(ens: Ensemble, povm: Povm) -> float:
 def certify(ens: Ensemble, povm: Povm, tol: float = DEFAULT_TOL) -> Certificate:
     """Evaluate the full optimality certificate at tolerance ``tol``.
 
-    The verdict is ``_verdict``'s: Gamma Hermitian within ``tol`` and no
-    witness eigenvalue below ``-tol``.  Both equality residuals are reported
-    but not gated on, since positivity of the witnesses already implies
-    them.  An eigenvector is computed only on a not-optimal verdict, for the
-    witness it reports.
+    The verdict is ``_verdict``'s: no witness eigenvalue below ``-tol``, so
+    a verdict that holds has ``gap_bound <= d tol`` and one that fails
+    reports a witness below ``-tol``.  Gamma's Hermiticity residual and both
+    equality residuals are reported but not gated on: positivity of the
+    witnesses already bounds the gap, and at the optimum implies them.  An
+    eigenvector is computed only on a not-optimal verdict, for the witness
+    it reports.
     Gamma comes from the products W_i pi_i that the pairwise residual reads,
     summed by ``povm._gamma`` as in the solver's loop but behind the
     imaginary-trace guard, and ``p_corr`` is Re tr Gamma: bit for bit
@@ -235,7 +292,7 @@ def certify(ens: Ensemble, povm: Povm, tol: float = DEFAULT_TOL) -> Certificate:
     gamma, p_corr = _checked_gamma(products)
     eq_residual = _pairwise_residual(products, elements)
     del products  # freed before the witness scan allocates its own stacks
-    optimal, herm_residual, (witnesses, values, j) = _verdict(gamma, weighted, tol, scan=True)
+    optimal, (witnesses, values, j) = _verdict(gamma, weighted, tol)
     zp_residual = _zero_product_residual(witnesses, elements)
     minima = values[:, 0]
     lowest = float(minima[j])
@@ -243,7 +300,7 @@ def certify(ens: Ensemble, povm: Povm, tol: float = DEFAULT_TOL) -> Certificate:
 
     return Certificate(
         p_corr=p_corr,
-        lagrange_herm_residual=herm_residual,
+        lagrange_herm_residual=_herm_residual(gamma),
         witness_min_eigenvalues=tuple(minima.tolist()),
         pairwise_equality_residual=eq_residual,
         zero_product_residual=zp_residual,
@@ -256,7 +313,8 @@ def certify(ens: Ensemble, povm: Povm, tol: float = DEFAULT_TOL) -> Certificate:
 
 def find_negative_mode(ens: Ensemble, povm: Povm, tol: float = DEFAULT_TOL) -> Witness | None:
     """The witness ``certify`` reports, when its eigenvalue lies below
-    ``-tol``; None when every witness eigenvalue is at least ``-tol``.
+    ``-tol``; None when every witness eigenvalue is at least ``-tol``, that
+    is exactly when ``certify``'s verdict holds.
 
     Ties across outcomes break toward the smallest outcome index; within one
     witness operator the deterministic eigenvector convention of

@@ -13,6 +13,8 @@ import numpy as np
 
 HERM_TOL = 1e-10
 PSD_TOL = 1e-9
+# machine epsilon of a double
+EPS = float(np.finfo(float).eps)
 
 # relative cutoff below which a vector component is treated as zero when
 # fixing eigenvector phases

@@ -12,10 +12,19 @@ those of nearly symmetric qubit ensembles.  The optimality conditions are suffic
 well as necessary, so a fixed point that also passes the witness test is a
 global optimum, and one engine is enough.  ``solve`` holds its one loop:
 the verdict, ``certificates._verdict``, ``certify``'s own, is checked for
-the start and for each POVM the loop accepts, and the loop stops when it
-holds, when a step finds no candidate that raises P_corr (the floor), or
-when the ``max_iter`` steps of a ``SolverConfig`` are spent.  The result
-is certified once, when the solve stops.
+the start and for each POVM the loop accepts, and the loop stops at the
+first POVM where it holds, when a step finds no candidate that raises
+P_corr (the floor), or when the ``max_iter`` steps of a ``SolverConfig``
+are spent.  The verdict is the witness test alone, every witness
+eigenvalue at least -tol, which bounds the gap to the optimum by d tol
+whether or not Gamma is Hermitian, so the loop takes no step only to make
+Gamma Hermitian.  Before the verdict's witness scan, each accepted POVM
+goes through two cheaper tests that can only prove the verdict fails: the
+trace test t_j = tr(G_j pi_j) >= lambda_min(G_j) tr pi_j, from one real
+gemv and the diagonals of the products W_j pi_j the step already formed,
+and a batched Cholesky of the shifted witnesses G_j + (tol + delta) I.
+Each allows for rounding, so the stops are those of the scan alone.  The
+result is certified once, when the solve stops.
 
 The map cannot grow an element's support: an element that is zero stays
 zero.  So a given start that fails its verdict and leaves empty an element
@@ -78,7 +87,7 @@ operator Gamma = sum_j W_j pi_j is formed with ``povm._gamma`` once for the
 start, once for a mixed start, and once per candidate: Re tr Gamma is the
 candidate's P_corr, which the accept test reads, and an accepted
 candidate's Gamma is what its verdict reads.  The verdict scans the
-witnesses only once Gamma is Hermitian within ``tol``.  The engine skips
+witnesses only once both screens pass.  The engine skips
 the imaginary-trace guard, since its W and pi are Hermitian by
 construction and a NaN P_corr already stops it; ``p_correct`` and
 ``certify`` run the guard, then form Gamma and P_corr the same way, so a
@@ -108,9 +117,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certificates import DEFAULT_TOL, Certificate, Witness, certify
-from .certificates import _check_real, _check_tolerance, _max_norm, _verdict
+from .certificates import (
+    _check_real,
+    _check_tolerance,
+    _max_norm,
+    _passes_cholesky_test,
+    _passes_trace_test,
+    _verdict,
+)
 from .ensembles import DensityMatrix, Ensemble
 from .matrices import (
+    EPS,
     NumericFailure,
     _all_finite,
     _hermitian_part,
@@ -141,8 +158,6 @@ EMPTY_START_MIX = 1e-3
 # the fixed-point engine's Anderson mix spans this many differences of its
 # last ANDERSON_DEPTH + 1 (input, output) pairs
 ANDERSON_DEPTH = 3
-# machine epsilon of a double, for the Anderson coefficients' cutoff
-_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -331,8 +346,10 @@ def _factor_map(
     of the Gram products, and the elements are formed again.
     """
     n, d, _ = factors.shape
-    products = weighted @ factors
-    side = products.transpose(1, 0, 2).reshape(d, n * d)
+    # the products are written straight into the side matrix's rows
+    side = np.empty((d, n, d), dtype=complex)
+    products = np.matmul(weighted, factors, out=side.transpose(1, 0, 2))
+    side = side.reshape(d, n * d)
     inv_sqrt, kernel, ill = _normalizer(side @ side.conj().T)
     outputs = inv_sqrt @ products
     elements = _hermitian_part(outputs @ outputs.conj().swapaxes(1, 2))
@@ -426,7 +443,7 @@ class _AndersonHistory:
         lams = values.tolist()
         # eigenvalues ascend; those at or below eps k lam_max are dropped, as
         # lstsq(rcond=None) drops singular values of this PSD matrix
-        kept = bisect.bisect_right(lams, _EPS * k * lams[-1])
+        kept = bisect.bisect_right(lams, EPS * k * lams[-1])
         basis = vectors[:, kept:]
         gamma = basis @ ((self.df[:k] @ f) @ basis / values[kept:])
         return (g - gamma @ self.dg[:k]).view(complex).reshape(self.shape)
@@ -455,10 +472,10 @@ class _FixedPoint:
 
     def step(
         self, weighted: np.ndarray, elements: np.ndarray, current_p: float
-    ) -> tuple[IterationRecord, np.ndarray, np.ndarray] | None:
+    ) -> tuple[IterationRecord, np.ndarray, np.ndarray, np.ndarray] | None:
         """One step from the accepted ``elements``, whose P_corr is
-        ``current_p``: returns its record, the new POVM and that POVM's
-        Gamma, or None on the floor."""
+        ``current_p``: returns its record, the new POVM, that POVM's
+        products W_j pi_j and their sum Gamma, or None on the floor."""
         if self.factors is None:
             self.factors = _hermitian_sqrt(elements)
         history = self.history
@@ -473,12 +490,13 @@ class _FixedPoint:
 
     def _trial(
         self, weighted: np.ndarray, factors: np.ndarray, current_p: float, plain: bool
-    ) -> tuple[IterationRecord, np.ndarray, np.ndarray] | None:
+    ) -> tuple[IterationRecord, np.ndarray, np.ndarray, np.ndarray] | None:
         """Map ``factors``, form the image's Gamma and keep the image if
         ``_accepts`` it; None otherwise.  A P_corr that is not finite
         rejects a mix and raises on the ``plain`` step."""
         output, candidate, kernel = _factor_map(weighted, factors)
-        gamma, new_p = _gamma(weighted @ candidate)
+        products = weighted @ candidate
+        gamma, new_p = _gamma(products)
         if plain and not math.isfinite(new_p):
             raise NumericFailure("success probability is not finite")
         if not _accepts(candidate, new_p, current_p):
@@ -489,7 +507,8 @@ class _FixedPoint:
         else:
             self.factors = None
             self.history.clear()
-        return IterationRecord(new_p, None, None, None, engine="fixed_point"), candidate, gamma
+        record = IterationRecord(new_p, None, None, None, engine="fixed_point")
+        return record, candidate, products, gamma
 
 
 def _leaves_a_seen_element_empty(priors: np.ndarray, elements: np.ndarray) -> bool:
@@ -531,8 +550,14 @@ def solve(
 
     Each step returns a candidate with its Gamma and P_corr, or None on the
     floor.  Gamma is formed once for the start, once for a mixed start and
-    once per candidate, and ``certify``'s verdict is checked for the start
-    and for each accepted candidate.
+    once per candidate, and ``certify``'s verdict, every witness
+    eigenvalue at least ``-config.tol``, is checked for the start and for
+    each accepted candidate, so a converged solve's gap bound is at most
+    d ``config.tol``.  An accepted candidate's scan runs only after the
+    trace and Cholesky screens of ``certificates`` pass; they fail only
+    where the scan would, so they move no stop.  A solve that does not
+    converge returns a certificate whose witness lies below
+    ``-config.tol``.
     """
     if config is None:
         config = _DEFAULT_CONFIG
@@ -562,10 +587,14 @@ def solve(
         step = fixed.step(weighted, elements, p_corr)
         if step is None:
             break
-        record, elements, gamma = step
+        record, elements, products, gamma = step
         p_corr = record.p_corr
         records.append(record)
-        holds = _verdict(gamma, weighted, tol)[0]
+        holds = (
+            _passes_trace_test(gamma, products, elements, tol)
+            and _passes_cholesky_test(gamma, weighted, tol)
+            and _verdict(gamma, weighted, tol)[0]
+        )
     return _finish(ens, elements, records, tol)
 
 

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import mindisc as md
 import mindisc.certificates as certificates
 from helpers import count_eigh_calls, random_instance
 from mindisc.matrices import min_eigenvalue
+from mindisc.povm import _gamma
 
 
 def test_lagrange_single_state(single_state_problem):
@@ -382,3 +385,52 @@ def test_p_correct_is_the_real_trace_of_the_lagrange_operator_bit_for_bit(dim, n
 def test_certify_rejects_a_tolerance_that_is_not_a_real_number(trine_ensemble, trine_srm, tol):
     with pytest.raises(TypeError, match="tolerance must be a real number"):
         md.certify(trine_ensemble, trine_srm, tol=tol)
+
+
+def _near_optimal_povm(kind: str, dim: int, n: int, seed: int) -> tuple[md.Ensemble, md.Povm]:
+    """An ensemble with a measurement at or near its optimum: Helstrom's for
+    a pair, the square-root measurement for the trine, a solve's for more
+    states."""
+    if kind == "pair":
+        ens = md.random_mixed(dim, 2, seed)
+        return ens, md.helstrom_binary(ens.priors[0], ens.states[0], ens.priors[1], ens.states[1])[0]
+    if kind == "trine":
+        ens = md.trine()
+        return ens, md.square_root_measurement(ens)
+    ens = md.random_mixed(dim, n, seed)
+    return ens, md.solve(ens, None, md.SolverConfig(tol=1e-12, max_iter=300)).final_povm
+
+
+@given(
+    kind=st.sampled_from(["pair", "trine", "solved"]),
+    dim=st.integers(1, 5),
+    n=st.integers(3, 5),
+    seed=st.integers(0, 2**32 - 1),
+    weight=st.floats(1e-16, 1.0),
+    scale=st.integers(-16, 0),
+    placed=st.booleans(),
+    tol_exponent=st.floats(-14.0, -1.0),
+    offset=st.floats(-1e-9, 1e-9),
+)
+def test_a_screen_that_fails_leaves_the_lowest_witness_below_minus_tol(
+    kind, dim, n, seed, weight, scale, placed, tol_exponent, offset
+):
+    # a mix of a near-optimal measurement with a random one, at weights
+    # spread over 32 decades up to 1, gives witness minima from rounding
+    # level to order one; tol is drawn down to 1e-14, or placed within
+    # 1e-9 tol of the lowest witness eigenvalue, on either side
+    ens, optimum = _near_optimal_povm(kind, dim, n, seed)
+    mix = min(1.0, weight * 10.0**scale)
+    other = md.random_povm(len(ens), ens.dim, seed)
+    elements = md.validate_povm((1 - mix) * optimum.elements + mix * other.elements).elements
+    weighted = ens.weighted_states
+    products = weighted @ elements
+    gamma = _gamma(products)[0]
+    lowest = float(certificates._witness_scan(gamma, weighted)[1][:, 0].min())
+    tol = 10.0**tol_exponent
+    if placed and lowest <= -1e-14:
+        tol = -lowest * (1.0 + offset)
+    if not certificates._passes_trace_test(gamma, products, elements, tol):
+        assert lowest < -tol
+    if not certificates._passes_cholesky_test(gamma, weighted, tol):
+        assert lowest < -tol

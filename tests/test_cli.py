@@ -650,12 +650,15 @@ def test_large_load_runs_no_collection_and_matches_a_load_with_the_collector_off
         if phase == "start":
             generations.append(info["generation"])
 
-    gc.callbacks.append(count)
-    try:
-        with _collector(True):
+    with _collector(True):
+        # no automatic collection can fall due before the loader pauses
+        # the collector
+        gc.collect()
+        gc.callbacks.append(count)
+        try:
             loaded = cli.load_problem(path)
-    finally:
-        gc.callbacks.remove(count)
+        finally:
+            gc.callbacks.remove(count)
     assert generations == []
     with _collector(False):
         reference = cli.load_problem(path)
