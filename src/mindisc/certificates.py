@@ -313,8 +313,8 @@ def certify(ens: Ensemble, povm: Povm, tol: float = DEFAULT_TOL) -> Certificate:
 
 def find_negative_mode(ens: Ensemble, povm: Povm, tol: float = DEFAULT_TOL) -> Witness | None:
     """The witness ``certify`` reports, when its eigenvalue lies below
-    ``-tol``; None when every witness eigenvalue is at least ``-tol``, that
-    is exactly when ``certify``'s verdict holds.
+    ``-tol``; None when ``_verdict``, ``certify``'s rule, holds: every
+    witness eigenvalue at least ``-tol``.
 
     Ties across outcomes break toward the smallest outcome index; within one
     witness operator the deterministic eigenvector convention of
@@ -323,7 +323,5 @@ def find_negative_mode(ens: Ensemble, povm: Povm, tol: float = DEFAULT_TOL) -> W
     only when a mode is returned.  ``tol`` must be finite and positive.
     """
     _check_tolerance(tol)
-    witnesses, values, j = _witness_scan(lagrange_operator(ens, povm), ens.weighted_states)
-    if values[j, 0] >= -tol:
-        return None
-    return _witness(witnesses, values, j)
+    optimal, scan = _verdict(lagrange_operator(ens, povm), ens.weighted_states, tol)
+    return None if optimal else _witness(*scan)

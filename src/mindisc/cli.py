@@ -617,11 +617,7 @@ def _finish(report: dict, report_path: str | None, optimal: bool) -> int:
         )
     if report["solver"] is not None:
         s = report["solver"]
-        eps = "none" if s["final_epsilon"] is None else _format_float(s["final_epsilon"])
-        print(
-            f"solver: converged={s['converged']} iterations={s['iterations']}, "
-            f"final epsilon {eps}, seed {s['seed']}"
-        )
+        print(f"solver: converged={s['converged']} iterations={s['iterations']}, seed {s['seed']}")
     print("--- report ---")
     sys.stdout.write(canonical)
     if report_path:
@@ -652,13 +648,11 @@ def _cmd_certify(args) -> int:
 
 
 def _solver_summary(trace: SolveTrace, seed: int, start: str) -> dict:
-    final_epsilon = trace.iterations[-1].epsilon if trace.iterations else None
     return {
         "start": start,
         "seed": seed,
         "converged": trace.converged,
         "iterations": len(trace.iterations),
-        "final_epsilon": final_epsilon,
     }
 
 

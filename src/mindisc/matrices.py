@@ -177,20 +177,6 @@ class Spectrum:
         return (v * self.eigenvalues) @ v.conj().T
 
 
-def ordered_sum(values: np.ndarray) -> float | complex:
-    """Sum of a 1-D array in index order, bit for bit as the builtin ``sum``
-    adds its entries (numpy's pairwise summation rounds otherwise).
-
-    The entries are added as Python numbers in a plain loop, which at a
-    handful of terms beats the dispatch of ``np.add.reduce``; from Python
-    3.12 the builtin ``sum`` compensates the rounding of Python floats.
-    """
-    total = 0.0
-    for term in values.tolist():
-        total += term
-    return total
-
-
 def fix_phase(vectors: np.ndarray) -> np.ndarray:
     """Scale a vector, or each column of a matrix at once, so that its first
     significant component is real positive.

@@ -8,6 +8,7 @@ rejected rather than truncated.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -170,7 +171,10 @@ def check_match(ens: Ensemble, povm: Povm) -> None:
 
 
 def check_outcome(povm: Povm, j: int) -> None:
-    """Reject an outcome index ``j`` outside 0 .. len(povm) - 1 with IndexError."""
+    """Reject an outcome index ``j`` that is not an integer (a bool is not
+    one) with TypeError, and one outside 0 .. len(povm) - 1 with IndexError."""
+    if isinstance(j, bool) or not isinstance(j, numbers.Integral):
+        raise TypeError(f"outcome index must be an integer, got {j!r}")
     if not 0 <= j < len(povm):
         raise IndexError(f"outcome {j} out of range for {len(povm)} outcomes")
 

@@ -96,9 +96,7 @@ certificate agree bit for bit, and every returned POVM is guarded once.
 Every stack sum (Gamma, the average state, the element sum of the
 completeness test, the S of a completion) is ``np.add.reduce``, which
 adds an (n, d, d) stack in index order when d >= 2 (a d = 1 stack
-pairwise).  Only the 1-D sums of the step coefficients keep
-``ordered_sum``'s loop, which beats numpy's dispatch at a handful of
-terms.  The square-root measurement and ``random_povm`` share one
+pairwise).  The square-root measurement and ``random_povm`` share one
 completion kernel, ``povm._completed_povm``, and the factor map calls its
 normalisers, ``povm._normalizer`` and ``povm._sum_normalizer``, directly:
 deterministic for a given numpy and BLAS build, with no eigenvector phase
@@ -133,7 +131,6 @@ from .matrices import (
     _hermitian_part,
     checked_eigh,
     fix_phase,
-    ordered_sum,
 )
 from .povm import (
     COMPLETENESS_TOL,
@@ -164,21 +161,19 @@ ANDERSON_DEPTH = 3
 class IterationRecord:
     """One accepted step and the P_corr it reached.  ``engine`` is
     "fixed_point" for a step of three or more states and "helstrom" for the
-    closed-form step of a binary problem.  Neither has a mode or a step
-    size, so ``outcome``, ``lam`` and ``epsilon`` are always None; they and
-    the "ascent" default of ``engine`` remain from the ascent engine, and
-    dropping them would change the CLI report's bytes."""
+    closed-form step of a binary problem."""
 
     p_corr: float
-    outcome: int | None
-    lam: float | None
-    epsilon: float | None
-    engine: str = "ascent"
+    engine: str
 
 
 @dataclass(frozen=True)
 class SolveTrace:
-    """Outcome of one solve call: a record of every step from the start."""
+    """Outcome of one solve call: a record of every step from the start.
+
+    ``converged`` equals ``final_certificate.is_optimal`` and
+    ``iterations_used`` equals ``len(iterations)``; both stay because the
+    benchmark harness reads and builds them."""
 
     iterations: tuple[IterationRecord, ...]
     final_povm: Povm
@@ -219,12 +214,6 @@ _DEFAULT_CONFIG = SolverConfig()
 # ---------------------------------------------------------------------------
 # inner loop on (n, d, d) stacks; public operations wrap these with checked types
 
-def _real_dots(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Re vdot(x, row) per row, as Re(x . conj(row)): BLAS then gets ``x`` in
-    its own memory layout, whose strides fix the summation order."""
-    return (x[..., None, :] @ rows.conj()[..., :, None])[..., 0, 0].real
-
-
 def _block_coefficients(
     weighted: np.ndarray, elements: np.ndarray, j0: int, basis: np.ndarray
 ) -> tuple[float, float]:
@@ -234,16 +223,17 @@ def _block_coefficients(
 
         a = sum_i Re tr((V* W_i V)(V* pi_i V)) - tr(V* W_j0 V)
         b = 2 tr(V* W_j0 V) - 2 sum_i Re tr((pi_i V)* (W_i V))
+
+    Each sum is one ``vdot`` over the stacked blocks; its real part is the
+    sum's, since V* pi_i V is Hermitian.
     """
-    n = len(weighted)
     basis_h = basis.conj().T
     w_v = weighted @ basis
     pi_v = elements @ basis
-    v_w_v = (basis_h @ w_v).reshape(n, -1)
-    v_pi_v = (basis_h @ pi_v).reshape(n, -1)
-    expect_w = float(v_w_v[j0, :: basis.shape[1] + 1].sum().real)
-    a = ordered_sum(_real_dots(v_w_v, v_pi_v)) - expect_w
-    b = 2.0 * expect_w - 2.0 * ordered_sum(_real_dots(w_v.reshape(n, -1), pi_v.reshape(n, -1)))
+    v_w_v = basis_h @ w_v
+    expect_w = float(np.trace(v_w_v[j0]).real)
+    a = np.vdot(basis_h @ pi_v, v_w_v).real - expect_w
+    b = 2.0 * expect_w - 2.0 * np.vdot(pi_v, w_v).real
     return float(a), float(b)
 
 
@@ -507,7 +497,7 @@ class _FixedPoint:
         else:
             self.factors = None
             self.history.clear()
-        record = IterationRecord(new_p, None, None, None, engine="fixed_point")
+        record = IterationRecord(new_p, "fixed_point")
         return record, candidate, products, gamma
 
 
@@ -575,7 +565,7 @@ def solve(
     if len(ens) == 2 and not holds:
         # one step to Helstrom's measurement, with no verdict check after it
         elements = _helstrom_elements(weighted[0] - weighted[1])
-        record = IterationRecord(_gamma(weighted @ elements)[1], None, None, None, engine="helstrom")
+        record = IterationRecord(_gamma(weighted @ elements)[1], "helstrom")
         return _finish(ens, elements, [record], tol)
     if start is not None and not holds and _leaves_a_seen_element_empty(ens.priors, elements):
         uniform = _uniform_elements(len(ens), ens.dim)

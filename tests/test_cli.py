@@ -157,9 +157,6 @@ def test_solve_report_states_gap_bound_and_fixed_point_ending(tmp_path, capsys):
     mu = max(0.0, -min(certificate["witness_min_eigenvalues"]))
     assert 0.0 <= certificate["gap_bound"] <= 3 * mu
     assert "optimality gap bound: P_opt - P_corr <= " in captured.out
-    # the run ends on a fixed-point step, which has no step size
-    assert report["solver"]["final_epsilon"] is None
-    assert "final epsilon none" in captured.out
 
 
 def test_solve_report_solver_block(tmp_path, capsys):
@@ -169,9 +166,9 @@ def test_solve_report_solver_block(tmp_path, capsys):
     code, captured = run(["solve", problem, "--seed", 5, "--report", report], capsys)
     assert code == 0
     solver = json.loads(report.read_text())["solver"]
-    assert set(solver) == {"start", "seed", "converged", "iterations", "final_epsilon"}
+    assert set(solver) == {"start", "seed", "converged", "iterations"}
     assert solver["seed"] == 5
-    assert f"iterations={solver['iterations']}, final epsilon" in captured.out
+    assert f"iterations={solver['iterations']}, seed 5" in captured.out
     assert "(total" not in captured.out
 
 

@@ -15,7 +15,6 @@ from mindisc.matrices import (
     hermitize,
     is_hermitian,
     min_eigenvalue,
-    ordered_sum,
     spectral_decompose,
 )
 
@@ -273,22 +272,6 @@ def _signed_zero_stack(rng: np.random.Generator, shape) -> np.ndarray:
     stack.real = rng.choice(_SUM_ENTRIES, size=shape)
     stack.imag = rng.choice(_SUM_ENTRIES, size=shape)
     return stack
-
-
-@pytest.mark.parametrize("shape", [(5,), (12,)])
-def test_ordered_sum_is_bit_identical_to_builtin_sum(shape):
-    rng = np.random.default_rng(sum(shape))
-    stacks = [
-        rng.standard_normal(shape),
-        rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
-        np.full(shape, complex(-0.0, -0.0)),
-    ]
-    stacks += [_signed_zero_stack(rng, shape) for _ in range(20)]
-    for stack in stacks:
-        expected = np.asarray(sum(stack))
-        got = np.asarray(ordered_sum(stack))
-        assert got.dtype == expected.dtype
-        assert got.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("shape", [(2, 2), (5, 5), (3, 2, 2), (6, 4, 4)])

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import warnings
 from pathlib import Path
@@ -220,8 +221,7 @@ def test_solve_trace_strictly_increases(trine_ensemble):
 
 def test_solve_records_describe_steps():
     # a solve of three or more states takes fixed-point steps alone, from
-    # the default start and from the mixed empty one, and they carry no
-    # mode or step size
+    # the default start and from the mixed empty one
     for ens in (md.trine(), md.random_mixed(4, 5, 3)):
         for start in (None, _empty_start(ens)):
             trace = md.solve(ens, start)
@@ -229,7 +229,6 @@ def test_solve_records_describe_steps():
             assert trace.iterations_used == len(trace.iterations)
             for record in trace.iterations:
                 assert record.engine == "fixed_point"
-                assert record.outcome is record.lam is record.epsilon is None
 
 
 def test_last_record_matches_final_certificate():
@@ -504,8 +503,6 @@ def test_default_solve_certifies_generic_ensembles(ens):
     assert md.certify(ens, trace.final_povm).is_optimal
     # three or more states run the fixed-point engine alone
     assert {record.engine for record in trace.iterations} == {"fixed_point"}
-    for record in trace.iterations:
-        assert record.outcome is record.lam is record.epsilon is None
 
 
 @pytest.mark.parametrize(
@@ -527,7 +524,6 @@ def test_binary_solves_take_helstroms_measurement_from_any_start(ens):
         if trace.iterations:
             (record,) = trace.iterations
             assert record.engine == "helstrom"
-            assert record.outcome is record.lam is record.epsilon is None
             assert record.p_corr == trace.final_certificate.p_corr
             assert trace.final_povm.elements.tobytes() == helstrom.elements.tobytes()
         else:
@@ -1080,6 +1076,30 @@ def test_mode_outcome_out_of_range_is_an_index_error(trine_ensemble, operation, 
         calls[operation]()
 
 
+@pytest.mark.parametrize("outcome", [True, 1.0])
+@pytest.mark.parametrize(
+    "operation", ["witness_operator", "outcome_probability", "perturb", "gain", "best_epsilon"]
+)
+def test_outcome_index_that_is_not_an_integer_is_a_type_error(trine_ensemble, operation, outcome):
+    # a numpy integer is an index; a bool or a float is not one
+    povm = md.uniform_povm(3, 2)
+    mode = md.find_negative_mode(trine_ensemble, povm)
+
+    def with_mode(j):
+        return md.Witness(outcome=j, eigenvalue=mode.eigenvalue, vector=mode.vector)
+
+    calls = {
+        "witness_operator": lambda j: md.witness_operator(trine_ensemble, povm, j),
+        "outcome_probability": lambda j: md.outcome_probability(trine_ensemble.states[0], povm, j),
+        "perturb": lambda j: md.perturb(povm, with_mode(j), 0.5),
+        "gain": lambda j: md.gain(trine_ensemble, povm, with_mode(j), 0.5),
+        "best_epsilon": lambda j: md.best_epsilon(trine_ensemble, povm, with_mode(j)),
+    }
+    calls[operation](np.int64(mode.outcome))
+    with pytest.raises(TypeError, match="outcome index must be an integer"):
+        calls[operation](outcome)
+
+
 @pytest.mark.parametrize(
     "vector", [[np.nan, 1.0], [np.inf, 1.0], [1.0, -np.inf], [1.0, complex(0.0, np.nan)]]
 )
@@ -1117,14 +1137,14 @@ def test_mode_with_a_wrong_dimension_or_zero_vector_is_rejected(
         calls[operation]()
 
 
-def _record_bits(trace) -> list[tuple]:
-    def bits(value):
-        return value.hex() if isinstance(value, float) else value
+def test_iteration_record_holds_p_corr_and_engine_alone():
+    fields = dataclasses.fields(solver.IterationRecord)
+    assert [field.name for field in fields] == ["p_corr", "engine"]
+    assert all(field.default is dataclasses.MISSING for field in fields)
 
-    return [
-        (bits(r.p_corr), r.outcome, bits(r.lam), bits(r.epsilon), r.engine)
-        for r in trace.iterations
-    ]
+
+def _record_bits(trace) -> list[tuple]:
+    return [(r.p_corr.hex(), r.engine) for r in trace.iterations]
 
 
 @pytest.mark.parametrize(
