@@ -40,6 +40,7 @@ import numpy as np
 from .ensembles import Ensemble
 from .matrices import (
     EPS,
+    _cholesky_completes,
     _hermitian_part,
     as_matrix,
     checked_eigh,
@@ -160,8 +161,8 @@ def _passes_trace_test(
 
 def _passes_cholesky_test(gamma: np.ndarray, weighted: np.ndarray, tol: float) -> bool:
     """False only when the verdict fails: when the batched Cholesky of
-    every G_j + (tol + delta) I, delta = 4 (d + 1)^2 eps (1 + tol), breaks
-    down.
+    every G_j + (tol + delta) I, delta = 4 (d + 1)^2 eps (1 + tol), does
+    not complete (``matrices._cholesky_completes``).
 
     If the scan passes, each shifted witness A has lambda_min(A) at least
     delta less the scan's rounding, and its diagonal entries are at most
@@ -169,15 +170,12 @@ def _passes_cholesky_test(gamma: np.ndarray, weighted: np.ndarray, tol: float) -
     lambda_min(A) exceeds d (d + 1) eps / 2 times its largest diagonal entry
     (Demmel; Higham, Accuracy and Stability of Numerical Algorithms, 2nd
     ed., Thm 10.7), and delta exceeds that with room for complex
-    arithmetic."""
+    arithmetic; its pivots then stay near lambda_min(A) or above, so its
+    factor, bounded by the square roots of A's diagonal, is finite."""
     d = len(gamma)
     shifted = _hermitian_part(gamma)
     shifted.reshape(-1)[:: d + 1] += tol + 4 * (d + 1) ** 2 * EPS * (1.0 + tol)
-    try:
-        np.linalg.cholesky(shifted - weighted)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+    return _cholesky_completes(shifted - weighted)
 
 
 def _witness(witnesses: np.ndarray, values: np.ndarray, j: int) -> Witness:
@@ -250,7 +248,7 @@ def witness_operator(ens: Ensemble, povm: Povm, j: int) -> np.ndarray:
     """G_j = (1/2) sum_i p_i (rho_i pi_i + pi_i rho_i) - p_j rho_j."""
     check_match(ens, povm)
     check_outcome(povm, j)
-    return hermitize(lagrange_operator(ens, povm)) - ens.weighted(j)
+    return hermitize(lagrange_operator(ens, povm)) - ens.weighted_states[j]
 
 
 def hermiticity_residual(m) -> float:

@@ -10,6 +10,7 @@ first bad state raises exactly the error its own ``DensityMatrix`` raises.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,6 +54,16 @@ def check_density(state) -> None:
 def validate_density(m) -> DensityMatrix:
     """Wrap a Hermitian matrix as a DensityMatrix, enforcing its invariants."""
     return DensityMatrix(m)
+
+
+def _check_index(i, count: int, what: str) -> None:
+    """Reject an index ``i`` of one of ``count`` items that is not an integer
+    (a bool is not one) with TypeError, and one outside 0 .. count - 1 with
+    IndexError; ``what`` names the item in the message."""
+    if isinstance(i, bool) or not isinstance(i, numbers.Integral):
+        raise TypeError(f"{what} index must be an integer, got {i!r}")
+    if not 0 <= i < count:
+        raise IndexError(f"{what} {i} out of range for {count} {what}s")
 
 
 def _checked_states(stack: np.ndarray) -> tuple[DensityMatrix, ...]:
@@ -144,7 +155,9 @@ class Ensemble:
         return bool(np.any(self.priors == 0.0))
 
     def weighted(self, i: int) -> np.ndarray:
-        """Prior-weighted state p_i rho_i."""
+        """Prior-weighted state p_i rho_i; ``i`` is checked as an outcome
+        index is (TypeError, IndexError)."""
+        _check_index(i, len(self.states), "state")
         return self.weighted_states[i]
 
     def average_state(self) -> np.ndarray:

@@ -2,6 +2,16 @@
 
 Tolerances are double-precision constants for the desk-scale problems this
 package targets (dimension <= ~64).
+
+Positivity is decided by the sign of the lowest eigenvalue, but from order
+``_CHOLESKY_MIN_DIM`` up ``checked_psd`` first tries to prove it without
+one: a batched Cholesky of H + (PSD_TOL - m) I that completes shows that
+H's lowest eigenvalue, as ``eigvalsh`` would compute it, is at least
+-PSD_TOL.  The margin m covers the rounding of the factorisation (Higham,
+Accuracy and Stability of Numerical Algorithms, 2nd ed., Thm 10.3) and of
+the eigenvalue scan; Rump (BIT 46, 433 (2006)) verifies positive
+definiteness by the same kind of test.  ``_cholesky_completes`` is the one
+Cholesky kernel, shared with the solver's screen in ``certificates``.
 """
 
 from __future__ import annotations
@@ -15,6 +25,13 @@ HERM_TOL = 1e-10
 PSD_TOL = 1e-9
 # machine epsilon of a double
 EPS = float(np.finfo(float).eps)
+
+# Below this order the eigenvalue scan costs less than the Cholesky proof
+# that would replace it.  On a 2-vCPU Xeon (numpy 2.4.6, one BLAS thread)
+# the proof took 11.5 us against eigvalsh's 8.0 us on a (2, 2, 2) stack,
+# 12.0 against 12.1 us at (2, 6, 6), 13.1 against 15.2 us at (2, 8, 8)
+# and 122 against 895 us at (16, 32, 32).
+_CHOLESKY_MIN_DIM = 8
 
 # relative cutoff below which a vector component is treated as zero when
 # fixing eigenvector phases
@@ -117,6 +134,32 @@ def hermitize(m) -> np.ndarray:
     return _hermitian_part(_square_or_stack(m))
 
 
+def _cholesky_completes(a: np.ndarray) -> bool:
+    """Whether a batched ``np.linalg.cholesky`` of the Hermitian matrix or
+    stack ``a`` runs to completion: no pivot is nonpositive (LAPACK's
+    ``LinAlgError``) and the factor is finite.  The factor is tested as
+    well, since a NaN pivot does not stop the factorisation."""
+    try:
+        factor = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return False
+    return _all_finite(factor)
+
+
+def _proves_psd(hermitian: np.ndarray) -> bool:
+    """The shifted Cholesky proof described in ``checked_psd``: True only
+    when every eigenvalue ``eigvalsh`` would give ``hermitian`` is at least
+    -PSD_TOL."""
+    d = hermitian.shape[-1]
+    largest_trace = float(hermitian.diagonal(0, -2, -1).real.sum(-1).max())
+    margin = 16 * (d + 1) ** 2 * EPS * (largest_trace + d * PSD_TOL)
+    if not 0.0 <= margin < PSD_TOL:
+        return False
+    shifted = hermitian.copy()
+    shifted.reshape(-1, d * d)[:, :: d + 1] += PSD_TOL - margin
+    return _cholesky_completes(shifted)
+
+
 def checked_psd(m) -> np.ndarray:
     """Hermitian part of a square matrix, or of each matrix in a stack, after
     checking, in this order, that its entries are finite (else ValueError),
@@ -128,7 +171,26 @@ def checked_psd(m) -> np.ndarray:
     failure raises EigendecompositionError, not a validation error.
 
     The Hermiticity test takes one max over the whole stack; per-element
-    maxima are formed only when it fails, to name the element."""
+    maxima are formed only when it fails, to name the element.
+
+    Positivity means that ``eigvalsh`` puts no eigenvalue of an element H
+    below -PSD_TOL.  From order d = ``_CHOLESKY_MIN_DIM`` up it is first
+    proved without eigenvalues.  Take t the largest trace in the stack and
+    m = 16 (d + 1)^2 eps (t + d PSD_TOL); when 0 <= m < PSD_TOL, one
+    batched Cholesky of every A = H + (PSD_TOL - m) I is tried.  If it
+    completes, the computed factor R has R*R = A + E with
+    |E| <= gamma_{d+1} |R*| |R| (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., Thm 10.3), so ||E||_2 <= gamma_{d+1} tr(R*R), at
+    most about (d + 1) eps (t + d PSD_TOL), and A + E >= 0 gives
+    lambda_min(H) >= -PSD_TOL + m less that rounding and the rounding of the
+    shift.  Every eigenvalue of H then lies in [-PSD_TOL, t + d PSD_TOL],
+    and ``eigvalsh``, backward stable, reads the lowest one within a small
+    multiple of d eps (t + d PSD_TOL).  m covers both, with room for complex
+    arithmetic, so the scan would raise nothing, and the Hermitian part is
+    returned without it.  Rump (BIT 46, 433 (2006)) verifies positive
+    definiteness by the same kind of test.  When the factorisation fails,
+    or m is out of that range, the ``eigvalsh`` scan decides, as it does
+    below the gate, so every result and error is that of the scan."""
     arr = _square_or_stack(m)
 
     def first(bad: np.ndarray) -> int | None:
@@ -143,6 +205,8 @@ def checked_psd(m) -> np.ndarray:
         i = first(deviations > HERM_TOL)
         raise NotHermitianError(deviations.flat[i or 0], index=i)
     hermitian = _hermitian_part(arr)
+    if arr.shape[-1] >= _CHOLESKY_MIN_DIM and _proves_psd(hermitian):
+        return hermitian
     lowest = checked_eigvalsh(hermitian)[..., 0]
     if lowest.min() < -PSD_TOL:
         i = first(lowest < -PSD_TOL)

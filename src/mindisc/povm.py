@@ -8,13 +8,12 @@ rejected rather than truncated.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from .ensembles import Ensemble, _check_shape, _gaussian_grams, check_density
+from .ensembles import Ensemble, _check_index, _check_shape, _gaussian_grams, check_density
 from .matrices import (
     NumericFailure,
     _hermitian_part,
@@ -87,6 +86,8 @@ class Povm:
         return iter(self.elements)
 
     def __getitem__(self, i: int) -> np.ndarray:
+        """Element ``i``, an index checked by ``check_outcome``."""
+        check_outcome(self, i)
         return self.elements[i]
 
     @property
@@ -173,10 +174,7 @@ def check_match(ens: Ensemble, povm: Povm) -> None:
 def check_outcome(povm: Povm, j: int) -> None:
     """Reject an outcome index ``j`` that is not an integer (a bool is not
     one) with TypeError, and one outside 0 .. len(povm) - 1 with IndexError."""
-    if isinstance(j, bool) or not isinstance(j, numbers.Integral):
-        raise TypeError(f"outcome index must be an integer, got {j!r}")
-    if not 0 <= j < len(povm):
-        raise IndexError(f"outcome {j} out of range for {len(povm)} outcomes")
+    _check_index(j, len(povm), "outcome")
 
 
 def outcome_probability(rho, povm: Povm, j: int) -> float:
@@ -187,7 +185,7 @@ def outcome_probability(rho, povm: Povm, j: int) -> float:
         raise DimensionMismatchError(
             f"state dimension {rho.dim} does not match POVM dimension {povm.dim}"
         )
-    return float(_real_traces(rho.mat, povm[j]))
+    return float(_real_traces(rho.mat, povm.elements[j]))
 
 
 def p_correct(ens: Ensemble, povm: Povm) -> float:

@@ -637,7 +637,8 @@ def helstrom_binary(
     ``solve`` that steps returns this POVM bit for bit.
     """
     ens = Ensemble((p1, p2), (rho1, rho2))
-    delta = ens.weighted(0) - ens.weighted(1)
+    weighted = ens.weighted_states
+    delta = weighted[0] - weighted[1]
     elements = _helstrom_elements(delta)
     success = float(ens.priors[1]) + float(np.trace(delta @ elements[0]).real)
     return validate_povm(elements), success

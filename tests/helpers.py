@@ -16,6 +16,12 @@ BAD_STATES = {
 }
 
 
+def padded_bad_states(dim: int) -> dict:
+    """BAD_STATES padded with zeros to order ``dim``: each fails the check
+    its qubit original fails, with the same message."""
+    return {kind: np.pad(m, (0, dim - 2)) for kind, m in BAD_STATES.items()}
+
+
 def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return (a + a.conj().T) / 2

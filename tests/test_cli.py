@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mindisc as md
-from helpers import BAD_STATES, count_calls
-from mindisc import cli, ensembles
+from helpers import BAD_STATES, count_calls, padded_bad_states
+from mindisc import cli, ensembles, matrices
 from mindisc.matrices import _hermitian_part
 
 
@@ -145,7 +145,7 @@ def test_solve_pure_pair_report(tmp_path, capsys):
     assert len(report["input_sha256"]) == 64
 
 
-def test_solve_report_states_gap_bound_and_fixed_point_ending(tmp_path, capsys):
+def test_solve_report_states_gap_bound(tmp_path, capsys):
     problem = tmp_path / "spec.json"
     problem.write_text(json.dumps({"spec": {"kind": "random", "dim": 3, "n": 3, "seed": 1}}))
     report_path = tmp_path / "r.json"
@@ -1007,18 +1007,39 @@ def test_eigensolver_failure_in_validation_is_a_numeric_failure(tmp_path, capsys
     assert captured.err.startswith("numeric failure: ") and captured.err.count("\n") == 1
 
 
-def _qubit_doc(*mats) -> dict:
-    """A problem file of equiprior qubit states given as complex matrices."""
+def test_eigensolver_failure_above_the_cholesky_gate_is_a_numeric_failure(tmp_path, capsys, monkeypatch):
+    # at d = 16 a failed Cholesky proof hands the check to eigvalsh, whose
+    # failure is still a numeric one
+    path = make_problem(tmp_path / "p.json", md.random_mixed(16, 3, 1), md.uniform_povm(3, 16))
+    elements = md.uniform_povm(3, 16).elements
+
+    def not_definite(_):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    def no_convergence(_):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "cholesky", not_definite)
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+    with pytest.raises(md.EigendecompositionError):
+        md.validate_povm(elements)
+    code, captured = run(["certify", path], capsys)
+    assert code == cli.EXIT_NUMERIC
+    assert captured.err.startswith("numeric failure: ") and captured.err.count("\n") == 1
+
+
+def _states_doc(*mats) -> dict:
+    """A problem file of equiprior states given as complex matrices."""
     def pairs(m):
         return [[[z.real, z.imag] for z in row] for row in np.asarray(m, dtype=complex).tolist()]
 
-    return {"dim": 2, "states": [{"prior": 1 / len(mats), "matrix": pairs(m)} for m in mats]}
+    return {"dim": len(mats[0]), "states": [{"prior": 1 / len(mats), "matrix": pairs(m)} for m in mats]}
 
 
 @pytest.mark.parametrize("kind", BAD_STATES)
 def test_loader_reports_a_bad_state_as_its_own_check_does(tmp_path, capsys, kind):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(_qubit_doc(np.diag([1.0, 0.0]), BAD_STATES[kind], np.eye(2) / 2)))
+    path.write_text(json.dumps(_states_doc(np.diag([1.0, 0.0]), BAD_STATES[kind], np.eye(2) / 2)))
     with pytest.raises(ValueError) as err:
         md.validate_density(BAD_STATES[kind])
     code, captured = run(["certify", path], capsys)
@@ -1026,11 +1047,52 @@ def test_loader_reports_a_bad_state_as_its_own_check_does(tmp_path, capsys, kind
     assert captured.err == f"validation error: {err.value}\n"
 
 
+def _outcome(build):
+    """What ``build()`` gives: the bytes of the array it returns, or its
+    error's type, message and attributes (``index``, deviation, eigenvalue
+    or trace)."""
+    try:
+        return "valid", build().tobytes()
+    except ValueError as exc:
+        return type(exc), str(exc), vars(exc)
+
+
+@pytest.mark.parametrize("kind", BAD_STATES)
+def test_bad_states_above_the_cholesky_gate_raise_their_qubit_errors(tmp_path, capsys, kind):
+    # padded to d = 16, every bad state reaches the shifted Cholesky proof
+    # or an earlier check, and each place that checks it gives what the
+    # eigvalsh scan alone gives, and the errors its qubit original raises
+    def outcomes(bad):
+        dim = len(bad)
+        kept = np.zeros((dim, dim))
+        kept[0, 0] = 1.0
+        stack = np.array([kept, bad, np.eye(dim) / dim], dtype=complex)
+        path = tmp_path / f"bad{dim}.json"
+        path.write_text(json.dumps(_states_doc(*stack)))
+        code, captured = run(["certify", path], capsys)
+        return [
+            _outcome(lambda: md.DensityMatrix(bad).mat),
+            _outcome(lambda: np.array([s.mat for s in ensembles._checked_states(stack)])),
+            _outcome(lambda: md.Povm(np.array([bad, np.eye(dim) - bad])).elements),
+            (code, captured.err),
+        ]
+
+    bad = padded_bad_states(16)[kind]
+    with mock.patch.object(matrices, "_CHOLESKY_MIN_DIM", 17):
+        eigvalsh_alone = outcomes(bad)
+    got = outcomes(bad)
+    assert got == eigvalsh_alone
+    qubit = outcomes(BAD_STATES[kind])
+    assert [o[:1] if o[0] == "valid" else o for o in got] == [
+        o[:1] if o[0] == "valid" else o for o in qubit
+    ]
+
+
 @pytest.mark.parametrize("bad", [0, 1])
 def test_loader_reports_an_invalid_state_before_a_later_malformed_one(tmp_path, capsys, bad):
     mats = [np.eye(2) / 2, np.eye(2) / 2, np.eye(2) / 2]
     mats[bad] = BAD_STATES["non-psd"]
-    doc = _qubit_doc(*mats)
+    doc = _states_doc(*mats)
     doc["states"][bad + 1]["matrix"] = [[[1, 0]], [[0, 0]]]
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
@@ -1038,7 +1100,7 @@ def test_loader_reports_an_invalid_state_before_a_later_malformed_one(tmp_path, 
     assert code == cli.EXIT_VALIDATION
     assert captured.err == "validation error: has negative eigenvalue -5.000000e-01\n"
     # with the invalid state mended, the malformed one is a parse error
-    doc["states"][bad]["matrix"] = _qubit_doc(np.eye(2) / 2)["states"][0]["matrix"]
+    doc["states"][bad]["matrix"] = _states_doc(np.eye(2) / 2)["states"][0]["matrix"]
     path.write_text(json.dumps(doc))
     code, captured = run(["certify", path], capsys)
     assert code == cli.EXIT_PARSE

@@ -1,8 +1,15 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from helpers import random_complex, random_hermitian
+import mindisc as md
+from helpers import count_calls, random_complex, random_hermitian
+from mindisc import matrices
 from mindisc.matrices import (
+    PSD_TOL,
     EigendecompositionError,
     MatrixShapeError,
     NotHermitianError,
@@ -225,6 +232,71 @@ def test_checked_psd_names_a_non_hermitian_element_with_its_own_deviation(stacke
             checked_psd(skewed)
         assert err.value.index is None
         assert err.value.deviation == 0.25
+
+
+def _psd_outcome(stack: np.ndarray):
+    """``checked_psd``'s result bytes, or its error's type, message and
+    attributes (``index`` and the eigenvalue or deviation)."""
+    try:
+        return checked_psd(stack).tobytes()
+    except ValueError as exc:
+        return type(exc), str(exc), vars(exc)
+
+
+# the lowest eigenvalue of an element: on the bound -PSD_TOL within
+# 1e-9 PSD_TOL either side, or clear of it, or on either side within the margin
+_NEAR_BOUND = st.floats(-1e-9 * PSD_TOL, 1e-9 * PSD_TOL).map(lambda offset: offset - PSD_TOL)
+_LOWEST = st.one_of(_NEAR_BOUND, st.just(0.0), st.floats(0.0, 1e-6), st.floats(-2 * PSD_TOL, 0.0))
+
+
+@st.composite
+def _stacks_near_the_bound(draw, forced: bool):
+    """(n, d, d) stacks of U diag(lambda) U*, U a seeded random unitary,
+    n <= 16 and d from the Cholesky gate to 32, each element's trace
+    between 1e-3 and d; with ``forced``, some element's lowest eigenvalue
+    lies within 1e-9 PSD_TOL of -PSD_TOL."""
+    n = draw(st.integers(1, 16))
+    d = draw(st.integers(matrices._CHOLESKY_MIN_DIM, 32))
+    lowest = draw(st.lists(_LOWEST, min_size=n, max_size=n))
+    if forced:
+        lowest[draw(st.integers(0, n - 1))] = draw(_NEAR_BOUND)
+    traces = [10.0 ** draw(st.floats(-3.0, np.log10(d))) for _ in range(n)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    unitaries = np.linalg.qr(rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d)))[0]
+    values = rng.random((n, d))
+    values[:, 0] = 0.0
+    values *= (np.array(traces) - np.array(lowest))[:, None] / values.sum(axis=1, keepdims=True)
+    values[:, 0] = lowest
+    return (unitaries * values[:, None, :]) @ unitaries.conj().swapaxes(1, 2)
+
+
+@pytest.mark.parametrize("forced", [True, False], ids=["on-the-bound", "mixed"])
+@given(data=st.data())
+def test_cholesky_proof_gives_what_the_eigenvalue_scan_gives(forced, data):
+    stack = data.draw(_stacks_near_the_bound(forced))
+    with mock.patch.object(matrices, "_CHOLESKY_MIN_DIM", 10**9):
+        eigvalsh_alone = _psd_outcome(stack)
+    assert _psd_outcome(stack) == eigvalsh_alone
+
+
+def test_valid_stack_above_the_cholesky_gate_takes_no_eigenvalues(monkeypatch):
+    raws = md.ensembles._gaussian_grams(np.random.default_rng(3), 16, 32)
+    raws /= np.trace(raws, axis1=1, axis2=2).real[:, None, None]
+    calls = count_calls(monkeypatch, matrices, "checked_eigvalsh")
+    assert checked_psd(raws).tobytes() == _hermitian_part(raws).tobytes()
+    md.random_mixed(32, 16, 1)
+    md.uniform_povm(16, 32)
+    md.DensityMatrix(np.eye(32) / 32)
+    assert calls == []
+    # below the gate, and on an element that fails the proof, the scan runs
+    below = matrices._CHOLESKY_MIN_DIM - 1
+    checked_psd(raws[:, :below, :below])
+    bad = raws.copy()
+    bad[5] -= np.eye(32)
+    with pytest.raises(md.NotPositiveError) as err:
+        checked_psd(bad)
+    assert err.value.index == 5
+    assert calls == [(16, below, below), (16, 32, 32)]
 
 
 def test_checked_eigvalsh_maps_solver_failures(monkeypatch):

@@ -52,6 +52,26 @@ def test_povm_elements_are_readonly():
         povm[0][0, 0] = 5.0
 
 
+@pytest.mark.parametrize(
+    "index, error, message",
+    [
+        (True, TypeError, "index must be an integer, got True"),
+        (1.0, TypeError, "index must be an integer, got 1.0"),
+        (-1, IndexError, "-1 out of range for 3"),
+        (3, IndexError, "3 out of range for 3"),
+    ],
+)
+def test_element_and_weighted_state_indexes_are_checked(index, error, message):
+    # checked as check_outcome checks an outcome index: a numpy integer is one
+    povm, ens = md.uniform_povm(3, 2), md.trine()
+    assert povm[np.int64(2)].tobytes() == povm.elements[2].tobytes()
+    assert ens.weighted(np.int64(2)).tobytes() == ens.weighted_states[2].tobytes()
+    with pytest.raises(error, match=f"outcome {message}"):
+        povm[index]
+    with pytest.raises(error, match=f"state {message}"):
+        ens.weighted(index)
+
+
 def test_outcome_probability_projective():
     rho = md.validate_density(np.diag([1.0, 0.0]))
     povm = md.validate_povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
